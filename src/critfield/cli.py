@@ -129,9 +129,9 @@ def _run_field(cfg: RunConfig, out: Path) -> None:
     _write_summary(
         out,
         [
-            f"synthesized m={spec.m} grid {fr.values.shape}, seed={cfg.seed}",
+            f"synthesized m={spec.m} jet {fr.grid.shape}, seed={cfg.seed}",
             f"spectral cutoff radius = {fr.spectral_cutoff:.6g}",
-            f"var(X) sample = {float(np.var(fr.values)):.6g}",
+            f"var(X) sample = {float(np.var(fr.grid[0])):.6g}",
         ],
     )
 
@@ -387,7 +387,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output directory override")
     p.add_argument("--force", action="store_true", help="overwrite existing output")
     p.add_argument("--dry-run", action="store_true", help="print the plan, write nothing")
-    p.add_argument("--threads", type=int, default=None, help="BLAS/OpenMP thread cap")
     p.add_argument(
         "--plot-data",
         nargs=2,
@@ -400,9 +399,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     try:
         if args.plot_data is not None:
             path = emit_plot_data(args.plot_data[0], args.plot_data[1], args.out)

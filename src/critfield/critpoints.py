@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .field import FieldRealization, interpolate_component
+from .field import FieldRealization, hessian_stack, interpolate
 from .spectrum import SpectralMoments
 
 __all__ = [
@@ -64,11 +64,12 @@ def _box_arrays(box, m):
 
 
 def _grad_scale(field: FieldRealization) -> float:
-    return float(np.sqrt(np.mean(field.gradient[0] ** 2)))
+    return float(np.sqrt(np.mean(field.grid[1] ** 2)))
 
 
 def _hess_scale(field: FieldRealization) -> float:
-    return float(np.sqrt(np.mean(field.hess_entry(0, 0) ** 2) / 3.0))
+    # jet component 1 + m is the Hessian entry (0, 0)
+    return float(np.sqrt(np.mean(field.grid[1 + field.spec.m] ** 2) / 3.0))
 
 
 def _candidate_cells(field: FieldRealization, lo, hi, margin_cells: int = 1):
@@ -79,27 +80,20 @@ def _candidate_cells(field: FieldRealization, lo, hi, margin_cells: int = 1):
     origin = field.origin()
     i_lo = np.floor((lo - origin) / h).astype(int) - margin_cells
     i_hi = np.ceil((hi - origin) / h).astype(int) + margin_cells
-    n = field.values.shape[0]
+    n = field.spec.n_per_side
     i_lo = np.clip(i_lo, 0, n - 2)
     i_hi = np.clip(i_hi, 1, n - 1)
     window = tuple(slice(i_lo[k], i_hi[k] + 1) for k in range(m))
 
-    corner_offsets = list(itertools.product((0, 1), repeat=m))
-    mask = None
-    for comp in range(m):
-        g = field.gradient[comp][window]
-        cell = tuple(slice(0, g.shape[k] - 1) for k in range(m))
-        lo_c = None
-        hi_c = None
-        for off in corner_offsets:
-            sl = tuple(
-                slice(off[k], g.shape[k] - 1 + off[k]) for k in range(m)
-            )
-            v = g[sl]
-            lo_c = v if lo_c is None else np.minimum(lo_c, v)
-            hi_c = v if hi_c is None else np.maximum(hi_c, v)
-        var = (lo_c <= 0.0) & (hi_c >= 0.0)
-        mask = var if mask is None else (mask & var)
+    # one contiguous copy of the window: the 2^m corner slices each read it
+    g = np.ascontiguousarray(field.grid[(slice(1, 1 + m),) + window])
+    lo_c = hi_c = None
+    for off in itertools.product((0, 1), repeat=m):
+        sl = tuple(slice(o, g.shape[1 + k] - 1 + o) for k, o in enumerate(off))
+        v = g[(slice(None),) + sl]
+        lo_c = v if lo_c is None else np.minimum(lo_c, v)
+        hi_c = v if hi_c is None else np.maximum(hi_c, v)
+    mask = np.all((lo_c <= 0.0) & (hi_c >= 0.0), axis=0)
     idx = np.argwhere(mask)
     centers = origin + (idx + i_lo + 0.5) * h
     return centers
@@ -107,20 +101,12 @@ def _candidate_cells(field: FieldRealization, lo, hi, margin_cells: int = 1):
 
 def _interp_gradient(field: FieldRealization, pts: np.ndarray) -> np.ndarray:
     m = field.spec.m
-    return np.stack(
-        [interpolate_component(field, ("g", i), pts) for i in range(m)], axis=-1
-    )
+    return interpolate(field, pts, slice(1, 1 + m)).T
 
 
 def _interp_hessian(field: FieldRealization, pts: np.ndarray) -> np.ndarray:
     m = field.spec.m
-    h = np.empty((pts.shape[0], m, m))
-    for i in range(m):
-        for j in range(i, m):
-            v = interpolate_component(field, ("h", i, j), pts)
-            h[:, i, j] = v
-            h[:, j, i] = v
-    return h
+    return hessian_stack(interpolate(field, pts, slice(1 + m, None)), m)
 
 
 def count_newton(
@@ -295,17 +281,14 @@ def count_kacrice_smoothed(
             stacklevel=2,
         )
     origin = field.origin()
-    n = field.values.shape[0]
-    window = []
-    for k in range(m):
-        coords = origin[k] + h * np.arange(n)
-        sel = (coords >= lo[k]) & (coords < hi[k])
-        window.append(np.where(sel)[0])
+    coords = origin[0] + h * np.arange(field.spec.n_per_side)  # same on every axis
+    window = [np.flatnonzero((coords >= lo[k]) & (coords < hi[k])) for k in range(m)]
     sl = np.ix_(*window)
 
-    gmax = np.max(np.abs(np.stack([field.gradient[i][sl] for i in range(m)])), axis=0)
+    gmax = np.max(np.abs(field.grid[(slice(1, 1 + m),) + sl]), axis=0)
     # gradient can swing by about max|hess| * h * sqrt(m) within one cell
-    hmax = max(float(np.max(np.abs(a))) for a in field.hessian.values())
+    upper = field.grid[1 + m:]
+    hmax = max(float(upper.max()), -float(upper.min()))
     slack = 1.5 * math.sqrt(m) * hmax * h
     mask = gmax <= eps + slack
     if not np.any(mask):

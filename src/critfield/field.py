@@ -1,18 +1,23 @@
 """Seeded spectral synthesis of stationary isotropic Gaussian fields.
 
-A realization carries the field together with its exact gradient and Hessian
-on a regular periodic grid: derivative fields are produced in the spectral
-domain (multiplication by i*lam_j and -lam_j*lam_k of the same random
-coefficients), never by differencing the sampled values, so the jet is
-consistent to machine precision with one underlying trigonometric polynomial.
+A realization carries the jet (value, gradient, Hessian upper triangle) on a
+regular periodic grid as one stacked array.  Derivative fields are produced
+in the spectral domain (multiplication by i*lam_j and -lam_j*lam_k of the
+same random coefficients), never by differencing the sampled values, so the
+jet is consistent to machine precision with one trigonometric polynomial.
+The quintic B-spline prefilter is a real, even Fourier multiplier, so each
+component's transform yields its grid values in the real part and its spline
+coefficients in the imaginary part: there is no separate prefilter pass.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft as sfft
 from scipy import ndimage
 
 from .spectrum import SpectralDensity, moment_Ik
@@ -22,6 +27,7 @@ __all__ = [
     "FieldRealization",
     "NyquistError",
     "synthesize",
+    "jet_labels",
     "jet_statistics",
     "evaluate_offgrid",
     "dump_realization",
@@ -76,26 +82,76 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class FieldRealization:
-    """One seeded sample of (X, grad X, hess X) on a GridSpec.
+    """One seeded sample of the jet (X, grad X, hess X) on a GridSpec.
 
-    ``gradient`` has shape (m, n, ..., n); ``hessian`` maps the upper-triangle
-    index pair (i, j), i <= j, to an array of grid shape.
+    ``jet`` is one complex array of shape (1 + m + m(m+1)/2, n, ..., n)
+    holding the components in the order of ``jet_labels(m)``: the value, the
+    m gradient components, then the Hessian upper triangle row by row.  Its
+    real part holds the grid values of each component, its imaginary part
+    their periodic quintic B-spline coefficients.
     """
 
     spec: GridSpec
-    axes: tuple[np.ndarray, ...]
-    values: np.ndarray
-    gradient: np.ndarray
-    hessian: dict[tuple[int, int], np.ndarray]
+    jet: np.ndarray
     seed: int
     spectral_cutoff: float
-    _spline_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def hess_entry(self, i: int, j: int) -> np.ndarray:
-        return self.hessian[(i, j) if i <= j else (j, i)]
+    @classmethod
+    def from_grid(
+        cls, spec: GridSpec, grid: np.ndarray, seed: int, spectral_cutoff: float
+    ) -> FieldRealization:
+        """Realization from stacked grid values; computes the coefficients."""
+        axes = tuple(range(1, spec.m + 1))
+        spline = sfft.fftn(grid, axes=axes) * _spline_multiplier(spec.n_per_side, spec.m)
+        coeffs = sfft.ifftn(spline, axes=axes, overwrite_x=True).real
+        return cls(spec, grid + 1j * coeffs, seed, spectral_cutoff)
+
+    @property
+    def grid(self) -> np.ndarray:
+        """Grid values of every jet component (a view of ``jet.real``)."""
+        return self.jet.real
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """Quintic B-spline coefficients of every component (``jet.imag``)."""
+        return self.jet.imag
 
     def origin(self) -> np.ndarray:
-        return np.array([ax[0] for ax in self.axes])
+        """Coordinates of grid node (0, ..., 0), the torus corner."""
+        return np.full(self.spec.m, -self.spec.period / 2.0)
+
+
+def jet_labels(m: int) -> list[str]:
+    """Component names in jet order: X, g0 .. g{m-1}, then h{i}{j} for i <= j."""
+    upper = zip(*np.triu_indices(m))
+    return ["X"] + [f"g{i}" for i in range(m)] + [f"h{i}{j}" for i, j in upper]
+
+
+def hessian_stack(upper: np.ndarray, m: int) -> np.ndarray:
+    """Symmetric (k, m, m) matrices from Hessian upper-triangle rows (., k)."""
+    rows, cols = np.triu_indices(m)
+    hess = np.empty((upper.shape[1], m, m))
+    hess[:, rows, cols] = upper.T
+    hess[:, cols, rows] = upper.T
+    return hess
+
+
+def _along(v: np.ndarray, axis: int, m: int) -> np.ndarray:
+    """1-D array v shaped to broadcast along one axis of an m-D grid."""
+    return v.reshape([-1 if k == axis else 1 for k in range(m)])
+
+
+def _spline_multiplier(n: int, m: int) -> np.ndarray:
+    """Fourier multiplier of the periodic quintic B-spline prefilter on n^m.
+
+    Per axis it is 120 / (66 + 52 cos w + 2 cos 2w), the inverse transfer
+    function of the sampled quintic B-spline (Unser, Aldroubi & Eden, IEEE
+    TSP 1993); it matches ndimage.spline_filter(order=5, mode="grid-wrap").
+    The multiplier is real and even in the frequency.
+    """
+    om = 2.0 * np.pi * np.fft.fftfreq(n)
+    p = 120.0 / (66.0 + 52.0 * np.cos(om) + 2.0 * np.cos(2.0 * om))
+    return functools.reduce(np.multiply, [_along(p, a, m) for a in range(m)])
 
 
 def _spectral_cutoff(w: SpectralDensity, m: int, mass_tol: float = 1e-6) -> float:
@@ -115,7 +171,9 @@ def synthesize(w: SpectralDensity, spec: GridSpec, seed: int) -> FieldRealizatio
     Hermitian-free variant of spectral synthesis: draw one complex standard
     normal per lattice frequency, scale by sqrt(2 (2 pi)^(-m/2) w(|lam|)
     dlam^m), and keep the real part of the inverse transform.  The law of the
-    result matches the target covariance on the torus exactly.
+    result matches the target covariance on the torus exactly.  One complex
+    transform per jet component returns the grid values and, in the
+    otherwise unused imaginary part, the quintic spline coefficients.
     """
     m, n = spec.m, spec.n_per_side
     if n**m > _MAX_GRID_POINTS:
@@ -129,7 +187,7 @@ def synthesize(w: SpectralDensity, spec: GridSpec, seed: int) -> FieldRealizatio
             f"resolves {spec.nyquist_radius:.3g}; raise points_per_unit"
         )
     freqs = 2.0 * np.pi * np.fft.fftfreq(n, d=spec.spacing)
-    lam = np.meshgrid(*([freqs] * m), indexing="ij")
+    lam = [_along(freqs, a, m) for a in range(m)]
     rad = np.sqrt(sum(x**2 for x in lam))
     dlam = 2.0 * np.pi / spec.period
     amp = np.sqrt(2.0 * (2.0 * np.pi) ** (-m / 2.0) * w(rad) * dlam**m)
@@ -137,31 +195,42 @@ def synthesize(w: SpectralDensity, spec: GridSpec, seed: int) -> FieldRealizatio
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(rad.shape) + 1j * rng.standard_normal(rad.shape)
     coeff = amp * z / np.sqrt(2.0)
+    del rad, amp, z
 
-    scale = float(n**m)  # ifftn normalization -> plain Fourier sum
+    # real(ifftn(C)) = ifftn(C_h) for the Hermitian part C_h(k) = (C(k) +
+    # conj C(-k)) / 2.  The spline multiplier P is real and even, so
+    # ifftn(C_h (1 + iP)) is the field plus i times its spline coefficients.
+    # The folded coefficients live in the jet's last slot, which is filled last.
+    herm = np.roll(np.flip(coeff), 1, axis=tuple(range(m)))  # C(-k)
+    np.conjugate(herm, out=herm)
+    herm += coeff
+    herm *= 0.5
+    del coeff
+    jet = np.empty((1 + m + m * (m + 1) // 2,) + (n,) * m, dtype=complex)
+    folded = jet[-1]
+    np.multiply(herm, _spline_multiplier(n, m), out=folded)
+    folded *= 1j
+    folded += herm
+    del herm
 
-    def transform(mult):
-        return np.real(np.fft.ifftn(coeff * mult)) * scale
-
-    values = transform(1.0)
-    gradient = np.stack([transform(1j * lam[j]) for j in range(m)])
-    hessian = {
-        (i, j): transform(-lam[i] * lam[j])
-        for i in range(m)
-        for j in range(i, m)
-    }
-    axes = tuple(
-        -spec.period / 2.0 + spec.spacing * np.arange(n) for _ in range(m)
-    )
-    return FieldRealization(
-        spec=spec,
-        axes=axes,
-        values=values,
-        gradient=gradient,
-        hessian=hessian,
-        seed=seed,
-        spectral_cutoff=cutoff,
-    )
+    # Odd derivatives of the real Nyquist cosine vanish at the grid nodes, so
+    # an odd factor is zero there; that keeps every multiplier Hermitian.
+    odd = freqs.copy()
+    odd[n // 2] = 0.0
+    odd = [_along(odd, a, m) for a in range(m)]
+    mults = [1.0] + [1j * x for x in odd]
+    mults += [
+        -lam[i] * lam[i] if i == j else -odd[i] * odd[j]
+        for i, j in zip(*np.triu_indices(m))
+    ]
+    for c, mult in enumerate(mults):
+        np.multiply(folded, mult, out=jet[c])
+    # norm="forward" leaves the inverse unscaled: a plain Fourier sum.  With
+    # overwrite_x scipy transforms a complex array in place and returns a view.
+    out = sfft.ifftn(jet, axes=tuple(range(1, m + 1)), norm="forward", overwrite_x=True)
+    if not np.may_share_memory(out, jet):
+        jet = out
+    return FieldRealization(spec=spec, jet=jet, seed=seed, spectral_cutoff=cutoff)
 
 
 def jet_statistics(fields: list[FieldRealization], stride: int = 4) -> dict:
@@ -169,94 +238,58 @@ def jet_statistics(fields: list[FieldRealization], stride: int = 4) -> dict:
 
     Returns a dict keyed by moment label with (estimate, stderr) pairs; the
     standard error is over the per-realization means, which respects the
-    strong spatial correlation within one realization.
+    strong spatial correlation within one realization.  One realization
+    gives the estimates with a stderr of None.
     """
-    if len(fields) < 2:
-        raise ValueError("need at least 2 realizations")
+    if not fields:
+        raise ValueError("need at least 1 realization")
     m = fields[0].spec.m
-    labels: dict[str, tuple] = {"X.X": ("v", "v")}
-    for i in range(m):
-        labels[f"X.g{i}"] = ("v", ("g", i))
-        for j in range(i, m):
-            labels[f"g{i}.g{j}"] = (("g", i), ("g", j))
-            labels[f"X.h{i}{j}"] = ("v", ("h", i, j))
-    pairs = [(i, j) for i in range(m) for j in range(i, m)]
-    for a in range(len(pairs)):
-        for b in range(a, len(pairs)):
-            i, j = pairs[a]
-            k, l = pairs[b]
-            labels[f"h{i}{j}.h{k}{l}"] = (("h", i, j), ("h", k, l))
+    names = jet_labels(m)
+    k = len(names)
+    # every product of two components but the odd gradient-Hessian ones
+    pairs = [(a, b) for a in range(k) for b in range(a, k) if not 0 < a <= m < b]
 
-    def pick(f: FieldRealization, key):
-        sl = (slice(None, None, stride),) * m
-        if key == "v":
-            return f.values[sl]
-        if key[0] == "g":
-            return f.gradient[key[1]][sl]
-        return f.hess_entry(key[1], key[2])[sl]
-
-    out = {}
-    for label, (ka, kb) in labels.items():
-        per_real = np.array(
-            [float(np.mean(pick(f, ka) * pick(f, kb))) for f in fields]
-        )
-        est = per_real.mean()
-        se = per_real.std(ddof=1) / np.sqrt(len(per_real))
-        out[label] = (est, se)
-    return out
+    sl = (slice(None),) + (slice(None, None, stride),) * m
+    # per realization, the mean of every product of two components
+    samples = [f.grid[sl].reshape(k, -1) for f in fields]
+    per_real = np.array([s @ s.T / s.shape[1] for s in samples])
+    est = per_real.mean(axis=0)
+    se = per_real.std(axis=0, ddof=1) / np.sqrt(len(fields)) if len(fields) > 1 else None
+    return {
+        f"{names[a]}.{names[b]}": (est[a, b], None if se is None else se[a, b])
+        for a, b in pairs
+    }
 
 
-def _filtered(field_r: FieldRealization, key, order: int = 5) -> np.ndarray:
-    cache = field_r._spline_cache
-    if key not in cache:
-        if key == "v":
-            arr = field_r.values
-        elif key[0] == "g":
-            arr = field_r.gradient[key[1]]
-        else:
-            arr = field_r.hess_entry(key[1], key[2])
-        cache[key] = ndimage.spline_filter(arr, order=order, mode="grid-wrap")
-    return cache[key]
+def interpolate(field_r: FieldRealization, pts: np.ndarray, comps=slice(None)) -> np.ndarray:
+    """Quintic-spline values of the jet components ``comps`` at points (k, m).
 
-
-def _to_index_coords(field_r: FieldRealization, pts: np.ndarray) -> np.ndarray:
-    origin = field_r.origin()
-    return (pts - origin).T / field_r.spec.spacing
-
-
-def interpolate_component(field_r: FieldRealization, key, pts: np.ndarray) -> np.ndarray:
-    """Quintic-spline evaluation of one stored array at points (k, m)."""
-    coords = _to_index_coords(field_r, pts)
-    return ndimage.map_coordinates(
-        _filtered(field_r, key), coords, order=5, prefilter=False, mode="grid-wrap"
-    )
+    Returns shape (c, k) for c selected components.
+    """
+    coords = (pts - field_r.origin()).T / field_r.spec.spacing
+    return np.stack([
+        ndimage.map_coordinates(c, coords, order=5, prefilter=False, mode="grid-wrap")
+        for c in field_r.coeffs[comps]
+    ])
 
 
 def evaluate_offgrid(field_r: FieldRealization, t) -> dict:
     """C^2-consistent jet (X, grad X, hess X) at an arbitrary point.
 
     Points must lie inside the padded torus window; the interpolant is an
-    exact-at-nodes tensor-product quintic spline of each stored array.
+    exact-at-nodes tensor-product quintic spline of each stored array.  The
+    Hessian comes back as symmetric (k, m, m) matrices, (m, m) for one point.
     """
     t = np.atleast_2d(np.asarray(t, dtype=float))
     m = field_r.spec.m
     half = field_r.spec.period / 2.0
     if np.any(np.abs(t) > half):
         raise ValueError("point outside the padded grid domain")
-    x = interpolate_component(field_r, "v", t)
-    grad = np.stack(
-        [interpolate_component(field_r, ("g", i), t) for i in range(m)]
-    )
-    hess = {
-        (i, j): interpolate_component(field_r, ("h", i, j), t)
-        for i in range(m)
-        for j in range(i, m)
-    }
-    squeeze = t.shape[0] == 1
-    if squeeze:
-        x = float(x[0])
-        grad = grad[:, 0]
-        hess = {k: float(v[0]) for k, v in hess.items()}
+    vals = interpolate(field_r, t)
+    x, grad = vals[0], vals[1:1 + m]
+    hess = hessian_stack(vals[1 + m:], m)
+    if t.shape[0] == 1:
+        x, grad, hess = float(x[0]), grad[:, 0], hess[0]
     return {"value": x, "gradient": grad, "hessian": hess}
 
 
@@ -266,7 +299,8 @@ _MAGIC = b"CFLD1\x00"
 
 
 def dump_realization(field_r: FieldRealization, path) -> None:
-    """Little-endian binary dump: header (spec + seed) then float64 arrays."""
+    """Little-endian binary dump: header (spec + seed) then the float64 grid
+    values of every jet component, in jet order."""
     spec = field_r.spec
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
@@ -281,35 +315,21 @@ def dump_realization(field_r: FieldRealization, path) -> None:
             )
         )
         fh.write(struct.pack("<d", field_r.spectral_cutoff))
-        arrays = [field_r.values] + [field_r.gradient[i] for i in range(spec.m)]
-        arrays += [field_r.hessian[k] for k in sorted(field_r.hessian)]
-        for arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        for comp in field_r.grid:
+            fh.write(np.ascontiguousarray(comp, dtype="<f8").tobytes())
 
 
 def load_realization(path, w: SpectralDensity | None = None) -> FieldRealization:
-    """Inverse of dump_realization (w only used to re-label, not re-sample)."""
+    """Inverse of dump_realization (w only used to re-label, not re-sample).
+
+    The spline coefficients are recomputed from the stored grid values.
+    """
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise ValueError("not a critfield realization dump")
         m, seed, half_width, ppu, pad = struct.unpack("<iqdid", fh.read(32))
         (cutoff,) = struct.unpack("<d", fh.read(8))
         spec = GridSpec(m=m, half_width=half_width, points_per_unit=ppu, padding_factor=pad)
-        n = spec.n_per_side
-        shape = (n,) * m
-        count = int(np.prod(shape))
-
-        def read_arr():
-            return np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(shape).copy()
-
-        values = read_arr()
-        gradient = np.stack([read_arr() for _ in range(m)])
-        hessian = {}
-        for i in range(m):
-            for j in range(i, m):
-                hessian[(i, j)] = read_arr()
-    axes = tuple(-spec.period / 2.0 + spec.spacing * np.arange(n) for _ in range(m))
-    return FieldRealization(
-        spec=spec, axes=axes, values=values, gradient=gradient,
-        hessian=hessian, seed=seed, spectral_cutoff=cutoff,
-    )
+        shape = (len(jet_labels(m)),) + (spec.n_per_side,) * m
+        grid = np.frombuffer(fh.read(8 * int(np.prod(shape))), dtype="<f8")
+    return FieldRealization.from_grid(spec, grid.reshape(shape), seed, cutoff)

@@ -12,6 +12,7 @@ from critfield.cli import (
     main,
 )
 from critfield.config import ConfigError, parse_config
+from critfield.field import load_realization
 
 
 def _write(tmp_path, name, text):
@@ -152,6 +153,28 @@ class TestMainExitCodes:
 
     def test_no_config_given(self):
         assert main([]) == EXIT_CONFIG
+
+    def test_threads_flag_rejected(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "c.yaml", BASE_CLT)
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads", "2", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_field_single_realization(self, tmp_path):
+        text = BASE_CLT.replace("subcommand: clt", "subcommand: field")
+        cfg = _write(tmp_path, "f.yaml", text)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out)]) == EXIT_OK
+        stats = json.loads((out / "jet_statistics.json").read_text())
+        est, stderr = stats["X.X"]
+        assert est == pytest.approx(1.0, rel=0.5)
+        assert stderr is None
+        assert set(stats) >= {"g0.g1", "h00.h11", "X.h01"}
+        back = load_realization(out / "realization.bin")
+        assert back.seed == 42
+        assert back.grid.shape == (6, 96, 96)  # 2 * 3.0 * 2 * 8 points per side
 
 
 @pytest.fixture(scope="module")

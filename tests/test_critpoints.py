@@ -29,27 +29,21 @@ def _analytic_field(kind: str) -> FieldRealization:
     c = -SPEC.period / 2.0 + SPEC.spacing * np.arange(n)
     x, y = np.meshgrid(c, c, indexing="ij")
     if kind == "coscos":
-        values = np.cos(K * x) * np.cos(K * y)
-        gradient = np.stack([
+        grid = [
+            np.cos(K * x) * np.cos(K * y),
             -K * np.sin(K * x) * np.cos(K * y),
             -K * np.cos(K * x) * np.sin(K * y),
-        ])
-        hessian = {
-            (0, 0): -K**2 * np.cos(K * x) * np.cos(K * y),
-            (0, 1): K**2 * np.sin(K * x) * np.sin(K * y),
-            (1, 1): -K**2 * np.cos(K * x) * np.cos(K * y),
-        }
+            -K**2 * np.cos(K * x) * np.cos(K * y),
+            K**2 * np.sin(K * x) * np.sin(K * y),
+            -K**2 * np.cos(K * x) * np.cos(K * y),
+        ]
     elif kind == "ramp":
-        values = x.copy()
-        gradient = np.stack([np.ones_like(x), np.zeros_like(x)])
-        hessian = {k: np.zeros_like(x) for k in [(0, 0), (0, 1), (1, 1)]}
+        grid = [x, np.ones_like(x)] + [np.zeros_like(x)] * 4
     else:
-        values = np.zeros_like(x)
-        gradient = np.stack([np.zeros_like(x), np.zeros_like(x)])
-        hessian = {k: np.zeros_like(x) for k in [(0, 0), (0, 1), (1, 1)]}
-    return FieldRealization(
-        spec=SPEC, axes=(c, c), values=values, gradient=gradient,
-        hessian=hessian, seed=0, spectral_cutoff=K * np.sqrt(2.0),
+        grid = [np.zeros_like(x)] * 6
+    # jet order: X, X_x, X_y, X_xx, X_xy, X_yy
+    return FieldRealization.from_grid(
+        SPEC, np.stack(grid), seed=0, spectral_cutoff=K * np.sqrt(2.0)
     )
 
 
