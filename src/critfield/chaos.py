@@ -20,12 +20,10 @@ from .randmat import EnsembleParams, expect_functional_mc
 from .spectrum import DivergentIntegralError, SpectralDensity, spectral_moments
 
 __all__ = [
-    "HermiteCoeffs",
     "Chaos2Geometry",
     "hermite_eval",
     "hermite_zero",
     "d_alpha",
-    "hermite_coeffs",
     "diagram_pair_moments",
     "invariant_means",
     "invariant_gram",
@@ -67,24 +65,6 @@ def d_alpha(alpha, m: int, d_m: float) -> float:
     h0 = math.prod(hermite_zero(a) for a in alpha)
     fact = math.prod(math.factorial(a) for a in alpha)
     return h0 / (fact * (2.0 * math.pi * d_m) ** (m / 2.0))
-
-
-@dataclass(frozen=True)
-class HermiteCoeffs:
-    """A multi-index with its Hermite zero value and jet-density coefficient."""
-
-    alpha: tuple[int, ...]
-    h_zero: float
-    d: float
-
-
-def hermite_coeffs(alpha, d_m: float) -> HermiteCoeffs:
-    alpha = tuple(int(a) for a in alpha)
-    return HermiteCoeffs(
-        alpha=alpha,
-        h_zero=math.prod(hermite_zero(a) for a in alpha),
-        d=d_alpha(alpha, len(alpha), d_m),
-    )
 
 
 _PATTERNS = ("H1H1", "H2H2", "H2H1H1", "H1H1H1H1")

@@ -58,9 +58,7 @@ def _check_budget(cfg: RunConfig) -> None:
         if need > budget["grid_points"]:
             raise BudgetError(f"grid needs {need} points > budget {budget['grid_points']}")
     if "samples" in budget:
-        asked = max(
-            cfg.ensemble.get("samples", 0), cfg.experiment.get("mc_budget", 0)
-        )
+        asked = cfg.ensemble.get("samples", 0)
         if asked > budget["samples"]:
             raise BudgetError(f"MC asks {asked} samples > budget {budget['samples']}")
 
@@ -146,17 +144,20 @@ def _run_count(cfg: RunConfig, out: Path) -> None:
     critpoints.write_csv(cps, out / "critical_points.csv")
     mom = spectrum.spectral_moments(w, spec.m)
     e_absdet = cfg.experiment.get("e_absdet_s1")
-    lines = [
-        f"Newton count = {cps.newton_count} in [-{n_half}, {n_half})^{spec.m}",
-        f"signature counts = {cps.signature_counts()}",
-        f"failed cells = {cps.failed_cells}, degenerate = {len(cps.degenerate_flags)}",
-    ]
-    if e_absdet is not None:
-        expected = critpoints.expected_count(
-            mom, spec.m, (2.0 * n_half) ** spec.m, float(e_absdet)
-        )
-        lines.append(f"expected E[Z] = {expected:.6g}")
-    _write_summary(out, lines)
+    if e_absdet is None:
+        e_absdet = randmat.expect_absdet_S(spec.m, 1.0)
+    expected = critpoints.expected_count(
+        mom, spec.m, (2.0 * n_half) ** spec.m, float(e_absdet)
+    )
+    _write_summary(
+        out,
+        [
+            f"Newton count = {cps.newton_count} in [-{n_half}, {n_half})^{spec.m}",
+            f"signature counts = {cps.signature_counts()}",
+            f"failed cells = {cps.failed_cells}, degenerate = {len(cps.degenerate_flags)}",
+            f"expected E[Z] = {expected:.6g}",
+        ],
+    )
 
 
 def _run_randmat(cfg: RunConfig, out: Path) -> None:
@@ -187,9 +188,7 @@ def _run_randmat(cfg: RunConfig, out: Path) -> None:
         ),
     ]
     if u == v:
-        exact = randmat.expect_absdet_S(m, v) if m <= 3 else None
-        if exact is not None:
-            lines.append(f"  quadrature E[absdet] = {exact:.8g}")
+        lines.append(f"  quadrature E[absdet] = {randmat.expect_absdet_S(m, v):.8g}")
     _write_summary(out, lines)
 
 
@@ -234,8 +233,6 @@ def _experiment_config(cfg: RunConfig) -> experiments.ExperimentConfig:
         kwargs["eps_list"] = tuple(float(x) for x in exp["eps_list"])
     if exp.get("e_absdet_s1") is not None:
         kwargs["e_absdet_s1"] = float(exp["e_absdet_s1"])
-    if "mc_budget" in exp:
-        kwargs["mc_budget"] = int(exp["mc_budget"])
     return experiments.ExperimentConfig(**kwargs)
 
 
@@ -359,8 +356,8 @@ def emit_plot_data(record_dir, kind: str, out_path=None) -> Path:
         doc = json.loads((record_dir / "randmat.json").read_text())
         m, v = doc["m"], doc["v"]
         lam = np.linspace(-2.5 * np.sqrt(v * (m + 1)), 2.5 * np.sqrt(v * (m + 1)), 41)
-        rho = [randmat.rho_one_point(m + 1, v, x) for x in lam]
-        pred = [randmat.fyodorov_absdet(m, v, x) for x in lam]
+        rho = randmat.rho_one_point(m + 1, v, lam)
+        pred = randmat.fyodorov_absdet(m, v, lam)
         _write_plot(out_path, ["lam", "rho_m_plus_1", "E_absdet_shifted"],
                     zip(lam, rho, pred))
     return out_path

@@ -27,7 +27,6 @@ _SCHEMA = {
         "points_per_unit",
         "padding_factor",
         "eps_list",
-        "mc_budget",
         "e_absdet_s1",
     },
     "budget": {"samples", "grid_points", "wall_clock"},

@@ -27,6 +27,7 @@ from scipy import stats
 
 from .critpoints import count_kacrice_smoothed, count_newton, expected_count
 from .field import GridSpec, synthesize
+from .randmat import expect_absdet_S
 from .spectrum import SpectralDensity, spectral_moments
 
 __all__ = [
@@ -57,7 +58,6 @@ class ExperimentConfig:
     master_seed: int = 0
     eps_list: tuple[float, ...] = (0.2, 0.1, 0.05, 0.025, 0.0125)
     e_absdet_s1: float | None = None
-    mc_budget: int = 1_000_000
 
     def __post_init__(self):
         if list(self.n_list) != sorted(self.n_list) or len(self.n_list) == 0:
@@ -124,24 +124,18 @@ def run_clt(config: ExperimentConfig) -> ExperimentRecord:
 
     Realizations draw from SeedSequence(master).spawn streams, one per
     (N index, replicate), so per-N results do not depend on sweep order.
-    A level aborts if more than 5% of its realizations fail.
+    A level aborts if more than 5% of its realizations fail.  E[Z_N] is
+    anchored to config.e_absdet_s1 when set, else to the exact
+    expect_absdet_S(m, 1).
     """
     t0 = time.perf_counter()
     w = config.density()
     m = config.m
     moments = spectral_moments(w, m)
-    if config.e_absdet_s1 is not None:
-        e_absdet = config.e_absdet_s1
-    else:
-        from .randmat import EnsembleParams, expect_functional_mc
-
-        e_absdet = expect_functional_mc(
-            EnsembleParams(m=m, u=1.0, v=1.0),
-            "absdet",
-            max(config.mc_budget, 100_000),
-            seed=config.master_seed,
-        )["mean"]
-    c_m = (moments.h / (2.0 * math.pi * moments.d)) ** (m / 2.0) * e_absdet
+    e_absdet = config.e_absdet_s1
+    if e_absdet is None:
+        e_absdet = expect_absdet_S(m, 1.0)
+    c_m = expected_count(moments, m, 1.0, e_absdet)
 
     flags = [] if config.realizations >= 30 else ["insufficient: R < 30"]
     z_samples, failures, expected, zt, zp = {}, {}, {}, {}, {}
@@ -167,7 +161,7 @@ def run_clt(config: ExperimentConfig) -> ExperimentRecord:
                 f"N={n_half}: {n_fail}/{config.realizations} realizations failed"
             )
         z = np.array(counts, dtype=float)
-        ez = expected_count(moments, m, (2.0 * n_half) ** m, e_absdet)
+        ez = c_m * (2.0 * n_half) ** m
         scale = (2.0 * n_half) ** (m / 2.0)
         z_samples[n_half] = z
         failures[n_half] = n_fail

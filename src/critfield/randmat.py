@@ -6,8 +6,8 @@ matrices with centered Gaussian entries satisfying
     E[a_ij a_kl] = u d_ij d_kl + v (d_ik d_jl + d_il d_jk),
 
 equivalently a GOE matrix with off-diagonal variance v plus an independent
-N(0, u) multiple of the identity.  This module provides sampling, eigenvalue
-(Weyl) quadrature, one-point densities, the shifted-determinant identity that
+N(0, u) multiple of the identity.  This module provides sampling, the exact
+finite-n one-point eigenvalue density, the shifted-determinant identity that
 turns E|det(lam + B)| into a density evaluation, and the large-m predictions
 for the |det|-weighted functionals used by the chaos expansion.
 """
@@ -15,28 +15,21 @@ for the |det|-weighted functionals used by the chaos expansion.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special, stats
+from scipy import integrate, special
 
 __all__ = [
     "EnsembleParams",
-    "sample_matrix",
     "sample_matrices",
     "expect_functional_mc",
-    "homogeneous_rescale",
-    "weyl_joint_density",
-    "weyl_log_norm",
     "rho_one_point",
-    "eigenvalue_histogram_density",
     "semicircle_density",
     "fyodorov_absdet",
     "expect_absdet_S",
     "asymptotic_targets",
     "asymptotic_targets_semicircle",
-    "det_weight_constant",
 ]
 
 FUNCTIONALS = ("absdet", "p_absdet", "q_absdet", "p", "q", "p2", "pq", "q2", "absdet2")
@@ -66,10 +59,6 @@ def sample_matrices(params: EnsembleParams, n: int, rng: np.random.Generator) ->
     return b
 
 
-def sample_matrix(params: EnsembleParams, rng: np.random.Generator) -> np.ndarray:
-    return sample_matrices(params, 1, rng)[0]
-
-
 def _functional_values(a: np.ndarray, functional: str) -> np.ndarray:
     tr = np.trace(a, axis1=1, axis2=2)
     if functional in ("p", "p2", "p_absdet", "pq"):
@@ -96,168 +85,77 @@ def expect_functional_mc(
     functional: str,
     n_samples: int,
     seed: int = 0,
-    antithetic: bool = True,
     batch: int = 200_000,
 ) -> dict:
-    """Plain Monte Carlo mean of an invariant functional, jackknife stderr.
+    """Plain Monte Carlo mean of an invariant functional, with its iid stderr.
 
-    Antithetic pairing (A, -A) is exact for the even functionals used here
-    and halves the sampling work.
+    n_samples counts each draw twice, so the call averages n = n_samples // 2
+    independent matrices; the convention is kept from an (A, -A) pairing,
+    a no-op for these functionals, which are all even in A, so that a given
+    (n_samples, seed) keeps its draws.  The stderr is sd / sqrt(n).
     """
     if functional not in FUNCTIONALS:
         raise ValueError(f"unknown functional {functional!r}")
     if n_samples < 10_000:
         raise ValueError("n_samples must be >= 1e4")
     rng = np.random.default_rng(seed)
-    n_draw = n_samples // 2 if antithetic else n_samples
-    sums, sqs, count = 0.0, 0.0, 0
-    block_means = []
-    for start in range(0, n_draw, batch):
-        k = min(batch, n_draw - start)
-        a = sample_matrices(params, k, rng)
-        vals = _functional_values(a, functional)
-        if antithetic:
-            vals = 0.5 * (vals + _functional_values(-a, functional))
-        block_means.append((vals.mean(), len(vals)))
+    count = n_samples // 2
+    sums, sqs = 0.0, 0.0
+    for start in range(0, count, batch):
+        vals = _functional_values(
+            sample_matrices(params, min(batch, count - start), rng), functional
+        )
         sums += vals.sum()
         sqs += np.sum(vals**2)
-        count += len(vals)
     mean = sums / count
-    # jackknife over blocks
-    if len(block_means) > 1:
-        bm = np.array([b[0] for b in block_means])
-        bw = np.array([b[1] for b in block_means], dtype=float)
-        jk = (sums - bm * bw) / (count - bw)
-        stderr = math.sqrt(
-            (len(bm) - 1) / len(bm) * np.sum((jk - jk.mean()) ** 2)
-        )
-    else:
-        var = sqs / count - mean**2
-        stderr = math.sqrt(max(var, 0.0) / count)
+    var = max(sqs - count * mean**2, 0.0) / (count - 1)
+    stderr = math.sqrt(var / count)
     return {"mean": float(mean), "stderr": float(stderr), "n": count, "seed": seed}
 
 
-def homogeneous_rescale(value_at_half: float, degree: int, v: float) -> float:
-    """E over S(m; v, v) of a degree-k homogeneous functional from its value
-    at v = 1/2: multiply by (2 v)^(k/2)."""
-    return (2.0 * v) ** (degree / 2.0) * value_at_half
+# --- eigenvalue densities -------------------------------------------------
+
+# Oscillator functions underflow (exp(-t^2 / 2) < 1e-308) beyond |t| ~ 37.6,
+# which lies inside the spectrum once sqrt(2 n) gets close to it.
+_RHO_MAX_N = 600
 
 
-# --- eigenvalue measure ----------------------------------------------------
+def rho_one_point(n: int, v: float, x):
+    """Normalized one-point eigenvalue density rho_(n, v)(x) of GOE(n, v).
 
+    Exact (Mehta, Random Matrices, ch. 7) and vectorized in x.  With
+    t = x / sqrt(2 v), the orthonormal oscillator functions phi_k(t) and
+    their running integrals I_k(t) = integral_(-inf)^t phi_k give
 
-def weyl_log_norm(m: int, v: float) -> float:
-    """log of the eigenvalue-measure normalization Z_m(v) =
-    (2 v)^(m (m+1) / 4) 2^(m/2) m! prod_j Gamma(j/2)."""
-    out = m * (m + 1) / 4.0 * math.log(2.0 * v) + m / 2.0 * math.log(2.0)
-    out += special.gammaln(m + 1)
-    out += sum(special.gammaln(j / 2.0) for j in range(1, m + 1))
-    return out
+        n sqrt(2 v) rho = sum_(k<n) phi_k^2
+                          + sqrt(n/2) phi_(n-1) (I_n(t) - I_n(inf) / 2)
+                          + [n odd] phi_(n-1) / I_(n-1)(inf).
 
-
-def weyl_joint_density(m: int, v: float, lam) -> float:
-    """Joint eigenvalue density of GOE(v): |Vandermonde| * Gaussian / Z_m(v)."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (m,):
-        raise ValueError(f"lam must have shape ({m},)")
-    if m > 6:
-        raise ValueError("Weyl quadrature density limited to m <= 6")
-    logq = -np.sum(lam**2) / (4.0 * v)
-    vand = 1.0
-    for i in range(m):
-        for j in range(i + 1, m):
-            vand *= abs(lam[i] - lam[j])
-    return vand * math.exp(logq - weyl_log_norm(m, v))
-
-
-def _gl_panels(a, b, x: float, k: int):
-    """Gauss-Legendre nodes/weights on [a, b], split at x when x lies inside.
-
-    a, b broadcast to any shape; the result appends a node axis of size 2k.
-    Empty sub-panels (x outside [a, b]) get zero-length spans, hence zero
-    weights, so shapes stay fixed.
+    phi_(k+1) = sqrt(2/(k+1)) t phi_k - sqrt(k/(k+1)) phi_(k-1) and
+    I_(k+1) = sqrt(k/(k+1)) I_(k-1) - sqrt(2/(k+1)) phi_k, from
+    I_0 = sqrt(2 pi) pi^(-1/4) Phi(t) and I_1 = -sqrt(2) phi_0.  Limited to
+    n <= 600, where the recurrence starts above the floating-point underflow
+    inside the bulk.
     """
-    t, u = np.polynomial.legendre.leggauss(k)
-    t = 0.5 * (t + 1.0)  # to [0, 1]
-    u = 0.5 * u
-    a = np.asarray(a, dtype=float)[..., None]
-    b = np.asarray(b, dtype=float)[..., None]
-    c = np.clip(x, a, b)
-    nodes = np.concatenate([a + (c - a) * t, c + (b - c) * t], axis=-1)
-    weights = np.concatenate([(c - a) * u, (b - c) * u], axis=-1)
-    return nodes, weights
-
-
-def _rho_quadrature(n: int, v: float, x: float, k: int = 32) -> float:
-    """Marginal of the Weyl density by (n-1)-dimensional quadrature, n <= 4.
-
-    The n - 1 free eigenvalues are integrated over the descending-ordered
-    region (times (n-1)!), where the Vandermonde factor has a fixed sign,
-    and every 1-D panel is split at the kink lam = x; the integrand is then
-    analytic on each panel and tensor Gauss-Legendre converges spectrally.
-    """
-    if n > 4:
-        raise ValueError("quadrature path requires n <= 4")
-    lim = 2.0 * math.sqrt(v * n) + 6.0 * math.sqrt(2.0 * v)
-    log_z = weyl_log_norm(n, v)
-    gauss = lambda y: np.exp(-y * y / (4.0 * v))
-    if n == 1:
-        return math.exp(-x * x / (4.0 * v) - log_z)
-
-    # y1 > y2 > y3 nested from the top
-    y1, w1 = _gl_panels(-lim, lim, x, k)  # (2k,)
-    vals = np.abs(x - y1) * gauss(y1)
-    weight = w1
-    if n >= 3:
-        y2, w2 = _gl_panels(np.full_like(y1, -lim), y1, x, k)  # (2k, 2k)
-        vals = vals[..., None] * np.abs(x - y2) * gauss(y2) * (y1[..., None] - y2)
-        weight = weight[..., None] * w2
-    if n == 4:
-        y3, w3 = _gl_panels(np.full_like(y2, -lim), y2, x, k)  # (2k, 2k, 2k)
-        vals = (
-            vals[..., None]
-            * np.abs(x - y3)
-            * gauss(y3)
-            * (y1[..., None, None] - y3)
-            * (y2[..., None] - y3)
-        )
-        weight = weight[..., None] * w3
-    total = float(np.sum(vals * weight)) * math.factorial(n - 1)
-    return total * math.exp(-x * x / (4.0 * v) - log_z)
-
-
-_rho_cache: dict[tuple, float] = {}
-
-
-def eigenvalue_histogram_density(
-    n: int, v: float, x, n_samples: int = 200, seed: int = 7
-):
-    """Kernel-smoothed eigenvalue density of GOE(n, v) from sampled spectra.
-
-    n_samples counts matrices; bandwidth follows the n^(-1/5) Silverman-type
-    rule on the pooled eigenvalues.
-    """
-    rng = np.random.default_rng(seed)
-    params = EnsembleParams(m=n, u=0.0, v=v)
-    eigs = np.concatenate(
-        [np.linalg.eigvalsh(sample_matrices(params, 1, rng)[0]) for _ in range(n_samples)]
-    )
-    kde = stats.gaussian_kde(eigs, bw_method=len(eigs) ** (-1.0 / 5.0))
-    return kde(np.atleast_1d(x))
-
-
-def rho_one_point(n: int, v: float, x: float, mc_samples: int = 400, seed: int = 7) -> float:
-    """Normalized one-point eigenvalue density rho_(n, v)(x).
-
-    Exact (n-1)-dimensional quadrature of the Weyl measure for n <= 4;
-    kernel-smoothed eigenvalue histogram beyond.
-    """
-    if n <= 4:
-        key = (n, round(v, 14), round(float(x), 14))
-        if key not in _rho_cache:
-            _rho_cache[key] = _rho_quadrature(n, v, float(x))
-        return _rho_cache[key]
-    return float(eigenvalue_histogram_density(n, v, x, n_samples=mc_samples, seed=seed)[0])
+    if not 1 <= n <= _RHO_MAX_N or v <= 0:
+        raise ValueError(f"need 1 <= n <= {_RHO_MAX_N} and v > 0")
+    t = np.asarray(x, dtype=float) / math.sqrt(2.0 * v)
+    i0_inf = math.sqrt(2.0 * math.pi) * math.pi**-0.25  # I_0(inf)
+    phi_prev, phi = np.zeros_like(t), math.pi**-0.25 * np.exp(-0.5 * t * t)
+    int_prev, integral = np.zeros_like(t), i0_inf * special.ndtr(t)
+    inf_prev, inf = 0.0, i0_inf
+    kernel = np.zeros_like(t)
+    for k in range(n):
+        kernel += phi * phi
+        a, b = math.sqrt(2.0 / (k + 1)), math.sqrt(k / (k + 1))
+        phi_prev, phi = phi, a * t * phi - b * phi_prev
+        int_prev, integral = integral, b * int_prev - a * phi_prev
+        inf_prev, inf = inf, b * inf_prev
+    # phi_prev is phi_(n-1); integral and inf are I_n(t) and I_n(inf)
+    kernel += math.sqrt(n / 2.0) * phi_prev * (integral - 0.5 * inf)
+    if n % 2:
+        kernel += phi_prev / inf_prev
+    return kernel / (n * math.sqrt(2.0 * v))
 
 
 def semicircle_density(v: float, lam) -> np.ndarray:
@@ -269,51 +167,44 @@ def semicircle_density(v: float, lam) -> np.ndarray:
     return np.sqrt(inside) / (2.0 * np.pi * v)
 
 
-def det_weight_constant(m: int) -> float:
-    """C_m = 2^(3/2) Gamma((m+3)/2), evaluated in log space."""
-    return math.exp(1.5 * math.log(2.0) + special.gammaln((m + 3) / 2.0))
+def _log_cm(m: int) -> float:
+    return 1.5 * math.log(2.0) + special.gammaln((m + 3) / 2.0)
 
 
-def fyodorov_absdet(m: int, v: float, lam: float, **rho_kwargs) -> float:
-    """E over GOE(m, v) of |det(lam + B)| via the one-point density:
+def fyodorov_absdet(m: int, v: float, lam):
+    """E over GOE(m, v) of |det(lam + B)| via the one-point density,
+    vectorized in lam:
 
         (2 v)^((m+1)/2) C_m exp(lam^2 / (4 v)) rho_(m+1, v)(lam).
     """
-    rho = rho_one_point(m + 1, v, lam, **rho_kwargs)
-    log_val = (
-        (m + 1) / 2.0 * math.log(2.0 * v)
-        + 1.5 * math.log(2.0)
-        + special.gammaln((m + 3) / 2.0)
-        + lam * lam / (4.0 * v)
-    )
-    return math.exp(log_val) * rho
+    lam = np.asarray(lam, dtype=float)
+    log_val = (m + 1) / 2.0 * math.log(2.0 * v) + _log_cm(m) + lam * lam / (4.0 * v)
+    return np.exp(log_val) * rho_one_point(m + 1, v, lam)
 
 
-def expect_absdet_S(m: int, v: float, quad_points: int = 201) -> float:
+# Simpson nodes on [0, lim] for the Gaussian average in expect_absdet_S
+_SIMPSON_POINTS = 201
+
+
+def expect_absdet_S(m: int, v: float) -> float:
     """E over S(m; v, v) of |det A|: Gaussian average over the identity shift,
 
         (2 v)^((m+1)/2) C_m / sqrt(2 pi v) * integral rho_(m+1,v)(lam)
-            exp(-lam^2 / (4 v)) dlam.
+            exp(-lam^2 / (4 v)) dlam,
 
-    The density is splined on a symmetric grid before the 1-D quadrature (it
-    is smooth and even), keeping the number of (n-1)-dim quadratures small.
+    by Simpson's rule on the even half-line, truncated 8 sqrt(v) beyond the
+    spectral edge 2 sqrt(v (m + 1)).
     """
     lim = 2.0 * math.sqrt(v) * (math.sqrt(m + 1) + 4.0)
-    xs = np.linspace(0.0, lim, quad_points)
-    rho = np.array([rho_one_point(m + 1, v, x) for x in xs])
-    integrand = rho * np.exp(-(xs**2) / (4.0 * v))
+    xs = np.linspace(0.0, lim, _SIMPSON_POINTS)
+    integrand = rho_one_point(m + 1, v, xs) * np.exp(-(xs**2) / (4.0 * v))
     half = integrate.simpson(integrand, x=xs)
     log_pref = (
         (m + 1) / 2.0 * math.log(2.0 * v)
-        + 1.5 * math.log(2.0)
-        + special.gammaln((m + 3) / 2.0)
+        + _log_cm(m)
         - 0.5 * math.log(2.0 * math.pi * v)
     )
     return math.exp(log_pref) * 2.0 * half
-
-
-def _log_cm(m: int) -> float:
-    return 1.5 * math.log(2.0) + special.gammaln((m + 3) / 2.0)
 
 
 def asymptotic_targets(m: int) -> dict:

@@ -125,7 +125,7 @@ def test_criterion_02_wick_closed_forms(criterion_report):
         "q2": gram[1, 1] + eq * eq,
     }
     printed_pq = 110.0  # printed reference value for E[pq]
-    # small batches give the block jackknife enough degrees of freedom
+    # the batch size only splits the work: draws and the iid stderr are the same
     est = {
         f: expect_functional_mc(params, f, 1_000_000, seed=2, batch=50_000)
         for f in targets

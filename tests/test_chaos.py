@@ -9,7 +9,6 @@ from critfield.chaos import (
     d_alpha,
     diagram_pair_moments,
     g_inner_products,
-    hermite_coeffs,
     hermite_eval,
     hermite_zero,
     invariant_gram,
@@ -78,12 +77,6 @@ class TestDAlpha:
     def test_length_check(self):
         with pytest.raises(ValueError):
             d_alpha((2, 0, 0), 2, 1.0)
-
-    def test_coeff_struct(self):
-        hc = hermite_coeffs((2, 0), 1.0)
-        assert hc.alpha == (2, 0)
-        assert hc.h_zero == -1.0
-        assert hc.d == pytest.approx(-1.0 / (4.0 * math.pi))
 
 
 class TestDiagramMoments:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -83,6 +84,13 @@ class TestParseConfig:
         )
         assert cfg.seed == 7
 
+    def test_mc_budget_key_rejected(self, tmp_path, capsys):
+        text = BASE_CLT + "  mc_budget: 100000\n"
+        cfg = _write(tmp_path, "a.yaml", text)
+        assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "unknown key 'mc_budget'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             parse_config(tmp_path / "nope.yaml")
@@ -161,6 +169,21 @@ class TestMainExitCodes:
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_count_prints_exact_expectation(self, tmp_path):
+        # without e_absdet_s1 the anchor is E|det A| = 4 / sqrt(3) over S(2; 1, 1)
+        text = BASE_CLT.replace("subcommand: clt", "subcommand: count").replace(
+            "  e_absdet_s1: 2.3094\n", ""
+        )
+        cfg = _write(tmp_path, "k.yaml", text)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out)]) == EXIT_OK
+        lines = (out / "summary.txt").read_text().splitlines()
+        (line,) = [ln for ln in lines if ln.startswith("expected E[Z] = ")]
+        # unit gaussian spectrum: h = d = 1, so E[Z] = 36 * 4 / sqrt(3) / (2 pi)
+        want = 36.0 * 4.0 / math.sqrt(3.0) / (2.0 * math.pi)
+        assert float(line.split("= ")[1]) == pytest.approx(want, rel=1e-5)
+        assert (out / "critical_points.csv").exists()
 
     def test_field_single_realization(self, tmp_path):
         text = BASE_CLT.replace("subcommand: clt", "subcommand: field")

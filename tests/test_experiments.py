@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from critfield.critpoints import expected_count
 from critfield.experiments import (
     ExperimentConfig,
     ExperimentRecord,
@@ -11,8 +14,10 @@ from critfield.experiments import (
     save_record,
     variance_scaling,
 )
+from critfield.randmat import expect_absdet_S
+from critfield.spectrum import spectral_moments
 
-# keeps the suite off the (slow) determinant Monte Carlo path
+# pins the Kac-Rice anchor instead of the exact default expect_absdet_S(2, 1)
 E_ABSDET = 2.3094
 
 SMALL = ExperimentConfig(
@@ -67,7 +72,6 @@ def _asdict(cfg: ExperimentConfig) -> dict:
         "master_seed": cfg.master_seed,
         "eps_list": cfg.eps_list,
         "e_absdet_s1": cfg.e_absdet_s1,
-        "mc_budget": cfg.mc_budget,
     }
 
 
@@ -105,6 +109,17 @@ class TestRunClt:
             not np.array_equal(other.z_samples[n], small_record.z_samples[n])
             for n in SMALL.n_list
         )
+
+    def test_exact_anchor_by_default(self):
+        cfg = ExperimentConfig(**{
+            **_asdict(SMALL), "n_list": (3.0,), "realizations": 2, "e_absdet_s1": None,
+        })
+        record = run_clt(cfg)
+        moments = spectral_moments(cfg.density(), 2)
+        assert record.c_m == expected_count(moments, 2, 1.0, expect_absdet_S(2, 1.0))
+        # h = d = 1 for the unit gaussian, up to the moment quadrature
+        assert record.c_m == pytest.approx(4.0 / math.sqrt(3.0) / (2.0 * math.pi), rel=1e-9)
+        assert record.expected_mean[3.0] == record.c_m * 36.0
 
     def test_centering_conventions(self, small_record):
         for n in SMALL.n_list:

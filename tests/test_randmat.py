@@ -1,30 +1,62 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from critfield.randmat import (
     EnsembleParams,
     asymptotic_targets,
     asymptotic_targets_semicircle,
-    det_weight_constant,
-    eigenvalue_histogram_density,
     expect_absdet_S,
     expect_functional_mc,
     fyodorov_absdet,
-    homogeneous_rescale,
     rho_one_point,
     sample_matrices,
     semicircle_density,
-    weyl_joint_density,
-    weyl_log_norm,
 )
 
 # determinant average over the unit-variance symmetric ensemble in dim 2,
 # frozen from a 1e7-sample antithetic Monte Carlo run (seed 20260826)
 E_ABSDET_S21 = 2.30936836
 E_ABSDET_S21_ERR = 1.05e-3
+
+
+# --- reference: the joint eigenvalue (Weyl) density of GOE(n, v) ------------
+
+
+def _weyl_log_norm(n: int, v: float) -> float:
+    """log Z_n(v) = log[(2 v)^(n (n+1) / 4) 2^(n/2) n! prod_j Gamma(j/2)]."""
+    out = n * (n + 1) / 4.0 * math.log(2.0 * v) + n / 2.0 * math.log(2.0)
+    out += special.gammaln(n + 1)
+    out += sum(special.gammaln(j / 2.0) for j in range(1, n + 1))
+    return out
+
+
+def _weyl_density(v: float, lam) -> float:
+    """|Vandermonde| * exp(-sum lam^2 / (4 v)) / Z_n(v)."""
+    lam = np.asarray(lam, dtype=float)
+    vand = math.prod(abs(a - b) for a, b in itertools.combinations(lam, 2))
+    return vand * math.exp(-np.sum(lam**2) / (4.0 * v) - _weyl_log_norm(len(lam), v))
+
+
+def _weyl_marginal(n: int, v: float, x: float) -> float:
+    """rho_(n, v)(x) by adaptive quadrature of the Weyl density over the
+    other n - 1 eigenvalues (n = 2 or 3), every panel split at its kinks."""
+    lim = 2.0 * math.sqrt(v * n) + 12.0 * math.sqrt(v)
+    opts = {"epsabs": 0.0, "epsrel": 1e-13, "limit": 200}
+    if n == 2:
+        f = lambda y: _weyl_density(v, [x, y])
+        return integrate.quad(f, -lim, lim, points=[x], **opts)[0]
+
+    # n = 3: the integrand is symmetric in (y, z), so twice the region z < y
+    def inner(y):
+        f = lambda z: _weyl_density(v, [x, y, z])
+        pts = [x] if x < y else None
+        return integrate.quad(f, -lim, y, points=pts, **opts)[0]
+
+    return 2.0 * integrate.quad(inner, -lim, lim, points=[x], **opts)[0]
 
 
 class TestSampling:
@@ -76,6 +108,30 @@ class TestFunctionalMC:
         b = expect_functional_mc(self.PARAMS, "absdet", 50_000, seed=9)
         assert a["mean"] == b["mean"]
 
+    @pytest.mark.parametrize("functional", ["absdet", "pq"])
+    def test_iid_stderr(self, functional):
+        # n_samples // 2 independent draws in batches; stderr = sd / sqrt(n)
+        n_samples, batch, seed = 60_000, 7_000, 21
+        res = expect_functional_mc(
+            self.PARAMS, functional, n_samples, seed=seed, batch=batch
+        )
+        rng = np.random.default_rng(seed)
+        count = n_samples // 2
+        a = np.concatenate([
+            sample_matrices(self.PARAMS, min(batch, count - start), rng)
+            for start in range(0, count, batch)
+        ])
+        tr = np.trace(a, axis1=1, axis2=2)
+        vals = {
+            "absdet": np.abs(np.linalg.det(a)),
+            "pq": tr**2 * np.einsum("nij,nij->n", a, a),
+        }[functional]
+        assert res["n"] == count
+        assert res["mean"] == pytest.approx(vals.mean(), rel=1e-12)
+        assert res["stderr"] == pytest.approx(
+            vals.std(ddof=1) / math.sqrt(count), rel=1e-9
+        )
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             expect_functional_mc(self.PARAMS, "trace", 50_000)
@@ -90,37 +146,35 @@ class TestFunctionalMC:
         full = expect_functional_mc(
             EnsembleParams(m=2, u=1.0, v=1.0), "absdet", 400_000, seed=6
         )
-        pred = homogeneous_rescale(half["mean"], degree=2, v=1.0)
+        pred = (2.0 * 1.0) ** (2 / 2.0) * half["mean"]  # (2 v)^(k/2), k = 2
         tol = 4 * (2.0 * half["stderr"] + full["stderr"])
         assert full["mean"] == pytest.approx(pred, abs=tol)
 
 
 class TestWeyl:
+    """The Weyl density above is the reference for rho_one_point."""
+
     def test_dim_one_is_gaussian(self):
         # single eigenvalue of GOE(1, v) is N(0, 2v)
-        for x in (0.0, 0.8, -1.7):
-            got = weyl_joint_density(1, 0.5, [x])
-            assert got == pytest.approx(stats.norm.pdf(x, scale=1.0), rel=1e-12)
+        xs = np.array([0.0, 0.8, -1.7, 3.2])
+        want = stats.norm.pdf(xs, scale=1.0)
+        for x, w in zip(xs, want):
+            assert _weyl_density(0.5, [x]) == pytest.approx(w, rel=1e-12)
+        np.testing.assert_allclose(rho_one_point(1, 0.5, xs), want, rtol=1e-12)
 
     def test_coincident_eigenvalues_vanish(self):
-        assert weyl_joint_density(3, 0.5, [0.4, 0.4, -1.0]) == 0.0
+        assert _weyl_density(0.5, [0.4, 0.4, -1.0]) == 0.0
 
     def test_dim_two_normalization(self):
         xs = np.linspace(-8.0, 8.0, 401)
-        grid = np.array(
-            [[weyl_joint_density(2, 0.5, [x, y]) for y in xs] for x in xs]
-        )
+        grid = np.array([[_weyl_density(0.5, [x, y]) for y in xs] for x in xs])
         total = integrate.simpson(integrate.simpson(grid, x=xs), x=xs)
         # the |x - y| kink along the diagonal limits Simpson to ~1e-4 here
         assert total == pytest.approx(1.0, abs=5e-4)
 
-    def test_large_dim_rejected(self):
-        with pytest.raises(ValueError):
-            weyl_joint_density(7, 0.5, [0.0] * 7)
-
     def test_log_norm_dim_one(self):
         # Z_1(v) = sqrt(2 v) * sqrt(2) * Gamma(1/2) = sqrt(4 pi v)
-        assert weyl_log_norm(1, 0.5) == pytest.approx(
+        assert _weyl_log_norm(1, 0.5) == pytest.approx(
             0.5 * math.log(2.0 * math.pi), rel=1e-12
         )
 
@@ -131,17 +185,48 @@ class TestRhoOnePoint:
             1.0 / math.sqrt(2.0 * math.pi), rel=1e-12
         )
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n,v", [(2, 0.5), (2, 1.0), (3, 0.5), (3, 1.0)])
+    def test_against_weyl_marginal(self, n, v):
+        xs = np.array([0.0, 0.45, -1.3, 2.7])
+        got = rho_one_point(n, v, xs)
+        want = np.array([_weyl_marginal(n, v, x) for x in xs])
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("n", range(1, 22))
     def test_normalization(self, n):
-        lim = 2.0 * math.sqrt(0.5 * n) + 6.0
-        xs = np.linspace(-lim, lim, 161)
-        rho = np.array([rho_one_point(n, 0.5, x) for x in xs])
-        assert integrate.simpson(rho, x=xs) == pytest.approx(1.0, abs=1e-6)
+        total, _ = integrate.quad(
+            lambda x: rho_one_point(n, 0.5, x), -np.inf, np.inf,
+            epsabs=0.0, epsrel=1e-12, limit=200,
+        )
+        assert total == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_against_sampled_histogram(self, n):
+        # per-matrix bin counts are iid across matrices (not across the
+        # eigenvalues of one matrix), so each bin's z-score uses their sd
+        v, n_mat = 0.7, 40_000
+        eigs = np.linalg.eigvalsh(
+            sample_matrices(EnsembleParams(m=n, u=0.0, v=v), n_mat,
+                            np.random.default_rng(50 + n))
+        )
+        edges = np.linspace(-1.1, 1.1, 23) * 2.0 * math.sqrt(v * n)
+        counts = np.stack([np.histogram(row, bins=edges)[0] for row in eigs])
+        share = counts.mean(axis=0) / n
+        se = counts.std(axis=0, ddof=1) / (n * math.sqrt(n_mat))
+        fine = np.linspace(edges[0], edges[-1], 22 * 40 + 1)
+        rho = rho_one_point(n, v, fine)
+        want = np.array([
+            integrate.simpson(rho[40 * b: 40 * b + 41], x=fine[40 * b: 40 * b + 41])
+            for b in range(22)
+        ])
+        z = np.abs(share - want) / se
+        assert z.max() <= 4.5, z
 
     def test_symmetry(self):
-        for n in (2, 3, 4):
-            assert rho_one_point(n, 0.5, 0.9) == pytest.approx(
-                rho_one_point(n, 0.5, -0.9), rel=1e-10
+        xs = np.linspace(0.1, 3.0, 7)
+        for n in (2, 3, 4, 9):
+            np.testing.assert_allclose(
+                rho_one_point(n, 0.5, xs), rho_one_point(n, 0.5, -xs), rtol=1e-10
             )
 
     def test_rescaling_identity(self):
@@ -152,16 +237,17 @@ class TestRhoOnePoint:
                 rho_one_point(n, v, x), rel=1e-9
             )
 
-    def test_kde_branch_matches_quadrature(self):
-        kde = eigenvalue_histogram_density(4, 0.5, 0.0, n_samples=3000, seed=1)
-        assert float(kde[0]) == pytest.approx(rho_one_point(4, 0.5, 0.0), rel=0.05)
-
     def test_large_n_approaches_semicircle(self):
         # spectral bulk of GOE(n, v) follows the semicircle of variance n v
         n, v = 200, 1.0 / 400.0
-        got = rho_one_point(n, v, 0.0, mc_samples=300)
+        got = rho_one_point(n, v, 0.0)
         want = float(semicircle_density(n * v, 0.0))
         assert got == pytest.approx(want, rel=0.05)
+
+    def test_input_validation(self):
+        for n, v in ((0, 0.5), (601, 0.5), (3, 0.0)):
+            with pytest.raises(ValueError):
+                rho_one_point(n, v, 0.0)
 
 
 class TestSemicircle:
@@ -205,6 +291,31 @@ class TestExpectAbsdetS:
         got = expect_absdet_S(2, 1.0)
         assert abs(got - E_ABSDET_S21) <= 3.0 * E_ABSDET_S21_ERR
 
+    def test_closed_form_dim_two(self):
+        assert expect_absdet_S(2, 1.0) == pytest.approx(4.0 / math.sqrt(3.0), rel=1e-12)
+
+    @pytest.mark.parametrize("m", [3, 20])
+    def test_simpson_grid_against_adaptive_quadrature(self, m):
+        v = 0.5
+        pref = math.exp(
+            (m + 1) / 2.0 * math.log(2.0 * v) + 1.5 * math.log(2.0)
+            + special.gammaln((m + 3) / 2.0) - 0.5 * math.log(2.0 * math.pi * v)
+        )
+        total, _ = integrate.quad(
+            lambda x: rho_one_point(m + 1, v, x) * math.exp(-x * x / (4.0 * v)),
+            -np.inf, np.inf, epsabs=0.0, epsrel=1e-13, limit=200,
+        )
+        assert expect_absdet_S(m, v) == pytest.approx(pref * total, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [5, 8])
+    def test_against_monte_carlo(self, m):
+        res = expect_functional_mc(
+            EnsembleParams(m=m, u=1.0, v=1.0), "absdet", 400_000, seed=30 + m
+        )
+        assert expect_absdet_S(m, 1.0) == pytest.approx(
+            res["mean"], abs=4 * res["stderr"]
+        )
+
     def test_variance_scaling(self):
         # degree-2 homogeneity in dimension 2: doubling v doubles the mean
         ratio = expect_absdet_S(2, 1.0) / expect_absdet_S(2, 0.5)
@@ -237,7 +348,7 @@ class TestAsymptotics:
 
     def test_det_weight_constant_small_dims(self):
         # C_2 = 2^(3/2) Gamma(5/2) = 3 sqrt(2 pi) / 2
-        assert det_weight_constant(2) == pytest.approx(
+        assert math.exp(asymptotic_targets(2)["log_Cm"]) == pytest.approx(
             1.5 * math.sqrt(2.0 * math.pi), rel=1e-12
         )
 
