@@ -16,7 +16,6 @@ from .spectrum import (
 )
 from .field import FieldRealization, GridSpec, NyquistError, synthesize
 from .critpoints import (
-    CriticalPoint,
     CriticalPointSet,
     count_kacrice_smoothed,
     count_newton,
@@ -35,7 +34,6 @@ from .chaos import (
     Chaos2Geometry,
     chaos2_coefficients,
     diagram_pair_moments,
-    hermite_eval,
     invariant_gram,
     v2_infinity,
 )

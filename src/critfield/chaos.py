@@ -1,11 +1,10 @@
 """Hermite expansion machinery for the critical-point count.
 
-Contents: probabilists' Hermite polynomials and their zero values, the jet
-density coefficients d(alpha), the low-order diagram (Wick) moment formulas,
-the exact Gram geometry of the rotation-invariant second-chaos functionals
-p(A) = (tr A)^2 and q(A) = tr(A^2), the Monte Carlo projection coefficients
-(x, y), and the closed-form lower bound V_{2,inf} obtained from the L^2
-norms of the radial profiles G_0, G_1, G_2.
+Contents: the low-order diagram (Wick) moment formulas of Hermite
+polynomials, the exact Gram geometry of the rotation-invariant second-chaos
+functionals p(A) = (tr A)^2 and q(A) = tr(A^2), the Monte Carlo projection
+coefficients (x, y), and the closed-form lower bound V_{2,inf} obtained from
+the L^2 norms of the radial profiles G_0, G_1, G_2.
 """
 
 from __future__ import annotations
@@ -21,9 +20,6 @@ from .spectrum import DivergentIntegralError, SpectralDensity, spectral_moments
 
 __all__ = [
     "Chaos2Geometry",
-    "hermite_eval",
-    "hermite_zero",
-    "d_alpha",
     "diagram_pair_moments",
     "invariant_means",
     "invariant_gram",
@@ -34,37 +30,6 @@ __all__ = [
     "g_inner_products",
     "v2_infinity",
 ]
-
-
-def hermite_eval(n: int, x: float) -> float:
-    """Probabilists' Hermite H_n(x) by the three-term recurrence
-    H_(n+1) = x H_n - n H_(n-1)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    h_prev, h = 0.0, 1.0
-    for k in range(n):
-        h_prev, h = h, x * h - k * h_prev
-    return h
-
-
-def hermite_zero(n: int) -> float:
-    """H_n(0): zero for odd n, (-1)^r (2r)! / (2^r r!) for n = 2r."""
-    if n % 2:
-        return 0.0
-    r = n // 2
-    return (-1) ** r * math.factorial(2 * r) / (2**r * math.factorial(r))
-
-
-def d_alpha(alpha, m: int, d_m: float) -> float:
-    """Expansion coefficient (1 / alpha!) (2 pi d_m)^(-m/2) H_alpha(0)."""
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != m:
-        raise ValueError(f"alpha must have length {m}")
-    if any(a % 2 for a in alpha):
-        return 0.0
-    h0 = math.prod(hermite_zero(a) for a in alpha)
-    fact = math.prod(math.factorial(a) for a in alpha)
-    return h0 / (fact * (2.0 * math.pi * d_m) ** (m / 2.0))
 
 
 _PATTERNS = ("H1H1", "H2H2", "H2H1H1", "H1H1H1H1")

@@ -29,14 +29,27 @@ EXIT_OK, EXIT_CONFIG, EXIT_BUDGET, EXIT_NUMERICAL = 0, 2, 3, 4
 _OUT_ENV = "CRITFIELD_OUT"
 
 
+# Monte Carlo sample count of each subcommand when ensemble.samples is unset
+_MC_SAMPLES = {"randmat": 500_000, "chaos": 2_000_000}
+
+
+def _mc_samples(cfg: RunConfig) -> int:
+    return int(cfg.ensemble.get("samples", _MC_SAMPLES.get(cfg.subcommand, 0)))
+
+
+def _density_table(cfg: RunConfig):
+    """(radii, values) of a user-table density block, else None."""
+    if "table" not in cfg.density:
+        return None
+    r, v = zip(*cfg.density["table"])
+    return tuple(r), tuple(v)
+
+
 def _density(cfg: RunConfig) -> spectrum.SpectralDensity:
     block = cfg.density
-    kwargs = {"family": block.get("family", "gaussian")}
+    kwargs = {"family": block.get("family", "gaussian"), "table": _density_table(cfg)}
     if "params" in block:
         kwargs["params"] = tuple(block["params"])
-    if "table" in block:
-        r, v = zip(*block["table"])
-        kwargs["table"] = (tuple(r), tuple(v))
     return spectrum.SpectralDensity(**kwargs)
 
 
@@ -58,7 +71,7 @@ def _check_budget(cfg: RunConfig) -> None:
         if need > budget["grid_points"]:
             raise BudgetError(f"grid needs {need} points > budget {budget['grid_points']}")
     if "samples" in budget:
-        asked = cfg.ensemble.get("samples", 0)
+        asked = _mc_samples(cfg)
         if asked > budget["samples"]:
             raise BudgetError(f"MC asks {asked} samples > budget {budget['samples']}")
 
@@ -163,7 +176,7 @@ def _run_count(cfg: RunConfig, out: Path) -> None:
 def _run_randmat(cfg: RunConfig, out: Path) -> None:
     ens = cfg.ensemble
     m, u, v = int(ens["m"]), float(ens.get("u", ens["v"])), float(ens["v"])
-    n = int(ens.get("samples", 500_000))
+    n = _mc_samples(cfg)
     params = randmat.EnsembleParams(m=m, u=u, v=v)
     results = {
         name: randmat.expect_functional_mc(params, name, n, seed=cfg.seed)
@@ -195,8 +208,7 @@ def _run_randmat(cfg: RunConfig, out: Path) -> None:
 def _run_chaos(cfg: RunConfig, out: Path) -> None:
     ens = cfg.ensemble
     m, v = int(ens["m"]), float(ens["v"])
-    budget = int(ens.get("samples", 2_000_000))
-    geo = chaos_mod.chaos2_coefficients(m, v, mc_budget=budget, seed=cfg.seed)
+    geo = chaos_mod.chaos2_coefficients(m, v, mc_budget=_mc_samples(cfg), seed=cfg.seed)
     w = _density(cfg)
     v2 = chaos_mod.v2_infinity(w, m, geo)
     with open(out / "chaos_report.csv", "w", newline="") as fh:
@@ -222,6 +234,7 @@ def _experiment_config(cfg: RunConfig) -> experiments.ExperimentConfig:
     kwargs = dict(
         density_family=cfg.density.get("family", "gaussian"),
         density_params=tuple(cfg.density.get("params", (1.0,))),
+        density_table=_density_table(cfg),
         m=int(exp.get("m", 2)),
         n_list=tuple(float(x) for x in exp["n_list"]),
         realizations=int(exp["realizations"]),
@@ -291,8 +304,8 @@ def _dry_run_plan(cfg: RunConfig) -> list[str]:
         )
         if "realizations" in cfg.experiment:
             lines.append(f"realizations per N: {cfg.experiment['realizations']}")
-    if cfg.ensemble:
-        lines.append(f"MC samples: {cfg.ensemble.get('samples', 500_000):,}")
+    if cfg.subcommand in _MC_SAMPLES:
+        lines.append(f"MC samples: {_mc_samples(cfg):,}")
     return lines
 
 

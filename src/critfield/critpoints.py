@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,6 @@ from .field import FieldRealization, hessian_stack, interpolate
 from .spectrum import SpectralMoments
 
 __all__ = [
-    "CriticalPoint",
     "CriticalPointSet",
     "count_newton",
     "count_kacrice_smoothed",
@@ -29,30 +29,28 @@ __all__ = [
     "write_csv",
 ]
 
-
-@dataclass(frozen=True)
-class CriticalPoint:
-    location: tuple[float, ...]
-    gradient_norm: float
-    hessian_signature: int  # number of negative eigenvalues
-    det_hessian: float
+_MAX_ITER = 40
 
 
 @dataclass(frozen=True)
 class CriticalPointSet:
-    points: list[CriticalPoint]
+    """Critical points in a half-open box, one array row per point."""
+
+    locations: np.ndarray  # (k, m)
+    residuals: np.ndarray  # (k,) |grad X| at each point
+    signatures: np.ndarray  # (k,) number of negative Hessian eigenvalues
+    det_hessian: np.ndarray  # (k,)
     box: tuple[tuple[float, ...], tuple[float, ...]]  # (lo, hi), half-open
-    newton_count: int
-    kacrice_smoothed_count: float | None
-    epsilon_used: float | None
     failed_cells: int
     degenerate_flags: list[int]  # indices of points with |det| below tolerance
 
+    @property
+    def newton_count(self) -> int:
+        return len(self.signatures)
+
     def signature_counts(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for p in self.points:
-            out[p.hessian_signature] = out.get(p.hessian_signature, 0) + 1
-        return out
+        sigs, counts = np.unique(self.signatures, return_counts=True)
+        return dict(zip(sigs.tolist(), counts.tolist()))
 
 
 def _box_arrays(box, m):
@@ -72,14 +70,14 @@ def _hess_scale(field: FieldRealization) -> float:
     return float(np.sqrt(np.mean(field.grid[1 + field.spec.m] ** 2) / 3.0))
 
 
-def _candidate_cells(field: FieldRealization, lo, hi, margin_cells: int = 1):
-    """Centers of grid cells (inside the box +/- margin) where every gradient
-    component changes sign among the 2^m cell corners."""
+def _candidate_cells(field: FieldRealization, lo, hi):
+    """Centers of grid cells (inside the box +/- one cell) where every
+    gradient component changes sign among the 2^m cell corners."""
     m = field.spec.m
     h = field.spec.spacing
     origin = field.origin()
-    i_lo = np.floor((lo - origin) / h).astype(int) - margin_cells
-    i_hi = np.ceil((hi - origin) / h).astype(int) + margin_cells
+    i_lo = np.floor((lo - origin) / h).astype(int) - 1
+    i_hi = np.ceil((hi - origin) / h).astype(int) + 1
     n = field.spec.n_per_side
     i_lo = np.clip(i_lo, 0, n - 2)
     i_hi = np.clip(i_hi, 1, n - 1)
@@ -99,22 +97,17 @@ def _candidate_cells(field: FieldRealization, lo, hi, margin_cells: int = 1):
     return centers
 
 
-def _interp_gradient(field: FieldRealization, pts: np.ndarray) -> np.ndarray:
-    m = field.spec.m
-    return interpolate(field, pts, slice(1, 1 + m)).T
+def _det_stack(hess: np.ndarray) -> np.ndarray:
+    """det of a (k, m, m) stack with the explicit 2x2 / 3x3 formulas."""
+    m = hess.shape[-1]
+    if m == 2:
+        return hess[:, 0, 0] * hess[:, 1, 1] - hess[:, 0, 1] ** 2
+    a, b, c = hess[:, 0, 0], hess[:, 0, 1], hess[:, 0, 2]
+    d, e, f = hess[:, 1, 1], hess[:, 1, 2], hess[:, 2, 2]
+    return a * (d * f - e**2) - b * (b * f - c * e) + c * (b * e - c * d)
 
 
-def _interp_hessian(field: FieldRealization, pts: np.ndarray) -> np.ndarray:
-    m = field.spec.m
-    return hessian_stack(interpolate(field, pts, slice(1 + m, None)), m)
-
-
-def count_newton(
-    field: FieldRealization,
-    box,
-    max_iter: int = 40,
-    dedup_radius: float | None = None,
-) -> CriticalPointSet:
+def count_newton(field: FieldRealization, box) -> CriticalPointSet:
     """Newton count of critical points in the half-open box [lo, hi)^m.
 
     Newton iterations on grad X start from every sign-variation cell; the
@@ -126,43 +119,31 @@ def count_newton(
     m = field.spec.m
     lo, hi = _box_arrays(box, m)
     h = field.spec.spacing
-    if dedup_radius is None:
-        dedup_radius = 0.5 * h
     gscale = _grad_scale(field)
-    tol = 1e-10 * max(gscale, 1e-300)
     if gscale == 0.0:
         raise ValueError("degenerate (identically flat) gradient field")
+    tol = 1e-10 * gscale
 
-    pts = _candidate_cells(field, lo, hi)
-    n_candidates = pts.shape[0]
-    if n_candidates == 0:
-        return CriticalPointSet(
-            points=[], box=(tuple(lo), tuple(hi)), newton_count=0,
-            kacrice_smoothed_count=None, epsilon_used=None,
-            failed_cells=0, degenerate_flags=[],
-        )
-
+    cur = _candidate_cells(field, lo, hi)
+    n_candidates = cur.shape[0]
     active = np.arange(n_candidates)
     converged = np.zeros(n_candidates, dtype=bool)
     escaped = np.zeros(n_candidates, dtype=bool)
-    roots = pts.copy()
+    # gradient and Hessian upper triangle (jet components 1 and up) at the
+    # iterate where each candidate converged
+    at_root = np.empty((field.jet.shape[0] - 1, n_candidates))
     max_step = 2.0 * h
     domain_half = field.spec.period / 2.0 - 2.0 * h
-    cur = pts.copy()
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if active.size == 0:
             break
-        g = _interp_gradient(field, cur[active])
-        hess = _interp_hessian(field, cur[active])
-        ok = np.max(np.abs(g), axis=1) <= tol
-        if np.any(ok):
-            done = active[ok]
-            converged[done] = True
-            roots[done] = cur[done]
-            active = active[~ok]
-            g, hess = g[~ok], hess[~ok]
-            if active.size == 0:
-                break
+        vals = interpolate(field, cur[active], slice(1, None))
+        ok = np.max(np.abs(vals[:m]), axis=0) <= tol
+        converged[active[ok]] = True
+        at_root[:, active[ok]] = vals[:, ok]
+        active, vals = active[~ok], vals[:, ~ok]
+        g = vals[:m].T
+        hess = hessian_stack(vals[m:], m)
         try:
             step = np.linalg.solve(hess, g[..., None])[..., 0]
         except np.linalg.LinAlgError:
@@ -173,88 +154,50 @@ def count_newton(
         step = np.where(norms > max_step, step * (max_step / norms), step)
         cur[active] = cur[active] - step
         out = np.max(np.abs(cur[active]), axis=1) > domain_half
-        if np.any(out):
-            escaped[active[out]] = True
-            active = active[~out]
+        escaped[active[out]] = True
+        active = active[~out]
 
-    # Candidates still active at max_iter split two ways.  Sign-variation
-    # cells are a superset heuristic: the component zero sets can pass
-    # through a cell without intersecting, in which case |grad| stagnates
-    # at a strictly positive value and there is no root to find.  Only
-    # iterates that stalled *near* a root (small but uncertified gradient)
-    # count as failures.
+    # Candidates still active at the iteration cap split two ways.
+    # Sign-variation cells are a superset heuristic: the component zero sets
+    # can pass through a cell without intersecting, in which case |grad|
+    # stagnates at a strictly positive value and there is no root to find.
+    # Only iterates that stalled *near* a root (small but uncertified
+    # gradient) count as failures.
     stalled = ~converged & ~escaped
-    if np.any(stalled):
-        g_final = _interp_gradient(field, cur[stalled])
-        near_root = np.max(np.abs(g_final), axis=1) <= 1e-6 * gscale
-        failed = int(np.sum(near_root))
-    else:
-        failed = 0
-    found = roots[converged]
-    inside = np.all((found >= lo) & (found < hi), axis=1)
-    found = found[inside]
+    g_final = interpolate(field, cur[stalled], slice(1, 1 + m))
+    failed = int(np.sum(np.max(np.abs(g_final), axis=0) <= 1e-6 * gscale))
 
-    # deterministic dedup: lexicographic order, greedy keep
-    if found.shape[0] > 0:
-        order = np.lexsort(found.T[::-1])
-        found = found[order]
-        tree = cKDTree(found)
-        keep = np.ones(found.shape[0], dtype=bool)
-        for i in range(found.shape[0]):
-            if not keep[i]:
-                continue
-            for j in tree.query_ball_point(found[i], dedup_radius):
-                if j > i:
-                    keep[j] = False
-        found = found[keep]
+    idx = np.flatnonzero(converged)
+    idx = idx[np.all((cur[idx] >= lo) & (cur[idx] < hi), axis=1)]
+    # deterministic dedup within half a cell: lexicographic order, greedy keep
+    idx = idx[np.lexsort(cur[idx].T[::-1])]
+    found = cur[idx]
+    tree = cKDTree(found)
+    keep = np.ones(len(idx), dtype=bool)
+    for i in range(len(idx)):
+        if not keep[i]:
+            continue
+        for j in tree.query_ball_point(found[i], 0.5 * h):
+            if j > i:
+                keep[j] = False
+    idx = idx[keep]
 
-    points: list[CriticalPoint] = []
-    degenerate: list[int] = []
-    if found.shape[0] > 0:
-        g = _interp_gradient(field, found)
-        hess = _interp_hessian(field, found)
-        dets = np.linalg.det(hess)
-        eigs = np.linalg.eigvalsh(hess)
-        hscale = _hess_scale(field)
-        deg_tol = 1e-8 * hscale**m
-        for k in range(found.shape[0]):
-            points.append(
-                CriticalPoint(
-                    location=tuple(found[k]),
-                    gradient_norm=float(np.linalg.norm(g[k])),
-                    hessian_signature=int(np.sum(eigs[k] < 0.0)),
-                    det_hessian=float(dets[k]),
-                )
-            )
-            if abs(dets[k]) <= deg_tol:
-                degenerate.append(k)
-
+    g = at_root[:m, idx]
+    hess = hessian_stack(at_root[m:, idx], m)
+    dets = _det_stack(hess)
+    deg_tol = 1e-8 * _hess_scale(field) ** m
     return CriticalPointSet(
-        points=points,
+        locations=cur[idx],
+        residuals=np.sqrt(np.vecdot(g, g, axis=0)),  # rounds as norm() of one point
+        signatures=np.sum(np.linalg.eigvalsh(hess) < 0.0, axis=1),
+        det_hessian=dets,
         box=(tuple(lo), tuple(hi)),
-        newton_count=len(points),
-        kacrice_smoothed_count=None,
-        epsilon_used=None,
-        failed_cells=max(failed, 0),
-        degenerate_flags=degenerate,
+        failed_cells=failed,
+        degenerate_flags=np.flatnonzero(np.abs(dets) <= deg_tol).tolist(),
     )
 
 
-def _abs_det_stack(hess: np.ndarray) -> np.ndarray:
-    """|det| of a (k, m, m) stack with the explicit 2x2 / 3x3 formulas."""
-    m = hess.shape[-1]
-    if m == 2:
-        det = hess[:, 0, 0] * hess[:, 1, 1] - hess[:, 0, 1] ** 2
-    else:
-        a, b, c = hess[:, 0, 0], hess[:, 0, 1], hess[:, 0, 2]
-        d, e, f = hess[:, 1, 1], hess[:, 1, 2], hess[:, 2, 2]
-        det = a * (d * f - e**2) - b * (b * f - c * e) + c * (b * e - c * d)
-    return np.abs(det)
-
-
-def count_kacrice_smoothed(
-    field: FieldRealization, box, eps: float, refine: int = 6
-) -> float:
+def count_kacrice_smoothed(field: FieldRealization, box, eps, refine: int = 6):
     """Smoothed count: quadrature of (2 eps)^(-m) 1{|grad|_inf <= eps}
     |det hess| over the half-open box.
 
@@ -263,21 +206,25 @@ def count_kacrice_smoothed(
     boundary.  Grid nodes near the region (slack = one cell of gradient
     variation) are therefore supersampled ``refine`` times per axis through
     the quintic-spline jet; the rest of the grid contributes exactly zero.
+
+    ``eps`` is one value, which returns a float, or a ladder of values,
+    which returns one count per value in the order given.  A ladder is one
+    pass: the sub-nodes of the largest eps are read once, and each eps
+    thresholds the stored gradient sup-norms.
     """
     m = field.spec.m
     lo, hi = _box_arrays(box, m)
     h = field.spec.spacing
-    if eps <= 0:
+    ladder = np.atleast_1d(np.asarray(eps, dtype=float))
+    if ladder.size == 0 or np.any(ladder <= 0):
         raise ValueError("eps must be positive")
     if refine < 1:
         raise ValueError("refine must be >= 1")
-    if eps < _hess_scale(field) * h / refine:
-        import warnings
-
+    resolvable = _hess_scale(field) * h / refine
+    if ladder.min() < resolvable:
         warnings.warn(
-            f"eps = {eps:.3g} is below the refined-grid resolvability scale "
-            f"~{_hess_scale(field) * h / refine:.3g}; the smoothed count may "
-            "miss cells",
+            f"eps = {ladder.min():.3g} is below the refined-grid resolvability "
+            f"scale ~{resolvable:.3g}; the smoothed count may miss cells",
             stacklevel=2,
         )
     origin = field.origin()
@@ -290,9 +237,7 @@ def count_kacrice_smoothed(
     upper = field.grid[1 + m:]
     hmax = max(float(upper.max()), -float(upper.min()))
     slack = 1.5 * math.sqrt(m) * hmax * h
-    mask = gmax <= eps + slack
-    if not np.any(mask):
-        return 0.0
+    mask = gmax <= ladder.max() + slack
 
     node_idx = np.argwhere(mask)  # indices into the window
     base = np.stack(
@@ -304,18 +249,20 @@ def count_kacrice_smoothed(
         [g.ravel() for g in np.meshgrid(*([offsets] * m), indexing="ij")], axis=1
     )
     pts = (base[:, None, :] + h * sub[None, :, :]).reshape(-1, m)
+    node_gmax = np.repeat(gmax[mask], refine**m)  # each sub-node's grid node
     inside = np.all((pts >= lo) & (pts < hi), axis=1)
-    pts = pts[inside]
-    if pts.shape[0] == 0:
-        return 0.0
-    g = _interp_gradient(field, pts)
-    fire = np.max(np.abs(g), axis=1) <= eps
-    if not np.any(fire):
-        return 0.0
-    hess = _interp_hessian(field, pts[fire])
+    pts, node_gmax = pts[inside], node_gmax[inside]
+    gsup = np.max(np.abs(interpolate(field, pts, slice(1, 1 + m))), axis=0)
+    fire = gsup <= ladder.max()
+    hess = hessian_stack(interpolate(field, pts[fire], slice(1 + m, None)), m)
+    absdet = np.abs(_det_stack(hess))
+    gsup, node_gmax = gsup[fire], node_gmax[fire]
     weight = (h / refine) ** m
-    val = np.sum(_abs_det_stack(hess)) * weight / (2.0 * eps) ** m
-    return float(val)
+    counts = []
+    for e in ladder:
+        on = (node_gmax <= e + slack) & (gsup <= e)
+        counts.append(float(np.sum(absdet[on]) * weight / (2.0 * e) ** m))
+    return counts[0] if np.ndim(eps) == 0 else counts
 
 
 def expected_count(
@@ -333,7 +280,8 @@ def write_csv(cps: CriticalPointSet, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{i}" for i in range(m)] + ["residual", "signature", "det_hessian"])
-        for p in cps.points:
-            writer.writerow(
-                list(p.location) + [p.gradient_norm, p.hessian_signature, p.det_hessian]
-            )
+        for loc, res, sig, det in zip(
+            cps.locations.tolist(), cps.residuals.tolist(),
+            cps.signatures.tolist(), cps.det_hessian.tolist(),
+        ):
+            writer.writerow(loc + [res, sig, det])

@@ -38,7 +38,6 @@ __all__ = [
     "normality_test",
     "estimator_crosscheck",
     "save_record",
-    "load_record",
 ]
 
 _DEFAULT_N_CAP = {2: 20.0, 3: 7.0}
@@ -58,6 +57,7 @@ class ExperimentConfig:
     master_seed: int = 0
     eps_list: tuple[float, ...] = (0.2, 0.1, 0.05, 0.025, 0.0125)
     e_absdet_s1: float | None = None
+    density_table: tuple[tuple[float, ...], tuple[float, ...]] | None = None
 
     def __post_init__(self):
         if list(self.n_list) != sorted(self.n_list) or len(self.n_list) == 0:
@@ -72,7 +72,10 @@ class ExperimentConfig:
             )
 
     def density(self) -> SpectralDensity:
-        return SpectralDensity(family=self.density_family, params=self.density_params)
+        return SpectralDensity(
+            family=self.density_family, params=self.density_params,
+            table=self.density_table,
+        )
 
     def digest(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True, default=list)
@@ -228,8 +231,9 @@ def normality_test(zeta: np.ndarray, variance: float) -> dict:
 def estimator_crosscheck(config: ExperimentConfig) -> dict:
     """Per-realization Newton vs smoothed counting-measure agreement.
 
-    Runs at the smallest N in the config with the configured eps ladder;
-    reports relative disagreement quantiles per eps.
+    Runs at the smallest N in the config with the configured eps ladder,
+    one smoothed pass per field; reports relative disagreement quantiles per
+    eps.
     """
     w = config.density()
     m = config.m
@@ -248,12 +252,13 @@ def estimator_crosscheck(config: ExperimentConfig) -> dict:
     for ss in streams:
         seed = int(ss.generate_state(1)[0])
         fr = synthesize(w, spec, seed=seed)
-        newton = count_newton(fr, box).newton_count
-        row = {"seed": seed, "newton": newton}
-        for eps in config.eps_list:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                row[f"kacrice_eps={eps}"] = count_kacrice_smoothed(fr, box, eps)
+        row = {"seed": seed, "newton": count_newton(fr, box).newton_count}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            smoothed = count_kacrice_smoothed(fr, box, config.eps_list)
+        row.update(
+            (f"kacrice_eps={eps}", k) for eps, k in zip(config.eps_list, smoothed)
+        )
         rows.append(row)
     out = {"rows": rows}
     for eps in config.eps_list:
@@ -304,7 +309,3 @@ def save_record(record: ExperimentRecord, out_dir) -> Path:
             row = vtab[n]
             wr.writerow([n, row["V_N"], row["ci"][0], row["ci"][1]])
     return out / "record.json"
-
-
-def load_record(path) -> dict:
-    return json.loads(Path(path).read_text())

@@ -30,7 +30,6 @@ __all__ = [
     "radial_jet",
     "psi_envelope",
     "nondegeneracy_ratio",
-    "det_constant_offdiag",
 ]
 
 
@@ -302,11 +301,6 @@ def psi_envelope(w: SpectralDensity, m: int, t) -> float:
     """max over |alpha| <= 4 of |d^alpha C(t)| (the decay envelope)."""
     jet = covariance_jet(w, m, t)
     return max(abs(v) for v in jet.derivatives.values())
-
-
-def det_constant_offdiag(m: int, a: float, b: float) -> float:
-    """det of the m x m matrix with a on the diagonal, b off the diagonal."""
-    return (a - b) ** (m - 1) * (a + (m - 1) * b)
 
 
 def nondegeneracy_ratio(moments: SpectralMoments, m: int | None = None) -> dict:

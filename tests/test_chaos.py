@@ -6,11 +6,8 @@ from scipy import integrate
 
 from critfield.chaos import (
     chaos2_coefficients,
-    d_alpha,
     diagram_pair_moments,
     g_inner_products,
-    hermite_eval,
-    hermite_zero,
     invariant_gram,
     invariant_means,
     moment_Jk,
@@ -22,61 +19,6 @@ from critfield.randmat import EnsembleParams, sample_matrices
 from critfield.spectrum import SpectralDensity
 
 GAUSS = SpectralDensity(family="gaussian", params=(1.0,))
-
-
-def _hermite_sum(n: int, x: float) -> float:
-    # explicit series: H_n(x) = n! sum_k (-1)^k x^(n-2k) / (k! 2^k (n-2k)!)
-    total = 0.0
-    for k in range(n // 2 + 1):
-        total += (
-            (-1) ** k
-            * x ** (n - 2 * k)
-            / (math.factorial(k) * 2**k * math.factorial(n - 2 * k))
-        )
-    return math.factorial(n) * total
-
-
-class TestHermite:
-    def test_recurrence_matches_series(self):
-        for n in range(11):
-            for x in np.linspace(-3.0, 3.0, 13):
-                assert hermite_eval(n, float(x)) == pytest.approx(
-                    _hermite_sum(n, float(x)), abs=1e-10, rel=1e-10
-                )
-
-    def test_known_values(self):
-        assert hermite_eval(2, 2.0) == 3.0
-        assert hermite_zero(2) == -1.0
-        assert hermite_zero(4) == 3.0
-        assert hermite_zero(6) == -15.0
-        assert hermite_zero(3) == 0.0
-        assert hermite_eval(3, 0.0) == hermite_zero(3)
-
-    def test_negative_degree_rejected(self):
-        with pytest.raises(ValueError):
-            hermite_eval(-1, 0.0)
-
-    def test_orthogonality_mc(self):
-        # E[H_a(X) H_b(X)] = a! delta_ab for standard normal X
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal(400_000)
-        for a, b in [(1, 1), (2, 2), (3, 3), (1, 3), (2, 4)]:
-            vals = np.array([hermite_eval(a, xi) * hermite_eval(b, xi) for xi in x[:200_000]])
-            want = math.factorial(a) if a == b else 0.0
-            se = vals.std(ddof=1) / math.sqrt(len(vals))
-            assert vals.mean() == pytest.approx(want, abs=4 * se)
-
-
-class TestDAlpha:
-    def test_examples(self):
-        assert d_alpha((0, 0), 2, 1.0) == pytest.approx(1.0 / (2.0 * math.pi))
-        assert d_alpha((2, 0), 2, 1.0) == pytest.approx(-1.0 / (4.0 * math.pi))
-        assert d_alpha((1, 0), 2, 1.0) == 0.0
-        assert d_alpha((2, 2), 2, 1.0) == pytest.approx(1.0 / (8.0 * math.pi))
-
-    def test_length_check(self):
-        with pytest.raises(ValueError):
-            d_alpha((2, 0, 0), 2, 1.0)
 
 
 class TestDiagramMoments:

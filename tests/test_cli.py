@@ -142,6 +142,37 @@ class TestMainExitCodes:
         cfg = _write(tmp_path, "b.yaml", text)
         assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_BUDGET
 
+    def test_budget_counts_default_samples(self, tmp_path, capsys):
+        # no ensemble.samples: randmat draws its default 500 000 matrices
+        text = BASE_RANDMAT.replace("  samples: 50000\n", "") + "budget:\n  samples: 1000\n"
+        cfg = _write(tmp_path, "r.yaml", text)
+        assert main(["--config", cfg, "--dry-run"]) == EXIT_BUDGET
+        assert "500000 samples > budget 1000" in capsys.readouterr().err
+
+    def test_chaos_dry_run_prints_its_default(self, tmp_path, capsys):
+        text = (
+            "subcommand: chaos\nseed: 1\n"
+            "density:\n  family: gaussian\n  params: [1.0]\n"
+            "ensemble:\n  m: 2\n  v: 1.0\n"
+        )
+        cfg = _write(tmp_path, "c.yaml", text)
+        assert main(["--config", cfg, "--dry-run"]) == EXIT_OK
+        assert "MC samples: 2,000,000" in capsys.readouterr().out
+
+    def test_clt_runs_user_table_density(self, tmp_path):
+        # the table reaches the experiment config, as it reaches `count`
+        text = (
+            "subcommand: clt\nseed: 5\n"
+            "density:\n  family: user-table\n"
+            "  table: [[0.0, 1.0], [1.0, 0.6], [2.0, 0.14], [3.0, 0.01], [4.0, 0.0]]\n"
+            "experiment:\n  m: 2\n  n_list: [2.0]\n  realizations: 2\n"
+        )
+        cfg = _write(tmp_path, "t.yaml", text)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out)]) == EXIT_OK
+        doc = json.loads((out / "record.json").read_text())
+        assert doc["summary"]["2.0"]["R"] == 2
+
     def test_numerical_failure_exit(self, tmp_path):
         # a flat user table has no spectral decay: moment quadrature diverges
         text = (

@@ -8,7 +8,6 @@ from critfield.spectrum import (
     DivergentIntegralError,
     SpectralDensity,
     covariance_jet,
-    det_constant_offdiag,
     moment_Ik,
     nondegeneracy_ratio,
     psi_envelope,
@@ -103,16 +102,6 @@ class TestCovarianceJet:
 
 
 class TestDeterminantZoo:
-    def test_offdiag_determinant_closed_form(self):
-        # det(a on diag, b off diag) = (a-b)^(m-1) (a + (m-1) b)
-        rng = np.random.default_rng(0)
-        for m in range(2, 9):
-            a, b = rng.uniform(0.5, 2.0, size=2)
-            dense = np.full((m, m), b) + (a - b) * np.eye(m)
-            assert det_constant_offdiag(m, a, b) == pytest.approx(
-                np.linalg.det(dense), rel=1e-10
-            )
-
     def test_rm_determinant_closed_form(self):
         # R_m(s,d,h) has diag (i,i)->3h, offdiag (ii,jj)->h, extra block 2h,
         # bordered by s and d rows; closed form (2h)^(m-1)((m+2)hs - m d^2)
