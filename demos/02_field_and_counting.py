@@ -13,7 +13,7 @@ from critfield.critpoints import (
     count_newton,
     expected_count,
 )
-from critfield.field import GridSpec, synthesize
+from critfield.field import GridSpec, synthesize, wrap_guard
 from critfield.spectrum import SpectralDensity, spectral_moments
 
 E_ABSDET = 2.30936836  # E|det A| for the unit 2 x 2 symmetric ensemble
@@ -21,7 +21,8 @@ E_ABSDET = 2.30936836  # E|det A| for the unit 2 x 2 symmetric ensemble
 
 def main():
     w = SpectralDensity(family="gaussian", params=(1.0,))
-    spec = GridSpec(m=2, half_width=5.0, points_per_unit=16)
+    guard, _ = wrap_guard(w, 2, 16)  # torus margin where the covariance has decayed
+    spec = GridSpec(m=2, half_width=5.0, points_per_unit=16, guard=guard)
     fr = synthesize(w, spec, seed=7)
     box = ((-5.0, -5.0), (5.0, 5.0))
 

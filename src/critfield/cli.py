@@ -37,36 +37,44 @@ def _mc_samples(cfg: RunConfig) -> int:
     return int(cfg.ensemble.get("samples", _MC_SAMPLES.get(cfg.subcommand, 0)))
 
 
-def _density_table(cfg: RunConfig):
-    """(radii, values) of a user-table density block, else None."""
-    if "table" not in cfg.density:
-        return None
-    r, v = zip(*cfg.density["table"])
-    return tuple(r), tuple(v)
+# subcommands that synthesize fields on the torus of their experiment block
+_GRID_SUBCOMMANDS = ("field", "count", "clt", "crosscheck")
+
+# density params when the block gives none
+_DEFAULT_PARAMS = {"gaussian": (1.0,)}
 
 
 def _density(cfg: RunConfig) -> spectrum.SpectralDensity:
+    """The one density builder of every subcommand."""
     block = cfg.density
-    kwargs = {"family": block.get("family", "gaussian"), "table": _density_table(cfg)}
-    if "params" in block:
-        kwargs["params"] = tuple(block["params"])
-    return spectrum.SpectralDensity(**kwargs)
+    family = block.get("family", "gaussian")
+    table = None
+    if "table" in block:
+        r, v = zip(*block["table"])
+        table = tuple(r), tuple(v)
+    params = tuple(block.get("params", _DEFAULT_PARAMS.get(family, ())))
+    return spectrum.SpectralDensity(family=family, params=params, table=table)
 
 
-def _grid_spec(cfg: RunConfig) -> field.GridSpec:
+def _grid_spec(cfg: RunConfig) -> tuple[field.GridSpec, float]:
+    """Grid of the largest half-width, with the wrap guard the density needs,
+    and the achieved psi ratio; raises ValueError beyond the grid budget."""
     exp = cfg.experiment
-    return field.GridSpec(
-        m=int(exp.get("m", 2)),
+    m = int(exp.get("m", 2))
+    ppu = int(exp.get("points_per_unit", 8))
+    guard, wrap_ratio = field.wrap_guard(_density(cfg), m, ppu)
+    spec = field.GridSpec(
+        m=m,
         half_width=float(max(exp.get("n_list", [5.0]))),
-        points_per_unit=int(exp.get("points_per_unit", 8)),
-        padding_factor=float(exp.get("padding_factor", 2.0)),
+        points_per_unit=ppu,
+        guard=guard,
     )
+    return spec, wrap_ratio
 
 
-def _check_budget(cfg: RunConfig) -> None:
+def _check_budget(cfg: RunConfig, spec: field.GridSpec | None) -> None:
     budget = cfg.budget
-    if "grid_points" in budget and cfg.experiment:
-        spec = _grid_spec(cfg)
+    if "grid_points" in budget and spec is not None:
         need = spec.n_per_side**spec.m
         if need > budget["grid_points"]:
             raise BudgetError(f"grid needs {need} points > budget {budget['grid_points']}")
@@ -105,7 +113,7 @@ def _write_summary(out: Path, lines: list[str]) -> None:
         print(line)
 
 
-def _run_spectrum(cfg: RunConfig, out: Path) -> None:
+def _run_spectrum(cfg: RunConfig, out: Path, grid) -> None:
     w = _density(cfg)
     m = int(cfg.experiment.get("m", 2)) if cfg.experiment else 2
     mom = spectrum.spectral_moments(w, m)
@@ -128,9 +136,9 @@ def _run_spectrum(cfg: RunConfig, out: Path) -> None:
     )
 
 
-def _run_field(cfg: RunConfig, out: Path) -> None:
+def _run_field(cfg: RunConfig, out: Path, grid) -> dict:
     w = _density(cfg)
-    spec = _grid_spec(cfg)
+    spec, wrap_ratio = grid
     fr = field.synthesize(w, spec, seed=cfg.seed)
     field.dump_realization(fr, out / "realization.bin")
     stats = field.jet_statistics([fr])
@@ -145,11 +153,12 @@ def _run_field(cfg: RunConfig, out: Path) -> None:
             f"var(X) sample = {float(np.var(fr.grid[0])):.6g}",
         ],
     )
+    return field.torus_record([spec], wrap_ratio)
 
 
-def _run_count(cfg: RunConfig, out: Path) -> None:
+def _run_count(cfg: RunConfig, out: Path, grid) -> dict:
     w = _density(cfg)
-    spec = _grid_spec(cfg)
+    spec, wrap_ratio = grid
     n_half = spec.half_width
     fr = field.synthesize(w, spec, seed=cfg.seed)
     box = ((-n_half,) * spec.m, (n_half,) * spec.m)
@@ -171,9 +180,10 @@ def _run_count(cfg: RunConfig, out: Path) -> None:
             f"expected E[Z] = {expected:.6g}",
         ],
     )
+    return field.torus_record([spec], wrap_ratio)
 
 
-def _run_randmat(cfg: RunConfig, out: Path) -> None:
+def _run_randmat(cfg: RunConfig, out: Path, grid) -> None:
     ens = cfg.ensemble
     m, u, v = int(ens["m"]), float(ens.get("u", ens["v"])), float(ens["v"])
     n = _mc_samples(cfg)
@@ -205,7 +215,7 @@ def _run_randmat(cfg: RunConfig, out: Path) -> None:
     _write_summary(out, lines)
 
 
-def _run_chaos(cfg: RunConfig, out: Path) -> None:
+def _run_chaos(cfg: RunConfig, out: Path, grid) -> None:
     ens = cfg.ensemble
     m, v = int(ens["m"]), float(ens["v"])
     geo = chaos_mod.chaos2_coefficients(m, v, mc_budget=_mc_samples(cfg), seed=cfg.seed)
@@ -231,15 +241,18 @@ def _run_chaos(cfg: RunConfig, out: Path) -> None:
 
 def _experiment_config(cfg: RunConfig) -> experiments.ExperimentConfig:
     exp = cfg.experiment
+    missing = [key for key in ("n_list", "realizations") if key not in exp]
+    if missing:
+        raise ConfigError(f"experiment block needs {' and '.join(missing)}")
+    w = _density(cfg)
     kwargs = dict(
-        density_family=cfg.density.get("family", "gaussian"),
-        density_params=tuple(cfg.density.get("params", (1.0,))),
-        density_table=_density_table(cfg),
+        density_family=w.family,
+        density_params=w.params,
+        density_table=w.table,
         m=int(exp.get("m", 2)),
         n_list=tuple(float(x) for x in exp["n_list"]),
         realizations=int(exp["realizations"]),
         points_per_unit=int(exp.get("points_per_unit", 8)),
-        padding_factor=float(exp.get("padding_factor", 2.0)),
         master_seed=cfg.seed,
     )
     if "eps_list" in exp:
@@ -249,7 +262,7 @@ def _experiment_config(cfg: RunConfig) -> experiments.ExperimentConfig:
     return experiments.ExperimentConfig(**kwargs)
 
 
-def _run_clt(cfg: RunConfig, out: Path) -> None:
+def _run_clt(cfg: RunConfig, out: Path, grid) -> dict:
     econf = _experiment_config(cfg)
     record = experiments.run_clt(econf)
     experiments.save_record(record, out)
@@ -271,9 +284,10 @@ def _run_clt(cfg: RunConfig, out: Path) -> None:
     for flag in record.flags:
         lines.append(f"flag: {flag}")
     _write_summary(out, lines)
+    return record.torus
 
 
-def _run_crosscheck(cfg: RunConfig, out: Path) -> None:
+def _run_crosscheck(cfg: RunConfig, out: Path, grid) -> dict:
     econf = _experiment_config(cfg)
     table = experiments.estimator_crosscheck(econf)
     (out / "crosscheck.json").write_text(json.dumps(table, indent=2, default=float))
@@ -281,6 +295,7 @@ def _run_crosscheck(cfg: RunConfig, out: Path) -> None:
         f"{k} = {v:.4g}" for k, v in table.items() if k.startswith("median_rel")
     ]
     _write_summary(out, lines)
+    return table["torus"]
 
 
 _RUNNERS = {
@@ -294,13 +309,18 @@ _RUNNERS = {
 }
 
 
-def _dry_run_plan(cfg: RunConfig) -> list[str]:
+def _dry_run_plan(cfg: RunConfig, grid) -> list[str]:
     lines = [f"subcommand: {cfg.subcommand}", f"seed: {cfg.seed}"]
-    if cfg.experiment:
-        spec = _grid_spec(cfg)
+    if grid is not None:
+        spec, wrap_ratio = grid
         lines.append(
             f"grid: {spec.n_per_side}^{spec.m} points "
             f"({spec.n_per_side**spec.m:,} total per realization)"
+        )
+        torus = field.torus_record([spec], wrap_ratio)
+        lines.append(
+            f"wrap guard: {torus['guard']:g} beyond the box, psi ratio "
+            f"{torus['wrap_ratio']:.3g} (tolerance {torus['tolerance']:g})"
         )
         if "realizations" in cfg.experiment:
             lines.append(f"realizations per N: {cfg.experiment['realizations']}")
@@ -310,16 +330,23 @@ def _dry_run_plan(cfg: RunConfig) -> list[str]:
 
 
 def dispatch(cfg: RunConfig, args, config_path) -> int:
-    _check_budget(cfg)
+    # the torus is sized (and checked against the grid budget) before any
+    # output is written, so a run fails exactly where its dry run does
+    grid = _grid_spec(cfg) if cfg.subcommand in _GRID_SUBCOMMANDS else None
+    _check_budget(cfg, None if grid is None else grid[0])
     if args.dry_run:
-        for line in _dry_run_plan(cfg):
+        for line in _dry_run_plan(cfg, grid):
             print(line)
         return EXIT_OK
     out = _prepare_out(cfg, args)
     _stamp(cfg, out, config_path)
     t0 = time.perf_counter()
     wall_budget = cfg.budget.get("wall_clock")
-    _RUNNERS[cfg.subcommand](cfg, out)
+    torus = _RUNNERS[cfg.subcommand](cfg, out, grid)
+    if torus is not None:
+        stamp = json.loads((out / "provenance.json").read_text())
+        stamp["torus"] = torus
+        (out / "provenance.json").write_text(json.dumps(stamp, indent=2))
     if wall_budget is not None and time.perf_counter() - t0 > wall_budget:
         raise BudgetError(f"run exceeded wall-clock budget {wall_budget}s")
     return EXIT_OK

@@ -25,7 +25,6 @@ _SCHEMA = {
         "n_list",
         "realizations",
         "points_per_unit",
-        "padding_factor",
         "eps_list",
         "e_absdet_s1",
     },

@@ -26,7 +26,7 @@ import numpy as np
 from scipy import stats
 
 from .critpoints import count_kacrice_smoothed, count_newton, expected_count
-from .field import GridSpec, synthesize
+from .field import GridSpec, synthesize, torus_record, wrap_guard
 from .randmat import expect_absdet_S
 from .spectrum import SpectralDensity, spectral_moments
 
@@ -53,7 +53,6 @@ class ExperimentConfig:
     n_list: tuple[float, ...]
     realizations: int
     points_per_unit: int = 8
-    padding_factor: float = 2.0
     master_seed: int = 0
     eps_list: tuple[float, ...] = (0.2, 0.1, 0.05, 0.025, 0.0125)
     e_absdet_s1: float | None = None
@@ -97,6 +96,7 @@ class ExperimentRecord:
     c_m: float
     wall_time: float
     flags: list[str] = field(default_factory=list)
+    torus: dict = field(default_factory=dict)  # field.torus_record of the run
 
     def summary(self) -> dict:
         out = {}
@@ -112,9 +112,9 @@ class ExperimentRecord:
         return out
 
 
-def _count_one(w, m, n_half, ppu, pad, seed):
-    spec = GridSpec(m=m, half_width=n_half, points_per_unit=ppu, padding_factor=pad)
+def _count_one(w, spec, seed):
     fr = synthesize(w, spec, seed=seed)
+    n_half, m = spec.half_width, spec.m
     box = ((-n_half,) * m, (n_half,) * m)
     cps = count_newton(fr, box)
     if cps.failed_cells > 0.05 * max(cps.newton_count, 1):
@@ -129,11 +129,18 @@ def run_clt(config: ExperimentConfig) -> ExperimentRecord:
     (N index, replicate), so per-N results do not depend on sweep order.
     A level aborts if more than 5% of its realizations fail.  E[Z_N] is
     anchored to config.e_absdet_s1 when set, else to the exact
-    expect_absdet_S(m, 1).
+    expect_absdet_S(m, 1).  The wrap guard is derived once from the density,
+    and every level's grid is checked against the budget before the first
+    realization.
     """
     t0 = time.perf_counter()
     w = config.density()
     m = config.m
+    guard, wrap_ratio = wrap_guard(w, m, config.points_per_unit)
+    specs = [
+        GridSpec(m=m, half_width=n, points_per_unit=config.points_per_unit, guard=guard)
+        for n in config.n_list
+    ]
     moments = spectral_moments(w, m)
     e_absdet = config.e_absdet_s1
     if e_absdet is None:
@@ -142,7 +149,8 @@ def run_clt(config: ExperimentConfig) -> ExperimentRecord:
 
     flags = [] if config.realizations >= 30 else ["insufficient: R < 30"]
     z_samples, failures, expected, zt, zp = {}, {}, {}, {}, {}
-    for i, n_half in enumerate(config.n_list):
+    for i, spec in enumerate(specs):
+        n_half = spec.half_width
         streams = np.random.SeedSequence((config.master_seed, i)).spawn(
             config.realizations
         )
@@ -150,12 +158,7 @@ def run_clt(config: ExperimentConfig) -> ExperimentRecord:
         for ss in streams:
             seed = int(ss.generate_state(1)[0])
             try:
-                counts.append(
-                    _count_one(
-                        w, m, n_half, config.points_per_unit,
-                        config.padding_factor, seed,
-                    )
-                )
+                counts.append(_count_one(w, spec, seed))
             except (RuntimeError, FloatingPointError) as exc:
                 n_fail += 1
                 flags.append(f"N={n_half}: realization failed ({exc})")
@@ -183,6 +186,7 @@ def run_clt(config: ExperimentConfig) -> ExperimentRecord:
         c_m=c_m,
         wall_time=time.perf_counter() - t0,
         flags=flags,
+        torus=torus_record(specs, wrap_ratio),
     )
 
 
@@ -233,16 +237,16 @@ def estimator_crosscheck(config: ExperimentConfig) -> dict:
 
     Runs at the smallest N in the config with the configured eps ladder,
     one smoothed pass per field; reports relative disagreement quantiles per
-    eps.
+    eps and the torus under "torus".
     """
     w = config.density()
     m = config.m
     n_half = config.n_list[0]
     if n_half > 5:
         raise ValueError("crosscheck is intended for N <= 5")
+    guard, wrap_ratio = wrap_guard(w, m, config.points_per_unit)
     spec = GridSpec(
-        m=m, half_width=n_half, points_per_unit=config.points_per_unit,
-        padding_factor=config.padding_factor,
+        m=m, half_width=n_half, points_per_unit=config.points_per_unit, guard=guard
     )
     box = ((-n_half,) * m, (n_half,) * m)
     rows = []
@@ -260,7 +264,7 @@ def estimator_crosscheck(config: ExperimentConfig) -> dict:
             (f"kacrice_eps={eps}", k) for eps, k in zip(config.eps_list, smoothed)
         )
         rows.append(row)
-    out = {"rows": rows}
+    out = {"rows": rows, "torus": torus_record([spec], wrap_ratio)}
     for eps in config.eps_list:
         rel = np.array(
             [
@@ -289,6 +293,7 @@ def save_record(record: ExperimentRecord, out_dir) -> Path:
         "summary": {str(k): v for k, v in record.summary().items()},
         "wall_time": record.wall_time,
         "flags": record.flags,
+        "torus": record.torus,
     }
     (out / "record.json").write_text(json.dumps(doc, indent=2))
     for n in record.n_list:

@@ -13,6 +13,7 @@ coefficients in the imaginary part: there is no separate prefilter pass.
 from __future__ import annotations
 
 import functools
+import math
 import struct
 from dataclasses import dataclass
 
@@ -20,12 +21,14 @@ import numpy as np
 import scipy.fft as sfft
 from scipy import ndimage
 
-from .spectrum import SpectralDensity, moment_Ik
+from .spectrum import SpectralDensity, moment_Ik, psi_envelope
 
 __all__ = [
     "GridSpec",
     "FieldRealization",
     "NyquistError",
+    "wrap_guard",
+    "torus_record",
     "synthesize",
     "jet_labels",
     "jet_statistics",
@@ -36,6 +39,14 @@ __all__ = [
 
 _MAX_GRID_POINTS = 64_000_000  # default memory budget (~0.5 GB per array)
 
+# One budget for the two truncations of the sampled covariance: the spectral
+# mass beyond the cutoff radius and the wrapped tail psi(guard) / psi(0).
+_COVARIANCE_TOL = 1e-6
+
+# Cells the counting path reads beyond the box on each side: one candidate
+# cell plus the quintic spline stencil.
+_REACH_CELLS = 4
+
 
 class NyquistError(ValueError):
     """Grid too coarse (or too small) for the requested spectral content."""
@@ -43,41 +54,109 @@ class NyquistError(ValueError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Periodic sampling grid for a cube [-N, N]^m with wrap padding.
+    """Periodic sampling grid for the cube [-N, N]^m plus a wrap guard.
 
-    The synthesized torus has side 2 * N * padding_factor; the retained
-    window is the central [-N, N]^m.
+    The torus has n_per_side nodes per axis at spacing 1 / points_per_unit,
+    where n_per_side is the smallest even FFT-friendly count whose period
+    covers 2 N + guard; the cube is the central window.  The sampled
+    covariance is the periodized one, sum_k C(t + k period), so a guard with
+    psi(guard) small keeps the wrapped images out of the window:
+    ``wrap_guard`` derives it from the density.  Grids beyond
+    _MAX_GRID_POINTS nodes are rejected here, before anything is allocated.
     """
 
     m: int
     half_width: float
     points_per_unit: int
-    padding_factor: float = 2.0
+    guard: float
 
     def __post_init__(self):
         if self.m not in (2, 3):
             raise ValueError("only m = 2 and m = 3 grids are supported")
         if self.half_width <= 0 or self.points_per_unit < 1:
             raise ValueError("invalid grid extent or resolution")
-        if self.padding_factor < 2.0:
-            raise ValueError("padding_factor must be >= 2 (periodic-wrap guard)")
+        if not self.guard >= 0:
+            raise ValueError("the wrap guard must be >= 0")
+        n = self.n_per_side
+        if n**self.m > _MAX_GRID_POINTS:
+            raise ValueError(
+                f"grid of {n}^{self.m} = {n**self.m:,} points exceeds the budget "
+                f"of {_MAX_GRID_POINTS:,}; lower points_per_unit or the half-width"
+            )
+
+    @functools.cached_property
+    def n_per_side(self) -> int:
+        # a whole number of cells, up to the rounding of the product
+        need = math.ceil((2.0 * self.half_width + self.guard) * self.points_per_unit - 1e-9)
+        n = sfft.next_fast_len(need)
+        while n % 2:  # keep it even
+            n = sfft.next_fast_len(n + 1)
+        return n
 
     @property
     def period(self) -> float:
-        return 2.0 * self.half_width * self.padding_factor
+        return self.n_per_side / self.points_per_unit
 
     @property
     def spacing(self) -> float:
         return 1.0 / self.points_per_unit
 
     @property
-    def n_per_side(self) -> int:
-        n = int(round(self.period * self.points_per_unit))
-        return n + (n % 2)  # keep it even
-
-    @property
     def nyquist_radius(self) -> float:
         return np.pi * self.points_per_unit
+
+
+def wrap_guard(w: SpectralDensity, m: int, points_per_unit: int) -> tuple[float, float]:
+    """Torus length beyond the box that keeps the wrap error within tolerance.
+
+    Takes the smallest whole number of cells g with
+    psi(g e_1) <= _COVARIANCE_TOL psi(0), found by doubling and then
+    bisection (psi is treated as decreasing), and adds the counting path's
+    reach of _REACH_CELLS cells on each side.  Returns (guard, achieved
+    psi(g e_1) / psi(0)).  The search stops at the largest period the grid
+    budget allows at this m and resolution; raises ValueError if the
+    tolerance is not met inside it.
+    """
+    if m not in (2, 3) or points_per_unit < 1:
+        raise ValueError("the wrap guard needs m in (2, 3) and points_per_unit >= 1")
+    h = 1.0 / points_per_unit
+    axis = np.eye(m)[0]
+    psi0 = psi_envelope(w, m, np.zeros(m))
+    if not psi0 > 0:
+        raise ValueError(f"covariance envelope psi(0) = {psi0:g}: no spectral mass")
+
+    def ratio(cells: int) -> float:
+        return float(psi_envelope(w, m, cells * h * axis) / psi0)
+
+    top = int(_MAX_GRID_POINTS ** (1.0 / m) + 1e-9)  # largest side, in cells
+    lo, hi = 0, 1  # ratio(lo) is above the tolerance (psi(0) / psi(0) = 1)
+    while (r := ratio(hi)) > _COVARIANCE_TOL:
+        if hi == top:
+            raise ValueError(
+                f"covariance decays too slowly for the grid budget: "
+                f"psi(g)/psi(0) = {r:.3g} > {_COVARIANCE_TOL:g} at g = {hi * h:g}, "
+                f"the largest period {_MAX_GRID_POINTS:,} points allow at "
+                f"m = {m} and {points_per_unit} points per unit"
+            )
+        lo, hi = hi, min(2 * hi, top)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (r_mid := ratio(mid)) <= _COVARIANCE_TOL:
+            hi, r = mid, r_mid
+        else:
+            lo = mid
+    return (hi + 2 * _REACH_CELLS) * h, r
+
+
+def torus_record(specs: list[GridSpec], wrap_ratio: float) -> dict:
+    """JSON-ready account of the tori of one run: the guard, the tolerance,
+    the achieved psi ratio and the nodes per side at each half-width."""
+    return {
+        "guard": specs[0].guard,
+        "tolerance": _COVARIANCE_TOL,
+        "wrap_ratio": wrap_ratio,
+        "n_per_side": {str(s.half_width): s.n_per_side for s in specs},
+    }
 
 
 @dataclass(frozen=True)
@@ -154,14 +233,14 @@ def _spline_multiplier(n: int, m: int) -> np.ndarray:
     return functools.reduce(np.multiply, [_along(p, a, m) for a in range(m)])
 
 
-def _spectral_cutoff(w: SpectralDensity, m: int, mass_tol: float = 1e-6) -> float:
-    """Radius containing all but mass_tol of the spectral mass of s_m."""
+def _spectral_cutoff(w: SpectralDensity, m: int) -> float:
+    """Radius containing all but _COVARIANCE_TOL of the spectral mass of s_m."""
     total = moment_Ik(w, m - 1)
     rmax = w.support_radius()
     grid = np.linspace(0.0, rmax, 4097)
     dens = w(grid) * grid ** (m - 1)
     cum = np.cumsum(dens) * (grid[1] - grid[0])
-    idx = np.searchsorted(cum, (1.0 - mass_tol) * total)
+    idx = np.searchsorted(cum, (1.0 - _COVARIANCE_TOL) * total)
     return float(grid[min(idx, len(grid) - 1)])
 
 
@@ -176,10 +255,6 @@ def synthesize(w: SpectralDensity, spec: GridSpec, seed: int) -> FieldRealizatio
     otherwise unused imaginary part, the quintic spline coefficients.
     """
     m, n = spec.m, spec.n_per_side
-    if n**m > _MAX_GRID_POINTS:
-        raise MemoryError(
-            f"grid of {n}^{m} points exceeds the configured budget"
-        )
     cutoff = _spectral_cutoff(w, m)
     if cutoff > spec.nyquist_radius:
         raise NyquistError(
@@ -276,7 +351,7 @@ def interpolate(field_r: FieldRealization, pts: np.ndarray, comps=slice(None)) -
 def evaluate_offgrid(field_r: FieldRealization, t) -> dict:
     """C^2-consistent jet (X, grad X, hess X) at an arbitrary point.
 
-    Points must lie inside the padded torus window; the interpolant is an
+    Points must lie inside the torus window; the interpolant is an
     exact-at-nodes tensor-product quintic spline of each stored array.  The
     Hessian comes back as symmetric (k, m, m) matrices, (m, m) for one point.
     """
@@ -284,7 +359,7 @@ def evaluate_offgrid(field_r: FieldRealization, t) -> dict:
     m = field_r.spec.m
     half = field_r.spec.period / 2.0
     if np.any(np.abs(t) > half):
-        raise ValueError("point outside the padded grid domain")
+        raise ValueError("point outside the torus")
     vals = interpolate(field_r, t)
     x, grad = vals[0], vals[1:1 + m]
     hess = hessian_stack(vals[1 + m:], m)
@@ -295,7 +370,8 @@ def evaluate_offgrid(field_r: FieldRealization, t) -> dict:
 
 # --- binary reproducibility dump -----------------------------------------
 
-_MAGIC = b"CFLD1\x00"
+# CFLD1 stored a padding factor in the slot that now holds the guard.
+_MAGIC = b"CFLD2\x00"
 
 
 def dump_realization(field_r: FieldRealization, path) -> None:
@@ -311,7 +387,7 @@ def dump_realization(field_r: FieldRealization, path) -> None:
                 field_r.seed,
                 spec.half_width,
                 spec.points_per_unit,
-                spec.padding_factor,
+                spec.guard,
             )
         )
         fh.write(struct.pack("<d", field_r.spectral_cutoff))
@@ -319,17 +395,17 @@ def dump_realization(field_r: FieldRealization, path) -> None:
             fh.write(np.ascontiguousarray(comp, dtype="<f8").tobytes())
 
 
-def load_realization(path, w: SpectralDensity | None = None) -> FieldRealization:
-    """Inverse of dump_realization (w only used to re-label, not re-sample).
+def load_realization(path) -> FieldRealization:
+    """Inverse of dump_realization; the header rebuilds the same torus.
 
     The spline coefficients are recomputed from the stored grid values.
     """
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
-            raise ValueError("not a critfield realization dump")
-        m, seed, half_width, ppu, pad = struct.unpack("<iqdid", fh.read(32))
+            raise ValueError("not a critfield realization dump (CFLD2)")
+        m, seed, half_width, ppu, guard = struct.unpack("<iqdid", fh.read(32))
         (cutoff,) = struct.unpack("<d", fh.read(8))
-        spec = GridSpec(m=m, half_width=half_width, points_per_unit=ppu, padding_factor=pad)
+        spec = GridSpec(m=m, half_width=half_width, points_per_unit=ppu, guard=guard)
         shape = (len(jet_labels(m)),) + (spec.n_per_side,) * m
         grid = np.frombuffer(fh.read(8 * int(np.prod(shape))), dtype="<f8")
     return FieldRealization.from_grid(spec, grid.reshape(shape), seed, cutoff)

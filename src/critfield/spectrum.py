@@ -60,10 +60,14 @@ class SpectralDensity:
         if self.family not in ("gaussian", "compact-bump", "user-table"):
             raise ValueError(f"unknown density family {self.family!r}")
         if self.family == "gaussian":
+            if len(self.params) != 1:
+                raise ValueError("gaussian density needs params [sigma]")
             (sigma,) = self.params
             if sigma <= 0:
                 raise ValueError("gaussian scale must be positive")
         elif self.family == "compact-bump":
+            if len(self.params) != 2:
+                raise ValueError("compact-bump density needs params [R, p]")
             radius, power = self.params
             if radius <= 0 or power < 0:
                 raise ValueError("bump needs radius > 0 and power >= 0")
@@ -166,23 +170,24 @@ def spectral_moments(w: SpectralDensity, m: int) -> SpectralMoments:
 # m-dimensional oscillatory integral is ever needed.
 
 
-def _bessel_sphere_kernel(n: int, x: np.ndarray) -> np.ndarray:
-    """B_n(x) = x^(1 - n/2) J_(n/2 - 1)(x), with the x -> 0 limit filled in."""
-    nu = n / 2.0 - 1.0
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = x < 1e-8
-    out[small] = 2.0**-nu / special.gamma(nu + 1.0)
-    xs = x[~small]
-    out[~small] = xs**-nu * special.jv(nu, xs)
-    return out
+def _bessel_sphere_kernel(n, x: float) -> np.ndarray:
+    """B_n(x) = x^(1 - n/2) J_(n/2 - 1)(x) for an array of n, with the x -> 0
+    limit filled in."""
+    nu = np.asarray(n) / 2.0 - 1.0
+    if x < 1e-8:
+        return 2.0**-nu / special.gamma(nu + 1.0)
+    return x**-nu * special.jv(nu, x)
 
 
 def radial_jet(w: SpectralDensity, m: int, rho, orders: int = 4) -> list[np.ndarray]:
     """G^(k)(|t|^2 / 2) for k = 0..orders, vectorized over |t| = rho.
 
     Gaussian densities use the closed form G(q) = sigma^m exp(-sigma^2 q);
-    other families go through oscillatory radial quadrature.
+    other families go through oscillatory radial quadrature, one vector-valued
+    integral over k per lag.  A derivative of C at lag |t| weighs G^(k) by
+    up to |t|^k, so G^(k) is integrated scaled by (1 + |t|)^k under one
+    absolute tolerance: psi stays accurate out where it has decayed by many
+    orders.
     """
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     if w.family == "gaussian":
@@ -190,25 +195,25 @@ def radial_jet(w: SpectralDensity, m: int, rho, orders: int = 4) -> list[np.ndar
         g0 = sigma**m * np.exp(-(sigma**2) * rho**2 / 2.0)
         return [(-(sigma**2)) ** k * g0 for k in range(orders + 1)]
     rmax = w.support_radius()
-    out = []
-    for k in range(orders + 1):
-        vals = np.empty_like(rho)
-        for idx, p in enumerate(rho):
-            def integrand(r, p=p, k=k):
-                return float(w(r)) * r ** (m - 1 + 2 * k) * float(
-                    _bessel_sphere_kernel(m + 2 * k, np.array([r * p]))[0]
-                )
-            val, err = integrate.quad(
-                integrand, 0.0, rmax, limit=400, epsabs=1e-12, epsrel=1e-10
+    k = np.arange(orders + 1)
+    out = np.empty((orders + 1, rho.size))
+    for idx, p in enumerate(rho):
+        scale = (1.0 + p) ** k
+
+        def integrand(r, p=p, scale=scale):
+            kernel = _bessel_sphere_kernel(m + 2 * k, r * p)
+            return float(w(r)) * r ** (m - 1 + 2 * k) * kernel * scale
+
+        val, err = integrate.quad_vec(
+            integrand, 0.0, rmax, epsabs=1e-12, epsrel=1e-10, limit=400
+        )
+        if err > 1e-6 * (1.0 + np.max(np.abs(val))):
+            raise DivergentIntegralError(
+                f"radial quadrature did not converge at |t| = {p:.3g} "
+                f"(oscillation scale ~ {p * rmax:.3g} radians)"
             )
-            if abs(err) > 1e-6 * (1.0 + abs(val)):
-                raise DivergentIntegralError(
-                    f"radial quadrature did not converge at |t| = {p:.3g} "
-                    f"(oscillation scale ~ {p * rmax:.3g} radians)"
-                )
-            vals[idx] = (-1.0) ** k * val
-        out.append(vals)
-    return out
+        out[:, idx] = (-1.0) ** k * val / scale
+    return list(out)
 
 
 def _pair_partitions(indices: tuple[int, ...]):

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from critfield.cli import (
     EXIT_BUDGET,
@@ -131,7 +136,32 @@ class TestMainExitCodes:
         assert code == EXIT_OK
         assert not out.exists()
         printed = capsys.readouterr().out
-        assert "grid:" in printed and "seed: 42" in printed
+        assert "grid: 108^2" in printed and "seed: 42" in printed
+        assert "wrap guard: 7.375 beyond the box" in printed
+        assert "(tolerance 1e-06)" in printed
+
+    def test_padding_factor_rejected(self, tmp_path, capsys):
+        # the torus is sized from the density; the fixed factor is gone
+        cfg = _write(tmp_path, "p.yaml", BASE_CLT + "  padding_factor: 2.0\n")
+        assert main(["--config", cfg, "--dry-run"]) == EXIT_CONFIG
+        assert "unknown key 'padding_factor'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dry_run", [True, False], ids=["dry-run", "run"])
+    def test_oversized_grid_is_a_config_error(self, tmp_path, capsys, dry_run):
+        # m = 3, N = 7 at 24 points per unit needs 500^3 nodes; nothing is
+        # allocated or written
+        text = (
+            BASE_CLT.replace("m: 2", "m: 3")
+            .replace("n_list: [3.0]", "n_list: [7.0]")
+            .replace("points_per_unit: 8", "points_per_unit: 24")
+        )
+        cfg = _write(tmp_path, "g.yaml", text)
+        out = tmp_path / "o"
+        argv = ["--config", cfg, "--out", str(out)] + (["--dry-run"] if dry_run else [])
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "500^3 = 125,000,000 points exceeds the budget of 64,000,000" in err
+        assert not out.exists()
 
     def test_config_error_exit(self, tmp_path):
         cfg = _write(tmp_path, "bad.yaml", "subcommand: nope\nseed: 1\n")
@@ -216,6 +246,17 @@ class TestMainExitCodes:
         assert float(line.split("= ")[1]) == pytest.approx(want, rel=1e-5)
         assert (out / "critical_points.csv").exists()
 
+    def test_count_defaults_gaussian_params(self, tmp_path):
+        # the same density block as `clt` accepts: sigma defaults to 1
+        text = BASE_CLT.replace("subcommand: clt", "subcommand: count").replace(
+            "  params: [1.0]\n", ""
+        )
+        cfg = _write(tmp_path, "k.yaml", text)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out)]) == EXIT_OK
+        stamp = json.loads((out / "provenance.json").read_text())
+        assert stamp["torus"]["n_per_side"] == {"3.0": 108}
+
     def test_field_single_realization(self, tmp_path):
         text = BASE_CLT.replace("subcommand: clt", "subcommand: field")
         cfg = _write(tmp_path, "f.yaml", text)
@@ -228,7 +269,8 @@ class TestMainExitCodes:
         assert set(stats) >= {"g0.g1", "h00.h11", "X.h01"}
         back = load_realization(out / "realization.bin")
         assert back.seed == 42
-        assert back.grid.shape == (6, 96, 96)  # 2 * 3.0 * 2 * 8 points per side
+        # (2 * 3.0 + guard 7.375) * 8 = 107 cells, rounded up to 108 = 2^2 3^3
+        assert back.grid.shape == (6, 108, 108)
 
 
 @pytest.fixture(scope="module")
@@ -253,6 +295,11 @@ class TestEndToEnd:
     def test_clt_outputs(self, clt_dir):
         doc = json.loads((clt_dir / "record.json").read_text())
         assert doc["n_list"] == [3.0]
+        torus = doc["torus"]
+        assert torus["guard"] == 7.375 and torus["n_per_side"] == {"3.0": 108}
+        assert torus["wrap_ratio"] <= torus["tolerance"] == 1e-6
+        stamp = json.loads((clt_dir / "provenance.json").read_text())
+        assert stamp["torus"] == torus
         assert (clt_dir / "samples_N3.csv").exists()
         assert (clt_dir / "variance.csv").exists()
 
@@ -284,3 +331,66 @@ class TestEndToEnd:
         code = main(["--plot-data", str(clt_dir), "variance-plateau", "--out", str(dest)])
         assert code == EXIT_OK
         assert dest.exists()
+
+
+# first choices are the valid ones, so the search covers the guard search,
+# budget rejections and plans as well as malformed blocks
+_DENSITY_BLOCKS = st.one_of(
+    st.fixed_dictionaries(
+        {"family": st.just("gaussian")},
+        optional={"params": st.one_of(
+            st.lists(st.floats(0.25, 4.0), min_size=1, max_size=1),
+            st.lists(st.floats(-1.0, 4.0), max_size=2),
+        )},
+    ),
+    st.fixed_dictionaries({
+        "family": st.just("compact-bump"),
+        "params": st.one_of(
+            st.tuples(st.sampled_from([1.0, 0.5]), st.sampled_from([4.0, 2.0, 0.0])).map(list),
+            st.lists(st.sampled_from([-1.0, 0.0, 1.0]), max_size=3),
+        ),
+    }),
+)
+
+_EXPERIMENT_BLOCKS = st.fixed_dictionaries(
+    {
+        "m": st.sampled_from([2, 3, 1, 4]),
+        "n_list": st.lists(
+            st.sampled_from([3.0, 5.0, 7.0, 20.0, 0.5, 60.0, -1.0]), min_size=1, max_size=3
+        ),
+    },
+    optional={
+        "points_per_unit": st.sampled_from([8, 16, 32, 0]),
+        "realizations": st.integers(0, 40),
+    },
+)
+
+
+class TestConfigFuzz:
+    @settings(
+        max_examples=30, deadline=None, derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        subcommand=st.sampled_from(["field", "count", "clt", "crosscheck"]),
+        density=_DENSITY_BLOCKS,
+        experiment=_EXPERIMENT_BLOCKS,
+        grid_budget=st.one_of(st.none(), st.integers(1, 10**7)),
+    )
+    def test_dry_run_ends_in_a_message(
+        self, tmp_path_factory, subcommand, density, experiment, grid_budget
+    ):
+        # every block ends in a plan, a config error or a budget error with
+        # one line on stderr, never in a traceback
+        doc = {"subcommand": subcommand, "seed": 1, "density": density,
+               "experiment": experiment}
+        if grid_budget is not None:
+            doc["budget"] = {"grid_points": grid_budget}
+        path = tmp_path_factory.mktemp("fuzz") / "c.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["--config", str(path), "--dry-run"])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_BUDGET)
+        lines = err.getvalue().splitlines()
+        assert len(lines) == (0 if code == EXIT_OK else 1), lines

@@ -16,7 +16,7 @@ from critfield.critpoints import (
 from critfield.field import FieldRealization, GridSpec, synthesize
 from critfield.spectrum import SpectralDensity, spectral_moments
 
-SPEC = GridSpec(m=2, half_width=3.2, points_per_unit=10)
+SPEC = GridSpec(m=2, half_width=3.2, points_per_unit=10, guard=6.4)
 GAUSS = SpectralDensity(family="gaussian", params=(1.0,))
 # wave number commensurate with the torus: period 12.8 holds two full waves
 K = np.pi / 3.2
@@ -153,7 +153,7 @@ class TestKacriceAnalytic:
 class TestSynthesizedField:
     def test_estimators_agree(self):
         w = SpectralDensity(family="gaussian", params=(1.0,))
-        spec = GridSpec(m=2, half_width=4.0, points_per_unit=16)
+        spec = GridSpec(m=2, half_width=4.0, points_per_unit=16, guard=8.0)
         fr = synthesize(w, spec, seed=42)
         box = ((-3.0, -3.0), (3.0, 3.0))
         cps = count_newton(fr, box)
@@ -170,7 +170,7 @@ class TestSynthesizedField:
     def test_morse_alternation(self):
         # every interior signature class should appear in a decent window
         w = SpectralDensity(family="gaussian", params=(1.0,))
-        spec = GridSpec(m=2, half_width=5.0, points_per_unit=12)
+        spec = GridSpec(m=2, half_width=5.0, points_per_unit=12, guard=10.0)
         fr = synthesize(w, spec, seed=7)
         cps = count_newton(fr, ((-4.0, -4.0), (4.0, 4.0)))
         sigs = cps.signature_counts()
@@ -181,7 +181,7 @@ class TestSynthesizedField:
 
 @functools.cache
 def _gaussian_field(seed: int) -> FieldRealization:
-    return synthesize(GAUSS, GridSpec(m=2, half_width=5.0, points_per_unit=16), seed)
+    return synthesize(GAUSS, GridSpec(m=2, half_width=5.0, points_per_unit=16, guard=10.0), seed)
 
 
 class TestCountingInvariants:
@@ -225,7 +225,7 @@ class TestCountingInvariants:
 
     @pytest.mark.parametrize("seed", [11, 12])
     def test_eps_ladder_matches_scalar_calls(self, seed):
-        fr = synthesize(GAUSS, GridSpec(m=2, half_width=3.0, points_per_unit=32), seed)
+        fr = synthesize(GAUSS, GridSpec(m=2, half_width=3.0, points_per_unit=32, guard=6.0), seed)
         box = ((-2.5, -2.5), (2.5, 2.5))
         ladder = (0.05, 0.1, 0.025)  # counts come back in the order given
         got = count_kacrice_smoothed(fr, box, ladder)

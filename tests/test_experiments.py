@@ -68,7 +68,6 @@ def _asdict(cfg: ExperimentConfig) -> dict:
         "n_list": cfg.n_list,
         "realizations": cfg.realizations,
         "points_per_unit": cfg.points_per_unit,
-        "padding_factor": cfg.padding_factor,
         "master_seed": cfg.master_seed,
         "eps_list": cfg.eps_list,
         "e_absdet_s1": cfg.e_absdet_s1,

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from critfield.field import (
+    _COVARIANCE_TOL,
     GridSpec,
     NyquistError,
     dump_realization,
@@ -13,11 +14,13 @@ from critfield.field import (
     jet_statistics,
     load_realization,
     synthesize,
+    wrap_guard,
 )
-from critfield.spectrum import SpectralDensity, spectral_moments
+from critfield.spectrum import SpectralDensity, covariance_jet, psi_envelope, spectral_moments
 
 GAUSS = SpectralDensity(family="gaussian", params=(1.0,))
-SPEC2 = GridSpec(m=2, half_width=4.0, points_per_unit=8)
+BUMP = SpectralDensity(family="compact-bump", params=(1.0, 4.0))
+SPEC2 = GridSpec(m=2, half_width=4.0, points_per_unit=8, guard=8.0)
 
 
 @pytest.fixture(scope="module")
@@ -31,13 +34,88 @@ class TestGridSpec:
         assert SPEC2.spacing == 0.125
         assert SPEC2.n_per_side == 128
 
-    def test_padding_guard(self):
+    def test_negative_guard_rejected(self):
         with pytest.raises(ValueError):
-            GridSpec(m=2, half_width=4.0, points_per_unit=8, padding_factor=1.0)
+            GridSpec(m=2, half_width=4.0, points_per_unit=8, guard=-1.0)
 
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
-            GridSpec(m=4, half_width=4.0, points_per_unit=8)
+            GridSpec(m=4, half_width=4.0, points_per_unit=8, guard=8.0)
+
+    def test_side_is_even_and_fast(self):
+        # 2N + guard = 17.375 units = 139 cells -> 140 = 2^2 5 7
+        spec = GridSpec(m=2, half_width=5.0, points_per_unit=8, guard=7.375)
+        assert (spec.n_per_side, spec.period) == (140, 17.5)
+        # 135 cells is 5-smooth but odd, so the side moves on to 140
+        assert GridSpec(m=2, half_width=5.0, points_per_unit=1, guard=125.0).n_per_side == 140
+
+    def test_budget_checked_at_construction(self):
+        with pytest.raises(ValueError, match=r"500\^3 = 125,000,000 points exceeds the budget"):
+            GridSpec(m=3, half_width=7.0, points_per_unit=24, guard=6.8125)
+
+
+def _psi_ratio(w, m, t):
+    return psi_envelope(w, m, (t,) + (0.0,) * (m - 1)) / psi_envelope(w, m, (0.0,) * m)
+
+
+def _torus_covariance(w, spec, d):
+    """Covariance of the sampled field at lag d (m = 2): the lattice sum
+    (2 pi)^(-1) sum_lam w(|lam|) dlam^2 cos(lam . d) over the synthesized
+    frequencies."""
+    lam = 2.0 * np.pi * np.fft.fftfreq(spec.n_per_side, d=spec.spacing)
+    l0, l1 = np.meshgrid(lam, lam, indexing="ij")
+    dlam = 2.0 * np.pi / spec.period
+    terms = w(np.hypot(l0, l1)) * np.cos(l0 * d[0] + l1 * d[1])
+    return float(terms.sum()) * dlam**2 / (2.0 * np.pi)
+
+
+class TestWrapGuard:
+    @pytest.mark.parametrize("w", [GAUSS, BUMP], ids=["gaussian", "bump-1-4"])
+    def test_meets_tolerance_and_is_tight(self, w):
+        ppu = 8
+        h = 1.0 / ppu
+        guard, ratio = wrap_guard(w, 2, ppu)
+        tail = guard - 8 * h  # one candidate cell plus the stencil, each side
+        assert _psi_ratio(w, 2, tail) == pytest.approx(ratio, rel=1e-12)
+        assert ratio <= _COVARIANCE_TOL < _psi_ratio(w, 2, tail - h)
+
+    def test_gaussian_guard(self):
+        # psi(t) / psi(0) = (t^4 - 6 t^2 + 3) exp(-t^2 / 2) / 3 drops below
+        # 1e-6 between t = 404/64 and 405/64, plus 8 cells of reach
+        assert wrap_guard(GAUSS, 2, 8)[0] == 7.375
+        assert wrap_guard(GAUSS, 3, 8)[0] == 7.375
+        guard = wrap_guard(GAUSS, 2, 64)[0]
+        assert guard == (405 + 8) / 64
+        spec = GridSpec(m=2, half_width=5.0, points_per_unit=64, guard=guard)
+        assert spec.n_per_side == 1056  # 1052 cells -> 2^5 3 11
+
+    @pytest.mark.parametrize("w", [GAUSS, BUMP], ids=["gaussian", "bump-1-4"])
+    def test_torus_covariance_within_tolerance(self, w):
+        # the sampled covariance at lag (2N, 0) is the periodized kernel; the
+        # derived guard keeps its wrapped images below tol * psi(0)
+        n_half, ppu = 5.0, 8
+        spec = GridSpec(m=2, half_width=n_half, points_per_unit=ppu,
+                        guard=wrap_guard(w, 2, ppu)[0])
+        d = (2.0 * n_half, 0.0)
+        exact = covariance_jet(w, 2, d).deriv()
+        budget = _COVARIANCE_TOL * psi_envelope(w, 2, (0.0, 0.0))
+        assert abs(_torus_covariance(w, spec, d) - exact) <= budget
+
+    def test_factor_two_torus_wraps_the_bump(self):
+        # the former fixed torus, period 2 * 2N, puts the first image of the
+        # compact-bump (1, 4) kernel at distance 2N = 10: far above tolerance
+        spec = GridSpec(m=2, half_width=5.0, points_per_unit=8, guard=10.0)
+        assert spec.period == 20.0
+        d = (10.0, 0.0)
+        err = abs(_torus_covariance(BUMP, spec, d) - covariance_jet(BUMP, 2, d).deriv())
+        assert err > 100 * _COVARIANCE_TOL * psi_envelope(BUMP, 2, (0.0, 0.0))
+
+    def test_slow_decay_rejected_within_the_budget(self):
+        # the indicator (p = 0) decays like |t|^-2 at m = 3; the largest m = 3
+        # torus at 8 points per unit has period 50
+        indicator = SpectralDensity(family="compact-bump", params=(1.0, 0.0))
+        with pytest.raises(ValueError, match="decays too slowly.* at g = 50,"):
+            wrap_guard(indicator, 3, 8)
 
 
 class TestSynthesis:
@@ -50,7 +128,7 @@ class TestSynthesis:
         assert not np.array_equal(realization.grid[0], other.grid[0])
 
     def test_nyquist_guard(self):
-        coarse = GridSpec(m=2, half_width=4.0, points_per_unit=1)
+        coarse = GridSpec(m=2, half_width=4.0, points_per_unit=1, guard=8.0)
         with pytest.raises(NyquistError):
             synthesize(GAUSS, coarse, seed=0)
 
@@ -82,7 +160,7 @@ class TestSynthesis:
         assert err < 0.02 * scale  # second-order FD truncation, not roundoff
 
     def test_m3_synthesis(self):
-        spec = GridSpec(m=3, half_width=2.0, points_per_unit=6)
+        spec = GridSpec(m=3, half_width=2.0, points_per_unit=6, guard=4.0)
         fr = synthesize(GAUSS, spec, seed=5)
         assert fr.grid.shape == (10, 48, 48, 48)
         assert jet_labels(3)[4:] == ["h00", "h01", "h02", "h11", "h12", "h22"]
@@ -128,10 +206,11 @@ class TestRoundTrip:
         m=st.sampled_from([2, 3]),
         half_width=st.sampled_from([1.0, 1.5, 2.0]),
         ppu=st.integers(min_value=3, max_value=6),
+        guard=st.sampled_from([1.0, 2.5, 4.0]),
         seed=st.integers(min_value=0, max_value=2**63 - 1),
     )
-    def test_dump_load_property(self, tmp_path_factory, m, half_width, ppu, seed):
-        spec = GridSpec(m=m, half_width=half_width, points_per_unit=ppu)
+    def test_dump_load_property(self, tmp_path_factory, m, half_width, ppu, guard, seed):
+        spec = GridSpec(m=m, half_width=half_width, points_per_unit=ppu, guard=guard)
         fr = synthesize(GAUSS, spec, seed=seed)
         path = tmp_path_factory.mktemp("dump") / "r.bin"
         dump_realization(fr, path)
@@ -163,10 +242,11 @@ def _legacy_grid(w, spec, seed):
 @pytest.mark.parametrize(
     "spec",
     [
-        GridSpec(m=2, half_width=4.0, points_per_unit=8),
-        GridSpec(m=3, half_width=2.0, points_per_unit=6),
+        GridSpec(m=2, half_width=4.0, points_per_unit=8, guard=8.0),
+        GridSpec(m=3, half_width=2.0, points_per_unit=6, guard=4.0),
+        GridSpec(m=2, half_width=5.0, points_per_unit=8, guard=7.375),  # 140 = 2^2 5 7
     ],
-    ids=["m2", "m3"],
+    ids=["m2", "m3", "m2-fast"],
 )
 class TestFoldedPrefilter:
     def test_coefficients_match_spline_filter(self, spec):
