@@ -1,9 +1,9 @@
 """Second-chaos geometry of the absolute determinant.
 
 Projects |det A| onto the invariant degree-two polynomials (centered trace
-squares), then assembles the limiting second-chaos variance contribution
-V_2_inf for the built-in densities: the quantity that keeps the counting
-CLT nondegenerate.
+squares), with coefficients exact from the GOE one-point density, then
+assembles the limiting second-chaos variance contribution V_2_inf for the
+built-in densities: the quantity that keeps the counting CLT nondegenerate.
 """
 
 from critfield.chaos import chaos2_coefficients, invariant_gram, v2_infinity
@@ -16,20 +16,17 @@ def main():
         g = invariant_gram(m, v)
         print(f"  m={m} v={v}: [[{g[0,0]:.1f}, {g[0,1]:.1f}], [{g[1,0]:.1f}, {g[1,1]:.1f}]]")
 
-    print("\n=== projection coefficients of |det A| ===")
+    print("\n=== exact projection coefficients of |det A| ===")
     for m in (2, 3):
-        geo = chaos2_coefficients(m, 1.0, mc_budget=400_000, seed=1)
-        print(
-            f"  m={m}: f0={geo.f0:.4f}  x={geo.x:+.5f} (+-{geo.stderr['x']:.5f})  "
-            f"y={geo.y:+.5f} (+-{geo.stderr['y']:.5f})  z={geo.z:+.5f}"
-        )
+        geo = chaos2_coefficients(m, 1.0)
+        print(f"  m={m}: f0={geo.f0:.6f}  x={geo.x:+.7f}  y={geo.y:+.7f}  z={geo.z:+.6f}")
 
     print("\n=== limiting second-chaos variance V_2_inf ===")
     for family, params in (("gaussian", (1.0,)), ("compact-bump", (1.0, 4.0))):
         w = SpectralDensity(family=family, params=params)
         for m in (2, 3):
             mom = spectral_moments(w, m)
-            geo = chaos2_coefficients(m, mom.h, mc_budget=400_000, seed=1)
+            geo = chaos2_coefficients(m, mom.h)
             print(f"  {family} m={m}:  V_2_inf = {v2_infinity(w, m, geo):.5f}")
 
 

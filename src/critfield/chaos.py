@@ -2,9 +2,9 @@
 
 Contents: the low-order diagram (Wick) moment formulas of Hermite
 polynomials, the exact Gram geometry of the rotation-invariant second-chaos
-functionals p(A) = (tr A)^2 and q(A) = tr(A^2), the Monte Carlo projection
-coefficients (x, y), and the closed-form lower bound V_{2,inf} obtained from
-the L^2 norms of the radial profiles G_0, G_1, G_2.
+functionals p(A) = (tr A)^2 and q(A) = tr(A^2), the exact projection
+coefficients (x, y) of |det A|, and the closed-form lower bound V_{2,inf}
+obtained from the L^2 norms of the radial profiles G_0, G_1, G_2.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, linalg, special
 
-from .randmat import EnsembleParams, expect_functional_mc
+from .randmat import _absdet_shift_moments
 from .spectrum import DivergentIntegralError, SpectralDensity, spectral_moments
 
 __all__ = [
@@ -89,9 +89,9 @@ def invariant_gram(m: int, v: float) -> np.ndarray:
         var(p) = 2 m^2 (m + 2)^2 v^2,   cov(p, q) = 2 m (m + 2)^2 v^2,
         var(q) = 6 m (m + 2) v^2,
 
-    all pinned to Monte Carlo in the tests.  Note the asymmetry: p carries
-    the O(m^4) variance while q concentrates at O(m^2), and the correlation
-    tends to 1/sqrt(3).
+    all pinned in the tests to exact Wick pairings and to Monte Carlo.  Note
+    the asymmetry: p carries the O(m^4) variance while q concentrates at
+    O(m^2), and the correlation tends to 1/sqrt(3).
     """
     if m < 2 or v <= 0:
         raise ValueError("need m >= 2 and v > 0")
@@ -114,41 +114,27 @@ class Chaos2Geometry:
     y: float
     z: float
     f0: float
-    stderr: dict
 
 
-def chaos2_coefficients(
-    m: int, v: float, mc_budget: int = 2_000_000, seed: int = 0
-) -> Chaos2Geometry:
-    """Solve the exact-Gram normal equations with Monte Carlo right-hand sides.
+def chaos2_coefficients(m: int, v: float) -> Chaos2Geometry:
+    """Solve the exact-Gram normal equations with exact right-hand sides.
 
-    E[f], E[p f], E[q f] are estimated on independent streams (budget split
-    evenly); the centered rhs shares the E[f] estimate, and that covariance is
-    carried through the delta method for the (x, y) stderrs.
+    The density of S(m; u, v) is proportional to exp(-q / (4 v) + c p) with
+    c = u / (4 v (2 v + m u)), so F(u, v) = E|det A| has dF/du =
+    cov(p, f) dc/du and dF/dv = cov(q, f) / (4 v^2) + cov(p, f) dc/dv.  With
+    Euler's u dF/du + v dF/dv = m F / 2 (F is homogeneous of degree m/2),
+    the centered right-hand sides at u = v are
+
+        cov(p, f) = 2 (m + 2)^2 v^2 dF/du,
+        cov(q, f) = 2 m v F + cov(p, f) / (m + 2),
+
+    with F and dF/du from the GOE one-point density (randmat).
     """
     gram = invariant_gram(m, v)
-    ep, eq = invariant_means(m, v)
-    n = max(mc_budget // 3, 10_000)
-    params = EnsembleParams(m=m, u=v, v=v)
-    est = {
-        name: expect_functional_mc(params, name, n, seed=seed + i)
-        for i, name in enumerate(("absdet", "p_absdet", "q_absdet"))
-    }
-    f0 = est["absdet"]["mean"]
-    rhs = np.array(
-        [est["p_absdet"]["mean"] - ep * f0, est["q_absdet"]["mean"] - eq * f0]
-    )
+    f0, df_du = _absdet_shift_moments(m, v)
+    cov_pf = 2.0 * (m + 2) ** 2 * v**2 * df_du
+    rhs = np.array([cov_pf, 2.0 * m * v * f0 + cov_pf / (m + 2)])
     xy = linalg.solve(gram, rhs, assume_a="pos")
-    # delta method: rhs covariance from independent pf, qf plus the shared f
-    vf = est["absdet"]["stderr"] ** 2
-    cov_rhs = np.array(
-        [
-            [est["p_absdet"]["stderr"] ** 2 + ep**2 * vf, ep * eq * vf],
-            [ep * eq * vf, est["q_absdet"]["stderr"] ** 2 + eq**2 * vf],
-        ]
-    )
-    ginv = linalg.inv(gram)
-    cov_xy = ginv @ cov_rhs @ ginv
     return Chaos2Geometry(
         m=m,
         v=v,
@@ -158,12 +144,6 @@ def chaos2_coefficients(
         y=float(xy[1]),
         z=-0.5 * f0,
         f0=f0,
-        stderr={
-            "f0": est["absdet"]["stderr"],
-            "x": math.sqrt(cov_xy[0, 0]),
-            "y": math.sqrt(cov_xy[1, 1]),
-            "z": 0.5 * est["absdet"]["stderr"],
-        },
     )
 
 

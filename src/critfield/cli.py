@@ -29,8 +29,8 @@ EXIT_OK, EXIT_CONFIG, EXIT_BUDGET, EXIT_NUMERICAL = 0, 2, 3, 4
 _OUT_ENV = "CRITFIELD_OUT"
 
 
-# Monte Carlo sample count of each subcommand when ensemble.samples is unset
-_MC_SAMPLES = {"randmat": 500_000, "chaos": 2_000_000}
+# default ensemble.samples of the subcommands that draw matrices
+_MC_SAMPLES = {"randmat": 500_000}
 
 
 def _mc_samples(cfg: RunConfig) -> int:
@@ -78,7 +78,7 @@ def _check_budget(cfg: RunConfig, spec: field.GridSpec | None) -> None:
         need = spec.n_per_side**spec.m
         if need > budget["grid_points"]:
             raise BudgetError(f"grid needs {need} points > budget {budget['grid_points']}")
-    if "samples" in budget:
+    if "samples" in budget and cfg.subcommand in _MC_SAMPLES:
         asked = _mc_samples(cfg)
         if asked > budget["samples"]:
             raise BudgetError(f"MC asks {asked} samples > budget {budget['samples']}")
@@ -218,22 +218,18 @@ def _run_randmat(cfg: RunConfig, out: Path, grid) -> None:
 def _run_chaos(cfg: RunConfig, out: Path, grid) -> None:
     ens = cfg.ensemble
     m, v = int(ens["m"]), float(ens["v"])
-    geo = chaos_mod.chaos2_coefficients(m, v, mc_budget=_mc_samples(cfg), seed=cfg.seed)
+    geo = chaos_mod.chaos2_coefficients(m, v)
     w = _density(cfg)
     v2 = chaos_mod.v2_infinity(w, m, geo)
     with open(out / "chaos_report.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
-        wr.writerow(["m", "v", "f0", "x", "y", "z", "V2_inf",
-                     "se_f0", "se_x", "se_y", "se_z"])
-        wr.writerow([m, v, geo.f0, geo.x, geo.y, geo.z, v2,
-                     geo.stderr["f0"], geo.stderr["x"], geo.stderr["y"],
-                     geo.stderr["z"]])
+        wr.writerow(["m", "v", "f0", "x", "y", "z", "V2_inf"])
+        wr.writerow([m, v, geo.f0, geo.x, geo.y, geo.z, v2])
     _write_summary(
         out,
         [
-            f"m={m}, v={v}: f0 = {geo.f0:.8g} +- {geo.stderr['f0']:.3g}",
-            f"x = {geo.x:.8g} +- {geo.stderr['x']:.3g}, "
-            f"y = {geo.y:.8g} +- {geo.stderr['y']:.3g}, z = {geo.z:.8g}",
+            f"m={m}, v={v}: f0 = {geo.f0:.8g}",
+            f"x = {geo.x:.8g}, y = {geo.y:.8g}, z = {geo.z:.8g}",
             f"V_2,inf = {v2:.8g} (positive: {v2 > 0})",
         ],
     )

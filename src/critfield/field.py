@@ -37,7 +37,14 @@ __all__ = [
     "load_realization",
 ]
 
-_MAX_GRID_POINTS = 64_000_000  # default memory budget (~0.5 GB per array)
+# Memory budget of one realization's jet: 1 + m + m(m+1)/2 complex arrays
+_MAX_JET_BYTES = 2 * 2**30
+
+
+def _jet_bytes(m: int, n: int) -> int:
+    """Bytes of the complex jet of an n^m grid."""
+    return n**m * (1 + m + m * (m + 1) // 2) * np.dtype(complex).itemsize
+
 
 # One budget for the two truncations of the sampled covariance: the spectral
 # mass beyond the cutoff radius and the wrapped tail psi(guard) / psi(0).
@@ -61,8 +68,8 @@ class GridSpec:
     covers 2 N + guard; the cube is the central window.  The sampled
     covariance is the periodized one, sum_k C(t + k period), so a guard with
     psi(guard) small keeps the wrapped images out of the window:
-    ``wrap_guard`` derives it from the density.  Grids beyond
-    _MAX_GRID_POINTS nodes are rejected here, before anything is allocated.
+    ``wrap_guard`` derives it from the density.  Grids whose jet would
+    exceed _MAX_JET_BYTES are rejected here, before anything is allocated.
     """
 
     m: int
@@ -78,10 +85,11 @@ class GridSpec:
         if not self.guard >= 0:
             raise ValueError("the wrap guard must be >= 0")
         n = self.n_per_side
-        if n**self.m > _MAX_GRID_POINTS:
+        if (need := _jet_bytes(self.m, n)) > _MAX_JET_BYTES:
             raise ValueError(
-                f"grid of {n}^{self.m} = {n**self.m:,} points exceeds the budget "
-                f"of {_MAX_GRID_POINTS:,}; lower points_per_unit or the half-width"
+                f"grid of {n}^{self.m} = {n**self.m:,} points needs a "
+                f"{need / 2**30:.3g} GiB jet, over the budget of "
+                f"{_MAX_JET_BYTES / 2**30:g} GiB; lower points_per_unit or the half-width"
             )
 
     @functools.cached_property
@@ -128,15 +136,15 @@ def wrap_guard(w: SpectralDensity, m: int, points_per_unit: int) -> tuple[float,
     def ratio(cells: int) -> float:
         return float(psi_envelope(w, m, cells * h * axis) / psi0)
 
-    top = int(_MAX_GRID_POINTS ** (1.0 / m) + 1e-9)  # largest side, in cells
+    top = int((_MAX_JET_BYTES / _jet_bytes(m, 1)) ** (1.0 / m) + 1e-9)  # in cells
     lo, hi = 0, 1  # ratio(lo) is above the tolerance (psi(0) / psi(0) = 1)
     while (r := ratio(hi)) > _COVARIANCE_TOL:
         if hi == top:
             raise ValueError(
                 f"covariance decays too slowly for the grid budget: "
                 f"psi(g)/psi(0) = {r:.3g} > {_COVARIANCE_TOL:g} at g = {hi * h:g}, "
-                f"the largest period {_MAX_GRID_POINTS:,} points allow at "
-                f"m = {m} and {points_per_unit} points per unit"
+                f"the largest period the {_MAX_JET_BYTES / 2**30:g} GiB jet budget "
+                f"allows at m = {m} and {points_per_unit} points per unit"
             )
         lo, hi = hi, min(2 * hi, top)
     while hi - lo > 1:

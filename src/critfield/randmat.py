@@ -182,29 +182,39 @@ def fyodorov_absdet(m: int, v: float, lam):
     return np.exp(log_val) * rho_one_point(m + 1, v, lam)
 
 
-# Simpson nodes on [0, lim] for the Gaussian average in expect_absdet_S
+# Simpson nodes on [0, lim] for the Gaussian average over the identity shift
 _SIMPSON_POINTS = 201
 
 
-def expect_absdet_S(m: int, v: float) -> float:
-    """E over S(m; v, v) of |det A|: Gaussian average over the identity shift,
+def _absdet_shift_moments(m: int, v: float) -> tuple[float, float]:
+    """F = E|det A| over S(m; u, v) and its derivative dF/du, both at u = v.
 
-        (2 v)^((m+1)/2) C_m / sqrt(2 pi v) * integral rho_(m+1,v)(lam)
+    F(u, v) is the N(0, u) average of fyodorov_absdet(m, v, lam), so at u = v
+
+        F = (2 v)^((m+1)/2) C_m / sqrt(2 pi v) * integral rho_(m+1,v)(lam)
             exp(-lam^2 / (4 v)) dlam,
 
-    by Simpson's rule on the even half-line, truncated 8 sqrt(v) beyond the
-    spectral edge 2 sqrt(v (m + 1)).
+    and d/du of the N(0, u) density puts (lam^2 - v) / (2 v^2) under the
+    integral.  Both share one Simpson rule on the even half-line, truncated
+    8 sqrt(v) beyond the spectral edge 2 sqrt(v (m + 1)).
     """
     lim = 2.0 * math.sqrt(v) * (math.sqrt(m + 1) + 4.0)
     xs = np.linspace(0.0, lim, _SIMPSON_POINTS)
-    integrand = rho_one_point(m + 1, v, xs) * np.exp(-(xs**2) / (4.0 * v))
-    half = integrate.simpson(integrand, x=xs)
+    base = rho_one_point(m + 1, v, xs) * np.exp(-(xs**2) / (4.0 * v))
+    weights = np.stack([base, base * (xs**2 - v) / (2.0 * v * v)])
+    half = integrate.simpson(weights, x=xs)
     log_pref = (
         (m + 1) / 2.0 * math.log(2.0 * v)
         + _log_cm(m)
         - 0.5 * math.log(2.0 * math.pi * v)
     )
-    return math.exp(log_pref) * 2.0 * half
+    f, df_du = math.exp(log_pref) * 2.0 * half
+    return float(f), float(df_du)
+
+
+def expect_absdet_S(m: int, v: float) -> float:
+    """E over S(m; v, v) of |det A|, exact up to the Simpson rule."""
+    return _absdet_shift_moments(m, v)[0]
 
 
 def asymptotic_targets(m: int) -> dict:
@@ -216,12 +226,12 @@ def asymptotic_targets(m: int) -> dict:
         E[q f] ~ C_m / sqrt(2 pi) m^(7/2),
     evaluated in log space (C_20 overflows naive products).
 
-    Monte Carlo disagrees with all three; asymptotic_targets_semicircle has
-    the corrected constants.  E[f] is too large by sqrt(pi/2) and E[p f] by
+    The exact averages disagree with all three; asymptotic_targets_semicircle
+    has the corrected constants.  E[f] is too large by sqrt(pi/2) and E[p f] by
     sqrt(pi).  E[q f] has the wrong power of m: the v-derivative identity
     E[tr B^2 |det B|] = v m (m + 3) E|det B| gives m^(3/2) (m + 3) / m, so
     the printed value is off by sqrt(pi/2) m^3 / (m + 3), which grows like
-    m^2.  At m = 20 the MC/printed ratios are about 0.75, 0.59 and 0.002.
+    m^2.  At m = 20 the exact/printed ratios are 0.760, 0.604 and 0.002.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -246,7 +256,7 @@ def asymptotic_targets_semicircle(m: int) -> dict:
         E[p f] ~ (2/pi) C_m m^(3/2),
         E[q f] ~ (1/pi) C_m m^(3/2) (m + 3) / m.
 
-    These are the variants our Monte Carlo sweeps actually converge to.
+    These are the constants the exact averages approach.
     """
     lc = _log_cm(m)
     return {

@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -62,6 +64,37 @@ class TestDiagramMoments:
             ), pattern
 
 
+def _entry_cov(e1, e2, v):
+    """E[a_ij a_kl] over S(m; v, v): v (d_ij d_kl + d_ik d_jl + d_il d_jk)."""
+    (i, j), (k, l) = e1, e2
+    return v * ((i == j) * (k == l) + (i == k) * (j == l) + (i == l) * (j == k))
+
+
+def _wick(entries, v):
+    """Isserlis: the sum over perfect pairings of products of covariances."""
+    if not entries:
+        return Fraction(1)
+    first, rest = entries[0], entries[1:]
+    return sum(
+        _entry_cov(first, rest[i], v) * _wick(rest[:i] + rest[i + 1:], v)
+        for i in range(len(rest))
+    )
+
+
+def _exact_invariant_moment(m, a, b, v):
+    """E[p^a q^b] over S(m; v, v) in exact rational arithmetic, with
+    p = sum_ij a_ii a_jj and q = sum_ij a_ij a_ji expanded term by term."""
+    terms = {
+        "p": [((i, i), (j, j)) for i in range(m) for j in range(m)],
+        "q": [((i, j), (j, i)) for i in range(m) for j in range(m)],
+    }
+    factors = [terms["p"]] * a + [terms["q"]] * b
+    return sum(
+        _wick([e for pair in combo for e in pair], v)
+        for combo in itertools.product(*factors)
+    )
+
+
 class TestInvariantGeometry:
     def test_gram_dim_two_unit_variance(self):
         # raw moments E[p^2] = 192, E[pq] = 128, E[q^2] = 112, means both 8
@@ -86,6 +119,20 @@ class TestInvariantGeometry:
             se = samp.std(ddof=1) / math.sqrt(len(samp))
             assert gram[i, j] == pytest.approx(samp.mean(), abs=4 * se)
 
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("v", [Fraction(1), Fraction(1, 2)])
+    def test_gram_against_exact_wick_pairings(self, m, v):
+        # the exact Gram and means carry x and y; certify them term by term
+        ep, eq = (_exact_invariant_moment(m, a, b, v) for a, b in ((1, 0), (0, 1)))
+        assert invariant_means(m, float(v)) == (ep, eq)
+        raw = [[_exact_invariant_moment(m, 2, 0, v), _exact_invariant_moment(m, 1, 1, v)],
+               [_exact_invariant_moment(m, 1, 1, v), _exact_invariant_moment(m, 0, 2, v)]]
+        exact = [[raw[0][0] - ep * ep, raw[0][1] - ep * eq],
+                 [raw[1][0] - eq * ep, raw[1][1] - eq * eq]]
+        assert invariant_gram(m, float(v)).tolist() == exact
+        if (m, v) == (2, 1):
+            assert raw[0][1] == 128  # criterion 2's E[(tr A)^2 tr A^2]
+
     def test_gram_large_m_shape(self):
         # leading orders: var(p) ~ 2 m^4 v^2, var(q) ~ 6 m^2 v^2,
         # cov ~ 2 m^3 v^2, with the correlation tending to 1/sqrt(3)
@@ -104,23 +151,44 @@ class TestInvariantGeometry:
 
 class TestChaos2Coefficients:
     def test_normal_equations_consistency(self):
-        geo = chaos2_coefficients(2, 1.0, mc_budget=150_000, seed=1)
+        geo = chaos2_coefficients(2, 1.0)
         lhs = geo.gram @ np.array([geo.x, geo.y])
         np.testing.assert_allclose(lhs, geo.rhs, rtol=1e-10)
         assert geo.z == -0.5 * geo.f0
-        assert all(s > 0 for s in geo.stderr.values())
 
-    def test_seed_stability(self):
-        a = chaos2_coefficients(2, 0.5, mc_budget=600_000, seed=2)
-        b = chaos2_coefficients(2, 0.5, mc_budget=600_000, seed=9)
-        assert a.x == pytest.approx(b.x, abs=4 * (a.stderr["x"] + b.stderr["x"]))
-        assert a.y == pytest.approx(b.y, abs=4 * (a.stderr["y"] + b.stderr["y"]))
+    def test_deterministic(self):
+        a, b = chaos2_coefficients(3, 0.5), chaos2_coefficients(3, 0.5)
+        assert (a.f0, a.x, a.y, a.z, a.rhs) == (b.f0, b.x, b.y, b.z, b.rhs)
+
+    def test_dim_two_values(self):
+        # E|det| = 4 / sqrt(3) over S(2; 1, 1); E[p f] from the same grid
+        geo = chaos2_coefficients(2, 1.0)
+        ep, _ = invariant_means(2, 1.0)
+        assert geo.f0 == pytest.approx(4.0 / math.sqrt(3.0), rel=1e-12)
+        assert geo.rhs[0] + ep * geo.f0 == pytest.approx(38.15840287, rel=1e-9)
+
+    @pytest.mark.parametrize("m", [2, 3, 6])
+    def test_moments_against_monte_carlo(self, m):
+        # E[f], E[p f], E[q f] against an independent sample average, with
+        # sigma the per-draw sd over sqrt(n)
+        v = 1.0
+        geo = chaos2_coefficients(m, v)
+        ep, eq = invariant_means(m, v)
+        exact = (geo.f0, geo.rhs[0] + ep * geo.f0, geo.rhs[1] + eq * geo.f0)
+        rng = np.random.default_rng(700 + m)
+        a = sample_matrices(EnsembleParams(m=m, u=v, v=v), 200_000, rng)
+        f = np.abs(np.linalg.det(a))
+        p = np.trace(a, axis1=1, axis2=2) ** 2
+        q = np.einsum("nij,nij->n", a, a)
+        for name, value, samp in zip(("f", "pf", "qf"), exact, (f, p * f, q * f)):
+            sigma = samp.std(ddof=1) / math.sqrt(len(samp))
+            assert abs(value - samp.mean()) <= 4.0 * sigma, name
 
     @pytest.mark.parametrize("m,v", [(2, 0.5), (3, 1.0)])
     def test_residual_orthogonality(self, m, v):
         # the projection residual f - f0 - x pbar - y qbar is orthogonal to
-        # both invariants; checked on a sample independent of the fit
-        geo = chaos2_coefficients(m, v, mc_budget=900_000, seed=11)
+        # both invariants; the fit is exact, so the bound is the sample noise
+        geo = chaos2_coefficients(m, v)
         rng = np.random.default_rng(99)
         a = sample_matrices(EnsembleParams(m=m, u=v, v=v), 400_000, rng)
         tr = np.trace(a, axis1=1, axis2=2)
@@ -129,13 +197,10 @@ class TestChaos2Coefficients:
         qbar = np.einsum("nij,nij->n", a, a) - eq
         f = np.abs(np.linalg.det(a))
         resid = f - geo.f0 - geo.x * pbar - geo.y * qbar
-        for row, w in enumerate((pbar, qbar)):
+        for w in (pbar, qbar):
             prod = resid * w
-            se2 = prod.var(ddof=1) / len(prod)
-            # the fitted (x, y) carry their own Monte Carlo error
-            se2 += (geo.gram[row, 0] * geo.stderr["x"]) ** 2
-            se2 += (geo.gram[row, 1] * geo.stderr["y"]) ** 2
-            assert abs(prod.mean()) <= 4.0 * math.sqrt(se2)
+            se = prod.std(ddof=1) / math.sqrt(len(prod))
+            assert abs(prod.mean()) <= 4.0 * se
 
 
 class TestSphereIntegrals:
@@ -203,11 +268,11 @@ class TestMsumGeometry:
 
     def test_v2_infinity_positive(self):
         for m in (2, 3):
-            geo = chaos2_coefficients(m, 0.5, mc_budget=300_000, seed=4)
+            geo = chaos2_coefficients(m, 0.5)
             val = v2_infinity(GAUSS, m, geo)
             assert val > 0.0
 
     def test_v2_infinity_dim_two_magnitude(self):
-        geo = chaos2_coefficients(2, 0.5, mc_budget=900_000, seed=5)
+        geo = chaos2_coefficients(2, 0.5)
         val = v2_infinity(GAUSS, 2, geo)
         assert 0.05 < val < 0.2

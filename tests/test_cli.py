@@ -41,6 +41,12 @@ experiment:
   e_absdet_s1: 2.3094
 """
 
+CHAOS = (
+    "subcommand: chaos\nseed: 1\n"
+    "density:\n  family: gaussian\n  params: [1.0]\n"
+    "ensemble:\n  m: 2\n  v: 1.0\n"
+)
+
 BASE_RANDMAT = """
 subcommand: randmat
 seed: 3
@@ -160,7 +166,23 @@ class TestMainExitCodes:
         argv = ["--config", cfg, "--out", str(out)] + (["--dry-run"] if dry_run else [])
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "500^3 = 125,000,000 points exceeds the budget of 64,000,000" in err
+        assert "500^3 = 125,000,000 points needs a 18.6 GiB jet, over the budget of 2 GiB" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dry_run", [True, False], ids=["dry-run", "run"])
+    def test_jet_bytes_over_budget_is_a_config_error(self, tmp_path, capsys, dry_run):
+        # m = 3, N = 7 at 16 points per unit is a 336^3 grid: inside the old
+        # per-array node budget, but its ten-component jet needs 5.65 GiB
+        text = (
+            BASE_CLT.replace("m: 2", "m: 3")
+            .replace("n_list: [3.0]", "n_list: [7.0]")
+            .replace("points_per_unit: 8", "points_per_unit: 16")
+        )
+        cfg = _write(tmp_path, "g.yaml", text)
+        out = tmp_path / "o"
+        argv = ["--config", cfg, "--out", str(out)] + (["--dry-run"] if dry_run else [])
+        assert main(argv) == EXIT_CONFIG
+        assert "336^3 = 37,933,056 points needs a 5.65 GiB jet" in capsys.readouterr().err
         assert not out.exists()
 
     def test_config_error_exit(self, tmp_path):
@@ -179,15 +201,27 @@ class TestMainExitCodes:
         assert main(["--config", cfg, "--dry-run"]) == EXIT_BUDGET
         assert "500000 samples > budget 1000" in capsys.readouterr().err
 
-    def test_chaos_dry_run_prints_its_default(self, tmp_path, capsys):
-        text = (
-            "subcommand: chaos\nseed: 1\n"
-            "density:\n  family: gaussian\n  params: [1.0]\n"
-            "ensemble:\n  m: 2\n  v: 1.0\n"
-        )
-        cfg = _write(tmp_path, "c.yaml", text)
+    def test_chaos_dry_run_plans_no_monte_carlo(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "c.yaml", CHAOS)
         assert main(["--config", cfg, "--dry-run"]) == EXIT_OK
-        assert "MC samples: 2,000,000" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "subcommand: chaos" in printed
+        assert "MC" not in printed
+
+    def test_chaos_draws_nothing(self, tmp_path):
+        # the floor is exact: ensemble.samples is still accepted, a sample
+        # budget does not apply, and the seed does not change the report
+        text = CHAOS + "  samples: 2000000\nbudget:\n  samples: 1000\n"
+        cfg = _write(tmp_path, "c.yaml", text)
+        reports = []
+        for seed in (1, 2):
+            out = tmp_path / f"o{seed}"
+            argv = ["--config", cfg, "--out", str(out), "--seed", str(seed)]
+            assert main(argv) == EXIT_OK
+            reports.append((out / "chaos_report.csv").read_bytes())
+        assert reports[0] == reports[1]
+        header = reports[0].decode().splitlines()[0]
+        assert header == "m,v,f0,x,y,z,V2_inf"
 
     def test_clt_runs_user_table_density(self, tmp_path):
         # the table reaches the experiment config, as it reaches `count`

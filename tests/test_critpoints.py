@@ -190,18 +190,21 @@ class TestCountingInvariants:
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(
         seed=st.integers(0, 3),
-        sx=st.floats(-3.9, 3.9),
-        sy=st.floats(-3.9, 3.9),
+        xcuts=st.lists(st.floats(-3.9, 3.9), max_size=3, unique=True),
+        ycuts=st.lists(st.floats(-3.9, 3.9), max_size=3, unique=True),
     )
-    def test_random_split_adds_up(self, seed, sx, sy):
-        # half-open boxes: the four parts of a 2 x 2 split count each
-        # critical point of the whole box exactly once
+    def test_random_split_adds_up(self, seed, xcuts, ycuts):
+        # half-open boxes: the k x l cells of a random partition (k, l <= 4)
+        # count each critical point of the whole box exactly once
         fr = _gaussian_field(seed)
         total = count_newton(fr, self.BOX).newton_count
-        parts = 0
-        for x0, x1 in ((-4.0, sx), (sx, 4.0)):
-            for y0, y1 in ((-4.0, sy), (sy, 4.0)):
-                parts += count_newton(fr, ((x0, y0), (x1, y1))).newton_count
+        xs = [-4.0, *sorted(xcuts), 4.0]
+        ys = [-4.0, *sorted(ycuts), 4.0]
+        parts = sum(
+            count_newton(fr, ((x0, y0), (x1, y1))).newton_count
+            for x0, x1 in zip(xs, xs[1:])
+            for y0, y1 in zip(ys, ys[1:])
+        )
         assert parts == total
 
     @pytest.mark.parametrize("shift", [(3, -5), (-17, 8), (40, 1)])

@@ -50,8 +50,19 @@ class TestGridSpec:
         assert GridSpec(m=2, half_width=5.0, points_per_unit=1, guard=125.0).n_per_side == 140
 
     def test_budget_checked_at_construction(self):
-        with pytest.raises(ValueError, match=r"500\^3 = 125,000,000 points exceeds the budget"):
+        # ten complex components of 500^3 nodes: 18.6 GiB of jet
+        with pytest.raises(ValueError, match=r"500\^3 = 125,000,000 points needs a 18.6 GiB"):
             GridSpec(m=3, half_width=7.0, points_per_unit=24, guard=6.8125)
+
+    def test_budget_counts_the_whole_jet(self):
+        # the unit Gaussian at m = 3, N = 7, 16 points per unit: 336^3 nodes
+        # (37.9e6) passed a per-array node budget, but the ten jet components
+        # hold 5.65 GiB; the largest grids in use still fit
+        with pytest.raises(ValueError, match=r"336\^3 .* 5.65 GiB jet, over the budget of 2"):
+            GridSpec(m=3, half_width=7.0, points_per_unit=16, guard=6.875)
+        crosscheck = GridSpec(m=2, half_width=5.0, points_per_unit=64, guard=6.453125)
+        assert crosscheck.n_per_side == 1056
+        assert GridSpec(m=3, half_width=5.0, points_per_unit=8, guard=7.375).n_per_side == 140
 
 
 def _psi_ratio(w, m, t):
@@ -112,9 +123,10 @@ class TestWrapGuard:
 
     def test_slow_decay_rejected_within_the_budget(self):
         # the indicator (p = 0) decays like |t|^-2 at m = 3; the largest m = 3
-        # torus at 8 points per unit has period 50
+        # torus whose jet fits 2 GiB has 237 cells, period 29.625 at 8 points
+        # per unit
         indicator = SpectralDensity(family="compact-bump", params=(1.0, 0.0))
-        with pytest.raises(ValueError, match="decays too slowly.* at g = 50,"):
+        with pytest.raises(ValueError, match="decays too slowly.* at g = 29.625,"):
             wrap_guard(indicator, 3, 8)
 
 

@@ -7,6 +7,7 @@ from scipy import integrate, special, stats
 
 from critfield.randmat import (
     EnsembleParams,
+    _absdet_shift_moments,
     asymptotic_targets,
     asymptotic_targets_semicircle,
     expect_absdet_S,
@@ -296,16 +297,46 @@ class TestExpectAbsdetS:
 
     @pytest.mark.parametrize("m", [3, 20])
     def test_simpson_grid_against_adaptive_quadrature(self, m):
+        # E|det| and its identity-shift derivative share the Simpson grid;
+        # the derivative weight is (lam^2 - v) / (2 v^2)
         v = 0.5
         pref = math.exp(
             (m + 1) / 2.0 * math.log(2.0 * v) + 1.5 * math.log(2.0)
             + special.gammaln((m + 3) / 2.0) - 0.5 * math.log(2.0 * math.pi * v)
         )
-        total, _ = integrate.quad(
-            lambda x: rho_one_point(m + 1, v, x) * math.exp(-x * x / (4.0 * v)),
-            -np.inf, np.inf, epsabs=0.0, epsrel=1e-13, limit=200,
+
+        def quad(weight):
+            total, _ = integrate.quad(
+                lambda x: rho_one_point(m + 1, v, x) * math.exp(-x * x / (4.0 * v))
+                * weight(x),
+                -np.inf, np.inf, epsabs=0.0, epsrel=1e-13, limit=200,
+            )
+            return pref * total
+
+        f, df_du = _absdet_shift_moments(m, v)
+        assert expect_absdet_S(m, v) == f
+        assert f == pytest.approx(quad(lambda x: 1.0), rel=1e-12)
+        assert df_du == pytest.approx(
+            quad(lambda x: (x * x - v) / (2.0 * v * v)), rel=1e-10
         )
-        assert expect_absdet_S(m, v) == pytest.approx(pref * total, rel=1e-12)
+
+    @pytest.mark.parametrize("m,v", [(2, 1.0), (3, 0.5)])
+    def test_shift_derivative_against_finite_difference(self, m, v):
+        # dF/du at u = v from E|det| over S(m; u, v) at u = v +- du, each an
+        # adaptive integral of fyodorov_absdet against the N(0, u) density,
+        # cut where the density is below 1e-30
+        lim = 12.0 * math.sqrt(v)
+
+        def f_at(u):
+            total, _ = integrate.quad(
+                lambda x: fyodorov_absdet(m, v, x) * stats.norm.pdf(x, scale=math.sqrt(u)),
+                -lim, lim, epsabs=0.0, epsrel=1e-12, limit=200,
+            )
+            return total
+
+        du = 1e-4 * v
+        fd = (f_at(v + du) - f_at(v - du)) / (2.0 * du)
+        assert _absdet_shift_moments(m, v)[1] == pytest.approx(fd, rel=1e-6)
 
     @pytest.mark.parametrize("m", [5, 8])
     def test_against_monte_carlo(self, m):
