@@ -260,7 +260,8 @@ def _experiment_config(cfg: RunConfig) -> experiments.ExperimentConfig:
 
 def _run_clt(cfg: RunConfig, out: Path, grid) -> dict:
     econf = _experiment_config(cfg)
-    record = experiments.run_clt(econf)
+    spec, wrap_ratio = grid
+    record = experiments.run_clt(econf, wrap=(spec.guard, wrap_ratio))
     experiments.save_record(record, out)
     vtab = experiments.variance_scaling(record)
     n_max = record.n_list[-1]
@@ -285,7 +286,8 @@ def _run_clt(cfg: RunConfig, out: Path, grid) -> dict:
 
 def _run_crosscheck(cfg: RunConfig, out: Path, grid) -> dict:
     econf = _experiment_config(cfg)
-    table = experiments.estimator_crosscheck(econf)
+    spec, wrap_ratio = grid
+    table = experiments.estimator_crosscheck(econf, wrap=(spec.guard, wrap_ratio))
     (out / "crosscheck.json").write_text(json.dumps(table, indent=2, default=float))
     lines = [
         f"{k} = {v:.4g}" for k, v in table.items() if k.startswith("median_rel")
@@ -312,6 +314,10 @@ def _dry_run_plan(cfg: RunConfig, grid) -> list[str]:
         lines.append(
             f"grid: {spec.n_per_side}^{spec.m} points "
             f"({spec.n_per_side**spec.m:,} total per realization)"
+        )
+        lines.append(
+            f"stored window: {spec.window}^{spec.m} nodes, "
+            f"{spec.window_bytes:,} bytes of jet ({spec.window_bytes / 2**20:.1f} MiB)"
         )
         torus = field.torus_record([spec], wrap_ratio)
         lines.append(

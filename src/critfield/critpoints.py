@@ -53,11 +53,16 @@ class CriticalPointSet:
         return dict(zip(sigs.tolist(), counts.tolist()))
 
 
-def _box_arrays(box, m):
+def _box_arrays(box, spec):
+    m, n_half = spec.m, spec.half_width
     lo = np.asarray(box[0], dtype=float)
     hi = np.asarray(box[1], dtype=float)
     if lo.shape != (m,) or hi.shape != (m,) or np.any(hi <= lo):
         raise ValueError("box must be ((lo_1..lo_m), (hi_1..hi_m)) with hi > lo")
+    if np.any(lo < -n_half) or np.any(hi > n_half):
+        raise ValueError(
+            f"box {box} leaves the cube [-{n_half:g}, {n_half:g}]^{m} of the realization"
+        )
     return lo, hi
 
 
@@ -72,15 +77,13 @@ def _hess_scale(field: FieldRealization) -> float:
 
 def _candidate_cells(field: FieldRealization, lo, hi):
     """Centers of grid cells (inside the box +/- one cell) where every
-    gradient component changes sign among the 2^m cell corners."""
+    gradient component changes sign among the 2^m cell corners.  A box in
+    the cube keeps these cells, and their spline stencils, in the window."""
     m = field.spec.m
     h = field.spec.spacing
     origin = field.origin()
     i_lo = np.floor((lo - origin) / h).astype(int) - 1
     i_hi = np.ceil((hi - origin) / h).astype(int) + 1
-    n = field.spec.n_per_side
-    i_lo = np.clip(i_lo, 0, n - 2)
-    i_hi = np.clip(i_hi, 1, n - 1)
     window = tuple(slice(i_lo[k], i_hi[k] + 1) for k in range(m))
 
     # one contiguous copy of the window: the 2^m corner slices each read it
@@ -114,10 +117,12 @@ def count_newton(field: FieldRealization, box) -> CriticalPointSet:
     jet is the quintic-spline interpolant of the spectrally exact derivative
     arrays.  Converged roots are deduplicated and classified by Hessian
     signature; cells whose iterations fail are reported, making the count a
-    certified lower bound in that (rare) case.
+    certified lower bound in that (rare) case.  The box must lie in the
+    realization's cube [-N, N]^m; an iterate whose spline stencil leaves the
+    counting window is marked escaped.
     """
     m = field.spec.m
-    lo, hi = _box_arrays(box, m)
+    lo, hi = _box_arrays(box, field.spec)
     h = field.spec.spacing
     gscale = _grad_scale(field)
     if gscale == 0.0:
@@ -133,7 +138,6 @@ def count_newton(field: FieldRealization, box) -> CriticalPointSet:
     # iterate where each candidate converged
     at_root = np.empty((field.jet.shape[0] - 1, n_candidates))
     max_step = 2.0 * h
-    domain_half = field.spec.period / 2.0 - 2.0 * h
     for _ in range(_MAX_ITER):
         if active.size == 0:
             break
@@ -153,7 +157,7 @@ def count_newton(field: FieldRealization, box) -> CriticalPointSet:
         norms = np.linalg.norm(step, axis=1, keepdims=True)
         step = np.where(norms > max_step, step * (max_step / norms), step)
         cur[active] = cur[active] - step
-        out = np.max(np.abs(cur[active]), axis=1) > domain_half
+        out = ~field.readable(cur[active])  # the stencil left the window
         escaped[active[out]] = True
         active = active[~out]
 
@@ -210,10 +214,11 @@ def count_kacrice_smoothed(field: FieldRealization, box, eps, refine: int = 6):
     ``eps`` is one value, which returns a float, or a ladder of values,
     which returns one count per value in the order given.  A ladder is one
     pass: the sub-nodes of the largest eps are read once, and each eps
-    thresholds the stored gradient sup-norms.
+    thresholds the stored gradient sup-norms.  The box must lie in the
+    realization's cube [-N, N]^m.
     """
     m = field.spec.m
-    lo, hi = _box_arrays(box, m)
+    lo, hi = _box_arrays(box, field.spec)
     h = field.spec.spacing
     ladder = np.atleast_1d(np.asarray(eps, dtype=float))
     if ladder.size == 0 or np.any(ladder <= 0):
@@ -228,7 +233,7 @@ def count_kacrice_smoothed(field: FieldRealization, box, eps, refine: int = 6):
             stacklevel=2,
         )
     origin = field.origin()
-    coords = origin[0] + h * np.arange(field.spec.n_per_side)  # same on every axis
+    coords = origin[0] + h * np.arange(field.spec.window)  # same on every axis
     window = [np.flatnonzero((coords >= lo[k]) & (coords < hi[k])) for k in range(m)]
     sl = np.ix_(*window)
 

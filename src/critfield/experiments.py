@@ -122,21 +122,22 @@ def _count_one(w, spec, seed):
     return cps.newton_count
 
 
-def run_clt(config: ExperimentConfig) -> ExperimentRecord:
+def run_clt(config: ExperimentConfig, wrap: tuple[float, float] | None = None) -> ExperimentRecord:
     """Synthesize, count, and center; deterministic given the master seed.
 
     Realizations draw from SeedSequence(master).spawn streams, one per
     (N index, replicate), so per-N results do not depend on sweep order.
     A level aborts if more than 5% of its realizations fail.  E[Z_N] is
     anchored to config.e_absdet_s1 when set, else to the exact
-    expect_absdet_S(m, 1).  The wrap guard is derived once from the density,
-    and every level's grid is checked against the budget before the first
-    realization.
+    expect_absdet_S(m, 1).  ``wrap`` is the (guard, psi ratio) pair of
+    ``wrap_guard`` for the config's density and resolution; when None it is
+    derived here.  Every level's grid is checked against the budget before
+    the first realization.
     """
     t0 = time.perf_counter()
     w = config.density()
     m = config.m
-    guard, wrap_ratio = wrap_guard(w, m, config.points_per_unit)
+    guard, wrap_ratio = wrap or wrap_guard(w, m, config.points_per_unit)
     specs = [
         GridSpec(m=m, half_width=n, points_per_unit=config.points_per_unit, guard=guard)
         for n in config.n_list
@@ -232,19 +233,19 @@ def normality_test(zeta: np.ndarray, variance: float) -> dict:
     return {"statistic": float(res.statistic), "p_value": float(res.pvalue), "n": len(zeta)}
 
 
-def estimator_crosscheck(config: ExperimentConfig) -> dict:
+def estimator_crosscheck(config: ExperimentConfig, wrap: tuple[float, float] | None = None) -> dict:
     """Per-realization Newton vs smoothed counting-measure agreement.
 
     Runs at the smallest N in the config with the configured eps ladder,
     one smoothed pass per field; reports relative disagreement quantiles per
-    eps and the torus under "torus".
+    eps and the torus under "torus".  ``wrap`` is as in ``run_clt``.
     """
     w = config.density()
     m = config.m
     n_half = config.n_list[0]
     if n_half > 5:
         raise ValueError("crosscheck is intended for N <= 5")
-    guard, wrap_ratio = wrap_guard(w, m, config.points_per_unit)
+    guard, wrap_ratio = wrap or wrap_guard(w, m, config.points_per_unit)
     spec = GridSpec(
         m=m, half_width=n_half, points_per_unit=config.points_per_unit, guard=guard
     )

@@ -1,13 +1,21 @@
 """Seeded spectral synthesis of stationary isotropic Gaussian fields.
 
-A realization carries the jet (value, gradient, Hessian upper triangle) on a
-regular periodic grid as one stacked array.  Derivative fields are produced
-in the spectral domain (multiplication by i*lam_j and -lam_j*lam_k of the
-same random coefficients), never by differencing the sampled values, so the
-jet is consistent to machine precision with one trigonometric polynomial.
-The quintic B-spline prefilter is a real, even Fourier multiplier, so each
-component's transform yields its grid values in the real part and its spline
-coefficients in the imaginary part: there is no separate prefilter pass.
+A realization carries the jet (value, gradient, Hessian upper triangle) on
+the counting window of a periodic grid as one stacked array.  Derivative
+fields are produced in the spectral domain (multiplication by i*lam_j and
+-lam_j*lam_k of the same random coefficients), never by differencing the
+sampled values, so the jet is consistent to machine precision with one
+trigonometric polynomial.  The quintic B-spline prefilter is a real, even
+Fourier multiplier, so each component's transform yields its grid values in
+the real part and its periodic spline coefficients in the imaginary part:
+there is no separate prefilter pass.
+
+The torus is wider than the cube [-N, N]^m by a wrap guard, but only the
+window |x_i| <= N + _REACH_CELLS h is ever read.  Every component's
+multiplier is a product of per-axis factors 1, i lam_a or -lam_a^2, so the
+inverse transform runs one axis at a time, keeps only the window's rows
+after each axis, and branches only where the components' factors differ
+(FFT pruning, Markel 1971): the guard is never materialized.
 """
 
 from __future__ import annotations
@@ -37,12 +45,14 @@ __all__ = [
     "load_realization",
 ]
 
-# Memory budget of one realization's jet: 1 + m + m(m+1)/2 complex arrays
+# Memory budget of the torus-sized transform buffers, counted as a jet of
+# 1 + m + m(m+1)/2 complex arrays on the whole torus; the stored jet covers
+# only the counting window and is smaller.
 _MAX_JET_BYTES = 2 * 2**30
 
 
 def _jet_bytes(m: int, n: int) -> int:
-    """Bytes of the complex jet of an n^m grid."""
+    """Bytes of a complex jet of n^m nodes."""
     return n**m * (1 + m + m * (m + 1) // 2) * np.dtype(complex).itemsize
 
 
@@ -65,11 +75,13 @@ class GridSpec:
 
     The torus has n_per_side nodes per axis at spacing 1 / points_per_unit,
     where n_per_side is the smallest even FFT-friendly count whose period
-    covers 2 N + guard; the cube is the central window.  The sampled
-    covariance is the periodized one, sum_k C(t + k period), so a guard with
-    psi(guard) small keeps the wrapped images out of the window:
-    ``wrap_guard`` derives it from the density.  Grids whose jet would
-    exceed _MAX_JET_BYTES are rejected here, before anything is allocated.
+    covers 2 N + guard; the cube is central.  The sampled covariance is the
+    periodized one, sum_k C(t + k period), so a guard with psi(guard) small
+    keeps the wrapped images out of the cube: ``wrap_guard`` derives it from
+    the density.  A realization stores only the counting window, the
+    ``window`` nodes per side with |x_i| <= N + _REACH_CELLS h.  Grids whose
+    torus-sized jet would exceed _MAX_JET_BYTES, or whose torus is too small
+    to hold the window, are rejected here, before anything is allocated.
     """
 
     m: int
@@ -91,6 +103,27 @@ class GridSpec:
                 f"{need / 2**30:.3g} GiB jet, over the budget of "
                 f"{_MAX_JET_BYTES / 2**30:g} GiB; lower points_per_unit or the half-width"
             )
+        if self.window > n:
+            raise ValueError(
+                f"a torus of {n} nodes per side cannot hold the {self.window}-node "
+                f"counting window; the guard of {self.guard:g} must cover "
+                f"{_REACH_CELLS} cells of counting reach on each side"
+            )
+
+    @property
+    def window_radius(self) -> int:
+        """Cells from the centre node to the edge of the counting window."""
+        return math.floor(self.half_width * self.points_per_unit + 1e-9) + _REACH_CELLS
+
+    @property
+    def window(self) -> int:
+        """Nodes per side of the counting window, |x_i| <= N + _REACH_CELLS h."""
+        return 2 * self.window_radius + 1
+
+    @property
+    def window_bytes(self) -> int:
+        """Bytes of a realization's stored jet on the counting window."""
+        return _jet_bytes(self.m, self.window)
 
     @functools.cached_property
     def n_per_side(self) -> int:
@@ -171,27 +204,18 @@ def torus_record(specs: list[GridSpec], wrap_ratio: float) -> dict:
 class FieldRealization:
     """One seeded sample of the jet (X, grad X, hess X) on a GridSpec.
 
-    ``jet`` is one complex array of shape (1 + m + m(m+1)/2, n, ..., n)
-    holding the components in the order of ``jet_labels(m)``: the value, the
-    m gradient components, then the Hessian upper triangle row by row.  Its
-    real part holds the grid values of each component, its imaginary part
-    their periodic quintic B-spline coefficients.
+    ``jet`` is one complex array of shape (1 + m + m(m+1)/2, w, ..., w), w =
+    ``spec.window``, holding the components on the counting window in the
+    order of ``jet_labels(m)``: the value, the m gradient components, then
+    the Hessian upper triangle row by row.  Its real part holds the grid
+    values of each component, its imaginary part their quintic B-spline
+    coefficients (those of the periodic spline on the whole torus).
     """
 
     spec: GridSpec
     jet: np.ndarray
     seed: int
     spectral_cutoff: float
-
-    @classmethod
-    def from_grid(
-        cls, spec: GridSpec, grid: np.ndarray, seed: int, spectral_cutoff: float
-    ) -> FieldRealization:
-        """Realization from stacked grid values; computes the coefficients."""
-        axes = tuple(range(1, spec.m + 1))
-        spline = sfft.fftn(grid, axes=axes) * _spline_multiplier(spec.n_per_side, spec.m)
-        coeffs = sfft.ifftn(spline, axes=axes, overwrite_x=True).real
-        return cls(spec, grid + 1j * coeffs, seed, spectral_cutoff)
 
     @property
     def grid(self) -> np.ndarray:
@@ -204,8 +228,18 @@ class FieldRealization:
         return self.jet.imag
 
     def origin(self) -> np.ndarray:
-        """Coordinates of grid node (0, ..., 0), the torus corner."""
-        return np.full(self.spec.m, -self.spec.period / 2.0)
+        """Coordinates of jet node (0, ..., 0), the first window node."""
+        return np.full(self.spec.m, -self.spec.window_radius * self.spec.spacing)
+
+    def readable(self, pts: np.ndarray) -> np.ndarray:
+        """Mask of the points (k, m) whose quintic stencil lies in the window.
+
+        The spline at index coordinate x reads the coefficients at
+        floor(x) - 2 .. floor(x) + 3 along each axis (scipy.ndimage's odd-order
+        stencil), so x must lie in [2, w - 3).
+        """
+        x = (pts - self.origin()) / self.spec.spacing
+        return np.all((x >= 2.0) & (x < self.spec.window - 3), axis=1)
 
 
 def jet_labels(m: int) -> list[str]:
@@ -252,15 +286,44 @@ def _spectral_cutoff(w: SpectralDensity, m: int) -> float:
     return float(grid[min(idx, len(grid) - 1)])
 
 
+def _transform_window(part, comps, axis: int, factor: dict, jet: np.ndarray) -> None:
+    """Finish the inverse transforms of the jet components ``comps`` from
+    ``part`` and write each one's counting window into ``jet``.
+
+    A component with derivative orders k_a has the multiplier prod_a
+    (i lam_a)^k_a, with ``factor[k]`` the per-axis factor of order k > 0.
+    ``part`` is transformed along the axes before ``axis`` and cropped to the
+    window there, and ``comps`` agree in their orders along those axes.  The
+    components that also agree along ``axis`` share one transform along it,
+    so only the window's rows go on to the next axis (FFT pruning).
+    """
+    m, n, w = part.ndim, part.shape[axis], jet.shape[-1]
+    keep = (slice(None),) * axis + (slice(n // 2 - w // 2, n // 2 + w // 2 + 1),)
+    # the orders read off the labels: "h01" -> (1, 1, 0), "X" -> (0, 0, 0)
+    orders = [tuple(label[1:].count(str(a)) for a in range(m)) for label in jet_labels(m)]
+    groups = {}
+    for c in comps:
+        groups.setdefault(orders[c][axis], []).append(c)
+    for k in sorted(groups, reverse=True):  # order 0 last: it overwrites part
+        x = part if k == 0 else part * _along(factor[k], axis, m)
+        # norm="forward" leaves the inverse unscaled: a plain Fourier sum
+        x = sfft.ifft(x, axis=axis, norm="forward", overwrite_x=True)[keep]
+        if axis == m - 1:
+            jet[groups[k][0]] = x
+        else:
+            _transform_window(x, groups[k], axis + 1, factor, jet)
+
+
 def synthesize(w: SpectralDensity, spec: GridSpec, seed: int) -> FieldRealization:
     """Sample the centered stationary field with spectral density w.
 
     Hermitian-free variant of spectral synthesis: draw one complex standard
     normal per lattice frequency, scale by sqrt(2 (2 pi)^(-m/2) w(|lam|)
     dlam^m), and keep the real part of the inverse transform.  The law of the
-    result matches the target covariance on the torus exactly.  One complex
-    transform per jet component returns the grid values and, in the
-    otherwise unused imaginary part, the quintic spline coefficients.
+    result matches the target covariance on the torus exactly.  Each
+    component's complex transform returns the grid values and, in the
+    otherwise unused imaginary part, the quintic spline coefficients; only
+    the counting window of the torus is transformed out and stored.
     """
     m, n = spec.m, spec.n_per_side
     cutoff = _spectral_cutoff(w, m)
@@ -283,15 +346,12 @@ def synthesize(w: SpectralDensity, spec: GridSpec, seed: int) -> FieldRealizatio
     # real(ifftn(C)) = ifftn(C_h) for the Hermitian part C_h(k) = (C(k) +
     # conj C(-k)) / 2.  The spline multiplier P is real and even, so
     # ifftn(C_h (1 + iP)) is the field plus i times its spline coefficients.
-    # The folded coefficients live in the jet's last slot, which is filled last.
     herm = np.roll(np.flip(coeff), 1, axis=tuple(range(m)))  # C(-k)
     np.conjugate(herm, out=herm)
     herm += coeff
     herm *= 0.5
     del coeff
-    jet = np.empty((1 + m + m * (m + 1) // 2,) + (n,) * m, dtype=complex)
-    folded = jet[-1]
-    np.multiply(herm, _spline_multiplier(n, m), out=folded)
+    folded = herm * _spline_multiplier(n, m)
     folded *= 1j
     folded += herm
     del herm
@@ -300,19 +360,8 @@ def synthesize(w: SpectralDensity, spec: GridSpec, seed: int) -> FieldRealizatio
     # an odd factor is zero there; that keeps every multiplier Hermitian.
     odd = freqs.copy()
     odd[n // 2] = 0.0
-    odd = [_along(odd, a, m) for a in range(m)]
-    mults = [1.0] + [1j * x for x in odd]
-    mults += [
-        -lam[i] * lam[i] if i == j else -odd[i] * odd[j]
-        for i, j in zip(*np.triu_indices(m))
-    ]
-    for c, mult in enumerate(mults):
-        np.multiply(folded, mult, out=jet[c])
-    # norm="forward" leaves the inverse unscaled: a plain Fourier sum.  With
-    # overwrite_x scipy transforms a complex array in place and returns a view.
-    out = sfft.ifftn(jet, axes=tuple(range(1, m + 1)), norm="forward", overwrite_x=True)
-    if not np.may_share_memory(out, jet):
-        jet = out
+    jet = np.empty((len(jet_labels(m)),) + (spec.window,) * m, dtype=complex)
+    _transform_window(folded, range(len(jet)), 0, {1: 1j * odd, 2: -freqs**2}, jet)
     return FieldRealization(spec=spec, jet=jet, seed=seed, spectral_cutoff=cutoff)
 
 
@@ -347,11 +396,13 @@ def jet_statistics(fields: list[FieldRealization], stride: int = 4) -> dict:
 def interpolate(field_r: FieldRealization, pts: np.ndarray, comps=slice(None)) -> np.ndarray:
     """Quintic-spline values of the jet components ``comps`` at points (k, m).
 
-    Returns shape (c, k) for c selected components.
+    Returns shape (c, k) for c selected components.  Callers keep the points
+    ``readable``: the window is not periodic, so the boundary mode never
+    applies to a readable point.
     """
     coords = (pts - field_r.origin()).T / field_r.spec.spacing
     return np.stack([
-        ndimage.map_coordinates(c, coords, order=5, prefilter=False, mode="grid-wrap")
+        ndimage.map_coordinates(c, coords, order=5, prefilter=False, mode="nearest")
         for c in field_r.coeffs[comps]
     ])
 
@@ -359,15 +410,16 @@ def interpolate(field_r: FieldRealization, pts: np.ndarray, comps=slice(None)) -
 def evaluate_offgrid(field_r: FieldRealization, t) -> dict:
     """C^2-consistent jet (X, grad X, hess X) at an arbitrary point.
 
-    Points must lie inside the torus window; the interpolant is an
-    exact-at-nodes tensor-product quintic spline of each stored array.  The
-    Hessian comes back as symmetric (k, m, m) matrices, (m, m) for one point.
+    Points must be ``readable``: their spline stencil lies inside the
+    counting window, which covers the cube [-N, N]^m and two cells more; the
+    interpolant is an exact-at-nodes tensor-product quintic spline of each
+    stored array.  The Hessian comes back as symmetric (k, m, m) matrices,
+    (m, m) for one point.
     """
     t = np.atleast_2d(np.asarray(t, dtype=float))
     m = field_r.spec.m
-    half = field_r.spec.period / 2.0
-    if np.any(np.abs(t) > half):
-        raise ValueError("point outside the torus")
+    if not np.all(field_r.readable(t)):
+        raise ValueError("point outside the counting window")
     vals = interpolate(field_r, t)
     x, grad = vals[0], vals[1:1 + m]
     hess = hessian_stack(vals[1 + m:], m)
@@ -378,42 +430,45 @@ def evaluate_offgrid(field_r: FieldRealization, t) -> dict:
 
 # --- binary reproducibility dump -----------------------------------------
 
-# CFLD1 stored a padding factor in the slot that now holds the guard.
-_MAGIC = b"CFLD2\x00"
+# CFLD1 stored a padding factor in the slot that now holds the guard; CFLD2
+# stored the grid values on the whole torus.
+_MAGIC = b"CFLD3\x00"
+_HEADER = "<iqdidd"  # m, seed, half-width, points per unit, guard, cutoff
 
 
 def dump_realization(field_r: FieldRealization, path) -> None:
-    """Little-endian binary dump: header (spec + seed) then the float64 grid
-    values of every jet component, in jet order."""
+    """Little-endian binary dump: header (spec, seed, spectral cutoff), then
+    the complex128 jet on the counting window, grid values and spline
+    coefficients of every component in jet order."""
     spec = field_r.spec
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(
             struct.pack(
-                "<iqdid",
+                _HEADER,
                 spec.m,
                 field_r.seed,
                 spec.half_width,
                 spec.points_per_unit,
                 spec.guard,
+                field_r.spectral_cutoff,
             )
         )
-        fh.write(struct.pack("<d", field_r.spectral_cutoff))
-        for comp in field_r.grid:
-            fh.write(np.ascontiguousarray(comp, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(field_r.jet, dtype="<c16").tobytes())
 
 
 def load_realization(path) -> FieldRealization:
-    """Inverse of dump_realization; the header rebuilds the same torus.
-
-    The spline coefficients are recomputed from the stored grid values.
-    """
+    """Inverse of dump_realization, bit for bit; the header rebuilds the
+    same GridSpec."""
     with open(path, "rb") as fh:
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise ValueError("not a critfield realization dump (CFLD2)")
-        m, seed, half_width, ppu, guard = struct.unpack("<iqdid", fh.read(32))
-        (cutoff,) = struct.unpack("<d", fh.read(8))
+        if (magic := fh.read(len(_MAGIC))) != _MAGIC:
+            raise ValueError(f"not a critfield CFLD3 realization dump (magic {magic!r})")
+        m, seed, half_width, ppu, guard, cutoff = struct.unpack(
+            _HEADER, fh.read(struct.calcsize(_HEADER))
+        )
         spec = GridSpec(m=m, half_width=half_width, points_per_unit=ppu, guard=guard)
-        shape = (len(jet_labels(m)),) + (spec.n_per_side,) * m
-        grid = np.frombuffer(fh.read(8 * int(np.prod(shape))), dtype="<f8")
-    return FieldRealization.from_grid(spec, grid.reshape(shape), seed, cutoff)
+        shape = (len(jet_labels(m)),) + (spec.window,) * m
+        jet = np.empty(shape, dtype="<c16")
+        if fh.readinto(jet) != jet.nbytes:
+            raise ValueError("truncated realization dump")
+    return FieldRealization(spec, jet, seed, cutoff)

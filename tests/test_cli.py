@@ -18,6 +18,7 @@ from critfield.cli import (
     main,
 )
 from critfield.config import ConfigError, parse_config
+from critfield import cli, experiments, field
 from critfield.field import load_realization
 
 
@@ -145,6 +146,17 @@ class TestMainExitCodes:
         assert "grid: 108^2" in printed and "seed: 42" in printed
         assert "wrap guard: 7.375 beyond the box" in printed
         assert "(tolerance 1e-06)" in printed
+        assert "stored window: 57^2 nodes, 311,904 bytes of jet" in printed
+
+    def test_dry_run_plans_the_stored_window(self, tmp_path, capsys):
+        # m = 3 at N = 5: the transforms run on the 140^3 torus, but only the
+        # 89^3 counting window of the ten components is kept
+        text = BASE_CLT.replace("m: 2", "m: 3").replace("n_list: [3.0]", "n_list: [3.0, 5.0]")
+        cfg = _write(tmp_path, "m3.yaml", text)
+        assert main(["--config", cfg, "--dry-run"]) == EXIT_OK
+        printed = capsys.readouterr().out
+        assert "grid: 140^3 points (2,744,000 total per realization)" in printed
+        assert "stored window: 89^3 nodes, 112,795,040 bytes of jet (107.6 MiB)" in printed
 
     def test_padding_factor_rejected(self, tmp_path, capsys):
         # the torus is sized from the density; the fixed factor is gone
@@ -223,8 +235,18 @@ class TestMainExitCodes:
         header = reports[0].decode().splitlines()[0]
         assert header == "m,v,f0,x,y,z,V2_inf"
 
-    def test_clt_runs_user_table_density(self, tmp_path):
-        # the table reaches the experiment config, as it reaches `count`
+    def test_clt_runs_user_table_density(self, tmp_path, monkeypatch):
+        # the table reaches the experiment config, as it reaches `count`; the
+        # CLI's guard reaches run_clt, so its psi search (about 1 s for this
+        # table) runs once per run
+        calls, derive = [], field.wrap_guard
+
+        def spy(*args):
+            calls.append(args)
+            return derive(*args)
+
+        monkeypatch.setattr(cli.field, "wrap_guard", spy)
+        monkeypatch.setattr(experiments, "wrap_guard", spy)
         text = (
             "subcommand: clt\nseed: 5\n"
             "density:\n  family: user-table\n"
@@ -236,6 +258,7 @@ class TestMainExitCodes:
         assert main(["--config", cfg, "--out", str(out)]) == EXIT_OK
         doc = json.loads((out / "record.json").read_text())
         assert doc["summary"]["2.0"]["R"] == 2
+        assert len(calls) == 1
 
     def test_numerical_failure_exit(self, tmp_path):
         # a flat user table has no spectral decay: moment quadrature diverges
@@ -303,8 +326,11 @@ class TestMainExitCodes:
         assert set(stats) >= {"g0.g1", "h00.h11", "X.h01"}
         back = load_realization(out / "realization.bin")
         assert back.seed == 42
-        # (2 * 3.0 + guard 7.375) * 8 = 107 cells, rounded up to 108 = 2^2 3^3
-        assert back.grid.shape == (6, 108, 108)
+        # the torus is (2 * 3.0 + guard 7.375) * 8 = 107 cells, rounded up to
+        # 108 = 2^2 3^3; the dump holds the counting window |x_i| <= 3 + 4 / 8,
+        # 2 * (24 + 4) + 1 = 57 nodes per side
+        assert back.spec.n_per_side == 108
+        assert back.grid.shape == (6, 57, 57)
 
 
 @pytest.fixture(scope="module")

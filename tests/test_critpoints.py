@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from critfield.critpoints import (
     CriticalPointSet,
@@ -17,20 +18,26 @@ from critfield.field import FieldRealization, GridSpec, synthesize
 from critfield.spectrum import SpectralDensity, spectral_moments
 
 SPEC = GridSpec(m=2, half_width=3.2, points_per_unit=10, guard=6.4)
+# a cube of half-width 6.4 holds boxes shifted by one lattice period
+WIDE = GridSpec(m=2, half_width=6.4, points_per_unit=10, guard=6.4)
 GAUSS = SpectralDensity(family="gaussian", params=(1.0,))
-# wave number commensurate with the torus: period 12.8 holds two full waves
+# wave number commensurate with the tori: periods 12.8 and 19.2 hold two and
+# three full waves
 K = np.pi / 3.2
 
 
-def _analytic_field(kind: str) -> FieldRealization:
+def _analytic_field(kind: str, spec: GridSpec = SPEC) -> FieldRealization:
     """Hand-built realizations with known critical sets.
 
     "coscos": X = cos(k x) cos(k y), lattice of extrema and saddles.
     "ramp":   X = x, gradient never vanishes.
     "flat":   X = 0 identically.
+
+    The jet is sampled on the whole torus, prefiltered periodically, and
+    cropped to the counting window, as ``synthesize`` stores it.
     """
-    n = SPEC.n_per_side
-    c = -SPEC.period / 2.0 + SPEC.spacing * np.arange(n)
+    n = spec.n_per_side
+    c = -spec.period / 2.0 + spec.spacing * np.arange(n)
     x, y = np.meshgrid(c, c, indexing="ij")
     if kind == "coscos":
         grid = [
@@ -46,9 +53,9 @@ def _analytic_field(kind: str) -> FieldRealization:
     else:
         grid = [np.zeros_like(x)] * 6
     # jet order: X, X_x, X_y, X_xx, X_xy, X_yy
-    return FieldRealization.from_grid(
-        SPEC, np.stack(grid), seed=0, spectral_cutoff=K * np.sqrt(2.0)
-    )
+    jet = np.stack([g + 1j * ndimage.spline_filter(g, order=5, mode="grid-wrap") for g in grid])
+    keep = slice(n // 2 - spec.window_radius, n // 2 + spec.window_radius + 1)
+    return FieldRealization(spec, jet[:, keep, keep].copy(), seed=0, spectral_cutoff=K * np.sqrt(2.0))
 
 
 class TestNewtonAnalytic:
@@ -94,7 +101,7 @@ class TestNewtonAnalytic:
 
     def test_translated_box(self):
         # shifting the box by one lattice period preserves the count
-        fr = _analytic_field("coscos")
+        fr = _analytic_field("coscos", WIDE)
         box = ((-2.0 + 3.2, -2.0), (2.0 + 3.2, 2.0))
         cps = count_newton(fr, box)
         assert cps.newton_count == 5
@@ -117,6 +124,18 @@ class TestNewtonAnalytic:
     def test_bad_box_rejected(self):
         with pytest.raises(ValueError):
             count_newton(_analytic_field("coscos"), ((0.0, 0.0), (0.0, 1.0)))
+
+    @pytest.mark.parametrize(
+        "box", [((-3.3, -2.0), (2.0, 2.0)), ((-2.0, -2.0), (2.0, 3.21))], ids=["lo", "hi"]
+    )
+    def test_box_beyond_the_cube_rejected(self, box):
+        # the jet covers the cube [-3.2, 3.2]^2 and the counting reach only
+        fr = _analytic_field("coscos")
+        with pytest.raises(ValueError, match="leaves the cube"):
+            count_newton(fr, box)
+        with pytest.raises(ValueError, match="leaves the cube"):
+            count_kacrice_smoothed(fr, box, eps=0.05)
+        count_newton(fr, ((-3.2, -3.2), (3.2, 3.2)))  # the cube itself is fine
 
 
 class TestKacriceAnalytic:
@@ -180,8 +199,9 @@ class TestSynthesizedField:
 
 
 @functools.cache
-def _gaussian_field(seed: int) -> FieldRealization:
-    return synthesize(GAUSS, GridSpec(m=2, half_width=5.0, points_per_unit=16, guard=10.0), seed)
+def _gaussian_field(seed: int, half_width: float = 5.0) -> FieldRealization:
+    spec = GridSpec(m=2, half_width=half_width, points_per_unit=16, guard=10.0)
+    return synthesize(GAUSS, spec, seed)
 
 
 class TestCountingInvariants:
@@ -210,8 +230,9 @@ class TestCountingInvariants:
     @pytest.mark.parametrize("shift", [(3, -5), (-17, 8), (40, 1)])
     def test_translation_covariance(self, shift):
         # rolling the jet by whole cells moves every critical point by the
-        # same offset, so the shifted box sees the same set
-        fr = _gaussian_field(0)
+        # same offset, so the shifted box sees the same set; the cube of
+        # half-width 7 holds every shifted box
+        fr = _gaussian_field(0, 7.0)
         moved = FieldRealization(
             fr.spec, np.roll(fr.jet, shift, axis=(1, 2)), fr.seed, fr.spectral_cutoff
         )

@@ -38,6 +38,23 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(m=2, half_width=4.0, points_per_unit=8, guard=-1.0)
 
+    def test_counting_window(self):
+        # |x_i| <= N + 4 h: 2 (N ppu + 4) + 1 nodes per side
+        assert (SPEC2.window_radius, SPEC2.window) == (36, 73)
+        spec = GridSpec(m=3, half_width=5.0, points_per_unit=8, guard=7.375)
+        assert (spec.n_per_side, spec.window) == (140, 89)
+        assert spec.window_bytes == 10 * 89**3 * 16
+        assert GridSpec(m=3, half_width=3.0, points_per_unit=8, guard=7.375).window == 57
+        # half-widths off the lattice keep the whole cells inside
+        assert GridSpec(m=2, half_width=1.5, points_per_unit=3, guard=3.0).window == 17
+
+    def test_guard_must_hold_the_window(self):
+        # 16 nodes per side cannot hold the 17-node window of N = 4 at 1 point
+        # per unit; the derived guard always covers it
+        with pytest.raises(ValueError, match="cannot hold the 17-node counting window"):
+            GridSpec(m=2, half_width=4.0, points_per_unit=1, guard=8.0)
+        assert GridSpec(m=2, half_width=4.0, points_per_unit=1, guard=9.0).window == 17
+
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
             GridSpec(m=4, half_width=4.0, points_per_unit=8, guard=8.0)
@@ -140,7 +157,7 @@ class TestSynthesis:
         assert not np.array_equal(realization.grid[0], other.grid[0])
 
     def test_nyquist_guard(self):
-        coarse = GridSpec(m=2, half_width=4.0, points_per_unit=1, guard=8.0)
+        coarse = GridSpec(m=2, half_width=4.0, points_per_unit=1, guard=9.0)
         with pytest.raises(NyquistError):
             synthesize(GAUSS, coarse, seed=0)
 
@@ -163,18 +180,30 @@ class TestSynthesis:
             assert est == pytest.approx(want, abs=4 * se), label
 
     def test_gradient_consistent_with_values(self, realization):
-        # spectral gradient vs centered finite difference of the values
+        # spectral gradient vs centered finite difference of the values, at
+        # every window node with both neighbours in the window
         h = realization.spec.spacing
         values, grad0 = realization.grid[0], realization.grid[1]
-        fd = (np.roll(values, -1, axis=0) - np.roll(values, 1, axis=0)) / (2.0 * h)
-        err = np.max(np.abs(fd - grad0))
+        fd = (values[2:] - values[:-2]) / (2.0 * h)
+        err = np.max(np.abs(fd - grad0[1:-1]))
         scale = np.max(np.abs(grad0))
         assert err < 0.02 * scale  # second-order FD truncation, not roundoff
+
+    def test_jet_owns_the_window(self, realization):
+        # the stored jet is the counting window alone: no view keeps a
+        # torus-sized buffer alive
+        spec = realization.spec
+        assert realization.jet.base is None
+        assert realization.jet.shape == (6, 73, 73)
+        assert realization.jet.nbytes == 6 * spec.window**2 * 16 == spec.window_bytes
+        np.testing.assert_array_equal(realization.origin(), [-4.5, -4.5])
 
     def test_m3_synthesis(self):
         spec = GridSpec(m=3, half_width=2.0, points_per_unit=6, guard=4.0)
         fr = synthesize(GAUSS, spec, seed=5)
-        assert fr.grid.shape == (10, 48, 48, 48)
+        assert spec.n_per_side == 48
+        assert fr.grid.shape == (10, 33, 33, 33)  # window radius 2 * 6 + 4
+        assert fr.jet.base is None and fr.jet.nbytes == 10 * 33**3 * 16
         assert jet_labels(3)[4:] == ["h00", "h01", "h02", "h11", "h12", "h22"]
 
 
@@ -197,6 +226,16 @@ class TestOffgrid:
         with pytest.raises(ValueError):
             evaluate_offgrid(realization, (100.0, 0.0))
 
+    def test_stencil_must_stay_in_the_window(self, realization):
+        # the window of N = 4 reaches 4 + 4 h; the quintic stencil of a point
+        # reads 2 nodes below and 3 above its cell, so the readable points
+        # are -4 - 2 h <= t < 4 + 2 h
+        h = realization.spec.spacing
+        evaluate_offgrid(realization, [(-4.0 - 2.0 * h, 0.0), (4.0 + 1.99 * h, 0.0)])
+        for t in [(4.0 + 2.0 * h, 0.0), (0.0, -4.0 - 2.01 * h)]:
+            with pytest.raises(ValueError, match="outside the counting window"):
+                evaluate_offgrid(realization, t)
+
 
 class TestRoundTrip:
     def test_dump_load_identical(self, realization, tmp_path):
@@ -205,7 +244,24 @@ class TestRoundTrip:
         back = load_realization(path)
         assert back.seed == realization.seed
         assert back.spec == realization.spec
-        np.testing.assert_array_equal(back.grid, realization.grid)
+        np.testing.assert_array_equal(back.jet, realization.jet)
+        assert back.jet.base is None
+        # header, then the complex window jet
+        assert path.stat().st_size == 6 + 40 + realization.jet.nbytes
+
+    def test_cfld2_rejected_by_name(self, tmp_path):
+        # CFLD2 stored torus grid values without coefficients
+        path = tmp_path / "old.bin"
+        path.write_bytes(b"CFLD2\x00" + b"\x00" * 64)
+        with pytest.raises(ValueError, match="not a critfield CFLD3 .*CFLD2"):
+            load_realization(path)
+
+    def test_truncated_dump_rejected(self, realization, tmp_path):
+        path = tmp_path / "r.bin"
+        dump_realization(realization, path)
+        path.write_bytes(path.read_bytes()[:-16])
+        with pytest.raises(ValueError, match="truncated"):
+            load_realization(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -218,7 +274,7 @@ class TestRoundTrip:
         m=st.sampled_from([2, 3]),
         half_width=st.sampled_from([1.0, 1.5, 2.0]),
         ppu=st.integers(min_value=3, max_value=6),
-        guard=st.sampled_from([1.0, 2.5, 4.0]),
+        guard=st.sampled_from([3.0, 4.0, 5.5]),
         seed=st.integers(min_value=0, max_value=2**63 - 1),
     )
     def test_dump_load_property(self, tmp_path_factory, m, half_width, ppu, guard, seed):
@@ -229,14 +285,12 @@ class TestRoundTrip:
         back = load_realization(path)
         assert (back.spec, back.seed) == (fr.spec, fr.seed)
         assert back.spectral_cutoff == fr.spectral_cutoff
-        np.testing.assert_array_equal(back.grid, fr.grid)
-        for got, want in zip(back.coeffs, fr.coeffs):
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        np.testing.assert_array_equal(back.jet, fr.jet)
 
 
 def _legacy_grid(w, spec, seed):
-    """Grid values of every jet component by the meshgrid formula
-    real(ifftn(C * mult)) * n^m, one numpy transform per component."""
+    """Grid values of every jet component on the whole torus by the meshgrid
+    formula real(ifftn(C * mult)) * n^m, one numpy transform per component."""
     m, n = spec.m, spec.n_per_side
     freqs = 2.0 * np.pi * np.fft.fftfreq(n, d=spec.spacing)
     lam = np.meshgrid(*([freqs] * m), indexing="ij")
@@ -261,16 +315,26 @@ def _legacy_grid(w, spec, seed):
     ids=["m2", "m3", "m2-fast"],
 )
 class TestFoldedPrefilter:
+    # the pruned transform returns the legacy torus-wide jet cropped to the
+    # counting window
+
+    @staticmethod
+    def _window(spec, torus):
+        n, r = spec.n_per_side, spec.window_radius
+        return torus[(slice(n // 2 - r, n // 2 + r + 1),) * spec.m]
+
     def test_coefficients_match_spline_filter(self, spec):
         fr = synthesize(GAUSS, spec, seed=31)
-        for label, grid, coeffs in zip(jet_labels(spec.m), fr.grid, fr.coeffs):
-            ref = ndimage.spline_filter(grid, order=5, mode="grid-wrap")
+        legacy = _legacy_grid(GAUSS, spec, seed=31)
+        for label, coeffs, torus in zip(jet_labels(spec.m), fr.coeffs, legacy):
+            ref = self._window(spec, ndimage.spline_filter(torus, order=5, mode="grid-wrap"))
             err = np.max(np.abs(coeffs - ref)) / np.max(np.abs(ref))
             assert err <= 1e-12, label
 
     def test_grid_values_match_legacy_formula(self, spec):
         fr = synthesize(GAUSS, spec, seed=31)
         legacy = _legacy_grid(GAUSS, spec, seed=31)
-        for label, grid, ref in zip(jet_labels(spec.m), fr.grid, legacy):
+        for label, grid, torus in zip(jet_labels(spec.m), fr.grid, legacy):
+            ref = self._window(spec, torus)
             err = np.max(np.abs(grid - ref)) / np.max(np.abs(ref))
             assert err <= 1e-12, label
