@@ -261,7 +261,9 @@ def _experiment_config(cfg: RunConfig) -> experiments.ExperimentConfig:
 def _run_clt(cfg: RunConfig, out: Path, grid) -> dict:
     econf = _experiment_config(cfg)
     spec, wrap_ratio = grid
-    record = experiments.run_clt(econf, wrap=(spec.guard, wrap_ratio))
+    record = experiments.run_clt(
+        econf, wrap=(spec.guard, wrap_ratio), wall_clock=cfg.budget.get("wall_clock")
+    )
     experiments.save_record(record, out)
     vtab = experiments.variance_scaling(record)
     n_max = record.n_list[-1]
@@ -287,11 +289,15 @@ def _run_clt(cfg: RunConfig, out: Path, grid) -> dict:
 def _run_crosscheck(cfg: RunConfig, out: Path, grid) -> dict:
     econf = _experiment_config(cfg)
     spec, wrap_ratio = grid
-    table = experiments.estimator_crosscheck(econf, wrap=(spec.guard, wrap_ratio))
+    table = experiments.estimator_crosscheck(
+        econf, wrap=(spec.guard, wrap_ratio), wall_clock=cfg.budget.get("wall_clock")
+    )
     (out / "crosscheck.json").write_text(json.dumps(table, indent=2, default=float))
     lines = [
         f"{k} = {v:.4g}" for k, v in table.items() if k.startswith("median_rel")
     ]
+    failed = sum(row["failed_cells"] for row in table["rows"])
+    lines.append(f"newton failed cells = {failed} over {len(table['rows'])} fields")
     _write_summary(out, lines)
     return table["torus"]
 
@@ -349,6 +355,7 @@ def dispatch(cfg: RunConfig, args, config_path) -> int:
         stamp = json.loads((out / "provenance.json").read_text())
         stamp["torus"] = torus
         (out / "provenance.json").write_text(json.dumps(stamp, indent=2))
+    # clt and crosscheck also stop between realizations once it is spent
     if wall_budget is not None and time.perf_counter() - t0 > wall_budget:
         raise BudgetError(f"run exceeded wall-clock budget {wall_budget}s")
     return EXIT_OK

@@ -10,12 +10,14 @@ as eps decreases.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.spatial import cKDTree
 
 from .field import FieldRealization, hessian_stack, interpolate
@@ -30,6 +32,12 @@ __all__ = [
 ]
 
 _MAX_ITER = 40
+
+# The smoothed counter's stencil taps around a node along one axis, and the
+# sub-nodes or gathered coefficients per component it holds at once: 1 MB
+# arrays stay in cache, and its sub-node arrays do not grow with the box.
+_TAPS = np.arange(-3, 4)
+_LATTICE_CHUNK = 2**17
 
 
 @dataclass(frozen=True)
@@ -201,6 +209,44 @@ def count_newton(field: FieldRealization, box) -> CriticalPointSet:
     )
 
 
+def _quintic_weights(offsets: np.ndarray) -> np.ndarray:
+    """(7, r) quintic B-spline weights beta5(o - t) of the taps t = -3 .. 3
+    at the fractional offsets o in (-1/2, 1/2).
+
+    These taps hold the spline's stencil in both floor cases, o < 0 and
+    o >= 0; a tap outside one offset's stencil gets weight zero.  Uses
+    beta5(x) = sum_k (-1)^k C(6, k) (3 - k - |x|)_+^5 / 120 over k = 0, 1, 2
+    (Unser, Aldroubi & Eden, IEEE TSP 1993).
+    """
+    x = np.abs(offsets[None, :] - _TAPS[:, None])
+    return sum(
+        (-1) ** k * math.comb(6, k) * np.clip(3.0 - k - x, 0.0, None) ** 5 for k in range(3)
+    ) / 120.0
+
+
+def _lattice(coeffs: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Quintic-spline values of each coefficient array of ``coeffs`` (c, w,
+    ..., w) at the sub-nodes node + offset of the index points ``nodes`` (k,
+    m), with the offsets of ``weights`` (7, r) along every axis.
+
+    Each node's 7^m neighbourhood of coefficients, gathered as 7^(m-1) rows
+    along the last axis, is contracted axis by axis with the one weight
+    matrix.  Returns (c, k r^m): each node's r^m sub-nodes together, in
+    meshgrid "ij" order.
+    """
+    m, r, t = nodes.shape[1], weights.shape[1], len(_TAPS)
+    # taps of the leading axes; the nodes run along the axis after them
+    lead = [taps[..., None] for taps in np.ix_(*[_TAPS] * (m - 1))]
+    ix = tuple(taps + nodes[:, a] for a, taps in enumerate(lead)) + (nodes[:, -1] + _TAPS[0],)
+    out = np.empty((len(coeffs), len(nodes)) + (r,) * m)
+    for c, coeff in enumerate(coeffs):
+        v = sliding_window_view(coeff, t, axis=-1)[ix] @ weights  # (t, ..., t, k, r)
+        for a in reversed(range(m - 1)):  # (t^a, t, ...) -> (t^a, r, ...)
+            v = np.matmul(weights.T, v.reshape(t**a, t, -1))
+        out[c] = np.moveaxis(v.reshape((r,) * (m - 1) + (-1, r)), -2, 0)
+    return out.reshape(len(coeffs), -1)
+
+
 def count_kacrice_smoothed(field: FieldRealization, box, eps, refine: int = 6):
     """Smoothed count: quadrature of (2 eps)^(-m) 1{|grad|_inf <= eps}
     |det hess| over the half-open box.
@@ -210,6 +256,10 @@ def count_kacrice_smoothed(field: FieldRealization, box, eps, refine: int = 6):
     boundary.  Grid nodes near the region (slack = one cell of gradient
     variation) are therefore supersampled ``refine`` times per axis through
     the quintic-spline jet; the rest of the grid contributes exactly zero.
+    The sub-nodes sit at the same offsets around every node, so the spline
+    is evaluated as fixed stencils: the gradient at every sub-node of the
+    supersampled nodes, the Hessian only around nodes with a sub-node in
+    the region.
 
     ``eps`` is one value, which returns a float, or a ladder of values,
     which returns one count per value in the order given.  A ladder is one
@@ -234,8 +284,9 @@ def count_kacrice_smoothed(field: FieldRealization, box, eps, refine: int = 6):
         )
     origin = field.origin()
     coords = origin[0] + h * np.arange(field.spec.window)  # same on every axis
-    window = [np.flatnonzero((coords >= lo[k]) & (coords < hi[k])) for k in range(m)]
-    sl = np.ix_(*window)
+    # the window nodes with lo <= x < hi on each axis
+    first, stop = np.searchsorted(coords, lo), np.searchsorted(coords, hi)
+    sl = tuple(slice(a, b) for a, b in zip(first, stop))
 
     gmax = np.max(np.abs(field.grid[(slice(1, 1 + m),) + sl]), axis=0)
     # gradient can swing by about max|hess| * h * sqrt(m) within one cell
@@ -244,24 +295,40 @@ def count_kacrice_smoothed(field: FieldRealization, box, eps, refine: int = 6):
     slack = 1.5 * math.sqrt(m) * hmax * h
     mask = gmax <= ladder.max() + slack
 
-    node_idx = np.argwhere(mask)  # indices into the window
-    base = np.stack(
-        [origin[k] + h * window[k][node_idx[:, k]] for k in range(m)], axis=1
-    )
+    # jet indices of the supersampled nodes; the box lies in the cube, so
+    # every stencil tap of their sub-nodes lies in the window
+    nodes = np.argwhere(mask) + first
+    base = origin + h * nodes
+    masked_gmax = gmax[mask]
     # refine^m sub-nodes per grid cell (midpoint rule anchored at the node)
     offsets = (np.arange(refine) + 0.5) / refine - 0.5
+    weights = _quintic_weights(offsets)
     sub = np.stack(
         [g.ravel() for g in np.meshgrid(*([offsets] * m), indexing="ij")], axis=1
     )
-    pts = (base[:, None, :] + h * sub[None, :, :]).reshape(-1, m)
-    node_gmax = np.repeat(gmax[mask], refine**m)  # each sub-node's grid node
-    inside = np.all((pts >= lo) & (pts < hi), axis=1)
-    pts, node_gmax = pts[inside], node_gmax[inside]
-    gsup = np.max(np.abs(interpolate(field, pts, slice(1, 1 + m))), axis=0)
-    fire = gsup <= ladder.max()
-    hess = hessian_stack(interpolate(field, pts[fire], slice(1 + m, None)), m)
-    absdet = np.abs(_det_stack(hess))
-    gsup, node_gmax = gsup[fire], node_gmax[fire]
+    # per chunk of nodes, the sub-nodes in the region of the largest eps:
+    # their gradient sup-norms, their nodes' grid sup-norms and |det hess|
+    gsups, gmaxes, absdets = [], [], []
+    step = max(1, _LATTICE_CHUNK // max(refine, len(_TAPS)) ** m)
+    # at least one pass, so that a box without supersampled nodes counts 0
+    for start in range(0, max(len(nodes), 1), step):
+        part = slice(start, start + step)
+        pts = (base[part, None, :] + h * sub[None, :, :]).reshape(-1, m)
+        # column by column: np.all over a last axis of length m is slow
+        inside = functools.reduce(
+            np.logical_and, [(x >= a) & (x < b) for x, a, b in zip(pts.T, lo, hi)]
+        )
+        grad = _lattice(field.coeffs[1:1 + m], nodes[part], weights)
+        gsup = np.maximum.reduce(np.abs(grad, out=grad), axis=0)
+        fire = inside & (gsup <= ladder.max())
+        by_node = fire.reshape(-1, refine**m)
+        lit = by_node.any(axis=1)  # nodes with a sub-node in the region
+        tri = _lattice(field.coeffs[1 + m:], nodes[part][lit], weights)
+        hess = hessian_stack(tri[:, by_node[lit].ravel()], m)
+        gsups.append(gsup[fire])
+        gmaxes.append(masked_gmax[part][np.nonzero(by_node)[0]])
+        absdets.append(np.abs(_det_stack(hess)))
+    gsup, node_gmax, absdet = map(np.concatenate, (gsups, gmaxes, absdets))
     weight = (h / refine) ** m
     counts = []
     for e in ladder:

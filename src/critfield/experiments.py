@@ -25,8 +25,9 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
+from .config import BudgetError
 from .critpoints import count_kacrice_smoothed, count_newton, expected_count
-from .field import GridSpec, synthesize, torus_record, wrap_guard
+from .field import GridSpec, spectral_cutoff, synthesize, torus_record, wrap_guard
 from .randmat import expect_absdet_S
 from .spectrum import SpectralDensity, spectral_moments
 
@@ -112,8 +113,8 @@ class ExperimentRecord:
         return out
 
 
-def _count_one(w, spec, seed):
-    fr = synthesize(w, spec, seed=seed)
+def _count_one(w, spec, seed, cutoff):
+    fr = synthesize(w, spec, seed=seed, cutoff=cutoff)
     n_half, m = spec.half_width, spec.m
     box = ((-n_half,) * m, (n_half,) * m)
     cps = count_newton(fr, box)
@@ -122,7 +123,19 @@ def _count_one(w, spec, seed):
     return cps.newton_count
 
 
-def run_clt(config: ExperimentConfig, wrap: tuple[float, float] | None = None) -> ExperimentRecord:
+def _check_wall_clock(t0: float, wall_clock: float | None, done: int, total: int) -> None:
+    """Raise BudgetError once ``wall_clock`` seconds have passed since t0."""
+    if wall_clock is not None and time.perf_counter() - t0 > wall_clock:
+        raise BudgetError(
+            f"wall-clock budget {wall_clock:g}s spent after {done} of {total} realizations"
+        )
+
+
+def run_clt(
+    config: ExperimentConfig,
+    wrap: tuple[float, float] | None = None,
+    wall_clock: float | None = None,
+) -> ExperimentRecord:
     """Synthesize, count, and center; deterministic given the master seed.
 
     Realizations draw from SeedSequence(master).spawn streams, one per
@@ -131,13 +144,16 @@ def run_clt(config: ExperimentConfig, wrap: tuple[float, float] | None = None) -
     anchored to config.e_absdet_s1 when set, else to the exact
     expect_absdet_S(m, 1).  ``wrap`` is the (guard, psi ratio) pair of
     ``wrap_guard`` for the config's density and resolution; when None it is
-    derived here.  Every level's grid is checked against the budget before
-    the first realization.
+    derived here; the spectral cutoff is computed once, beside it.  Every
+    level's grid is checked against the budget before the first
+    realization.  With ``wall_clock`` set, no realization starts once that
+    many seconds have passed since the call began: BudgetError is raised.
     """
     t0 = time.perf_counter()
     w = config.density()
     m = config.m
     guard, wrap_ratio = wrap or wrap_guard(w, m, config.points_per_unit)
+    cutoff = spectral_cutoff(w, m)
     specs = [
         GridSpec(m=m, half_width=n, points_per_unit=config.points_per_unit, guard=guard)
         for n in config.n_list
@@ -156,10 +172,13 @@ def run_clt(config: ExperimentConfig, wrap: tuple[float, float] | None = None) -
             config.realizations
         )
         counts, n_fail = [], 0
-        for ss in streams:
+        for j, ss in enumerate(streams):
+            _check_wall_clock(
+                t0, wall_clock, i * config.realizations + j, len(specs) * config.realizations
+            )
             seed = int(ss.generate_state(1)[0])
             try:
-                counts.append(_count_one(w, spec, seed))
+                counts.append(_count_one(w, spec, seed, cutoff))
             except (RuntimeError, FloatingPointError) as exc:
                 n_fail += 1
                 flags.append(f"N={n_half}: realization failed ({exc})")
@@ -233,19 +252,27 @@ def normality_test(zeta: np.ndarray, variance: float) -> dict:
     return {"statistic": float(res.statistic), "p_value": float(res.pvalue), "n": len(zeta)}
 
 
-def estimator_crosscheck(config: ExperimentConfig, wrap: tuple[float, float] | None = None) -> dict:
+def estimator_crosscheck(
+    config: ExperimentConfig,
+    wrap: tuple[float, float] | None = None,
+    wall_clock: float | None = None,
+) -> dict:
     """Per-realization Newton vs smoothed counting-measure agreement.
 
     Runs at the smallest N in the config with the configured eps ladder,
     one smoothed pass per field; reports relative disagreement quantiles per
-    eps and the torus under "torus".  ``wrap`` is as in ``run_clt``.
+    eps and the torus under "torus".  Each row carries the field's seed, its
+    Newton count and unresolved Newton cells, and one smoothed count per
+    eps.  ``wrap`` and ``wall_clock`` are as in ``run_clt``.
     """
+    t0 = time.perf_counter()
     w = config.density()
     m = config.m
     n_half = config.n_list[0]
     if n_half > 5:
         raise ValueError("crosscheck is intended for N <= 5")
     guard, wrap_ratio = wrap or wrap_guard(w, m, config.points_per_unit)
+    cutoff = spectral_cutoff(w, m)
     spec = GridSpec(
         m=m, half_width=n_half, points_per_unit=config.points_per_unit, guard=guard
     )
@@ -254,10 +281,12 @@ def estimator_crosscheck(config: ExperimentConfig, wrap: tuple[float, float] | N
     streams = np.random.SeedSequence((config.master_seed, 0x9C)).spawn(
         config.realizations
     )
-    for ss in streams:
+    for j, ss in enumerate(streams):
+        _check_wall_clock(t0, wall_clock, j, config.realizations)
         seed = int(ss.generate_state(1)[0])
-        fr = synthesize(w, spec, seed=seed)
-        row = {"seed": seed, "newton": count_newton(fr, box).newton_count}
+        fr = synthesize(w, spec, seed=seed, cutoff=cutoff)
+        cps = count_newton(fr, box)
+        row = {"seed": seed, "newton": cps.newton_count, "failed_cells": cps.failed_cells}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             smoothed = count_kacrice_smoothed(fr, box, config.eps_list)

@@ -36,6 +36,7 @@ __all__ = [
     "FieldRealization",
     "NyquistError",
     "wrap_guard",
+    "spectral_cutoff",
     "torus_record",
     "synthesize",
     "jet_labels",
@@ -275,8 +276,12 @@ def _spline_multiplier(n: int, m: int) -> np.ndarray:
     return functools.reduce(np.multiply, [_along(p, a, m) for a in range(m)])
 
 
-def _spectral_cutoff(w: SpectralDensity, m: int) -> float:
-    """Radius containing all but _COVARIANCE_TOL of the spectral mass of s_m."""
+def spectral_cutoff(w: SpectralDensity, m: int) -> float:
+    """Radius containing all but _COVARIANCE_TOL of the spectral mass of s_m.
+
+    It depends on the density and m alone, so a sweep computes it once, next
+    to the wrap guard, and passes it to every ``synthesize`` call.
+    """
     total = moment_Ik(w, m - 1)
     rmax = w.support_radius()
     grid = np.linspace(0.0, rmax, 4097)
@@ -314,7 +319,9 @@ def _transform_window(part, comps, axis: int, factor: dict, jet: np.ndarray) -> 
             _transform_window(x, groups[k], axis + 1, factor, jet)
 
 
-def synthesize(w: SpectralDensity, spec: GridSpec, seed: int) -> FieldRealization:
+def synthesize(
+    w: SpectralDensity, spec: GridSpec, seed: int, cutoff: float | None = None
+) -> FieldRealization:
     """Sample the centered stationary field with spectral density w.
 
     Hermitian-free variant of spectral synthesis: draw one complex standard
@@ -324,9 +331,12 @@ def synthesize(w: SpectralDensity, spec: GridSpec, seed: int) -> FieldRealizatio
     component's complex transform returns the grid values and, in the
     otherwise unused imaginary part, the quintic spline coefficients; only
     the counting window of the torus is transformed out and stored.
+    ``cutoff`` is ``spectral_cutoff(w, spec.m)``, computed here when None;
+    raises NyquistError when the grid does not resolve it.
     """
     m, n = spec.m, spec.n_per_side
-    cutoff = _spectral_cutoff(w, m)
+    if cutoff is None:
+        cutoff = spectral_cutoff(w, m)
     if cutoff > spec.nyquist_radius:
         raise NyquistError(
             f"spectral mass extends to radius {cutoff:.3g} but the grid only "

@@ -206,6 +206,44 @@ class TestMainExitCodes:
         cfg = _write(tmp_path, "b.yaml", text)
         assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_BUDGET
 
+    @pytest.mark.parametrize("subcommand", ["clt", "crosscheck"])
+    def test_wall_clock_stops_the_run(self, tmp_path, capsys, subcommand):
+        # a spent budget stops the run before its next realization, so no
+        # record is written; the check used to run only after the outputs
+        text = (BASE_CLT.replace("subcommand: clt", f"subcommand: {subcommand}")
+                .replace("realizations: 4", "realizations: 200")
+                + "budget:\n  wall_clock: 0\n")
+        cfg = _write(tmp_path, "w.yaml", text)
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out)]) == EXIT_BUDGET
+        assert "spent after 0 of 200 realizations" in capsys.readouterr().err
+        assert not (out / "record.json").exists()
+        assert not (out / "crosscheck.json").exists()
+
+    def test_nyquist_exit(self, tmp_path, capsys):
+        # one point per unit cannot resolve the unit Gaussian spectrum: the
+        # check fails before the first realization is counted
+        text = BASE_CLT.replace("points_per_unit: 8", "points_per_unit: 1")
+        cfg = _write(tmp_path, "q.yaml", text)
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical failure: spectral mass extends to radius" in err
+        assert "raise points_per_unit" in err
+        assert not (out / "record.json").exists()
+
+    def test_crosscheck_summary_totals_failed_cells(self, tmp_path):
+        text = (BASE_CLT.replace("subcommand: clt", "subcommand: crosscheck")
+                .replace("realizations: 4", "realizations: 2")
+                .replace("points_per_unit: 8", "points_per_unit: 16"))
+        cfg = _write(tmp_path, "x.yaml", text)
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out)]) == EXIT_OK
+        rows = json.loads((out / "crosscheck.json").read_text())["rows"]
+        total = sum(row["failed_cells"] for row in rows)
+        lines = (out / "summary.txt").read_text().splitlines()
+        assert f"newton failed cells = {total} over 2 fields" in lines
+
     def test_budget_counts_default_samples(self, tmp_path, capsys):
         # no ensemble.samples: randmat draws its default 500 000 matrices
         text = BASE_RANDMAT.replace("  samples: 50000\n", "") + "budget:\n  samples: 1000\n"

@@ -1,5 +1,7 @@
 import csv
 import functools
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,12 +11,22 @@ from scipy import ndimage
 
 from critfield.critpoints import (
     CriticalPointSet,
+    _det_stack,
+    _lattice,
+    _quintic_weights,
     count_kacrice_smoothed,
     count_newton,
     expected_count,
     write_csv,
 )
-from critfield.field import FieldRealization, GridSpec, synthesize
+from critfield.field import (
+    FieldRealization,
+    GridSpec,
+    hessian_stack,
+    interpolate,
+    synthesize,
+    wrap_guard,
+)
 from critfield.spectrum import SpectralDensity, spectral_moments
 
 SPEC = GridSpec(m=2, half_width=3.2, points_per_unit=10, guard=6.4)
@@ -257,6 +269,98 @@ class TestCountingInvariants:
         assert isinstance(want[0], float)
         assert len(got) == len(ladder) and min(want) > 0
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def _smoothed_reference(field: FieldRealization, box, eps: float, refine: int) -> float:
+    """The smoothed count with every sub-node read through ``interpolate``,
+    one point at a time: the pointwise form of count_kacrice_smoothed."""
+    m, h = field.spec.m, field.spec.spacing
+    lo, hi = np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float)
+    coords = field.origin()[0] + h * np.arange(field.spec.window)
+    window = [np.flatnonzero((coords >= lo[k]) & (coords < hi[k])) for k in range(m)]
+    gmax = np.max(np.abs(field.grid[(slice(1, 1 + m),) + np.ix_(*window)]), axis=0)
+    upper = field.grid[1 + m:]
+    slack = 1.5 * math.sqrt(m) * max(float(upper.max()), -float(upper.min())) * h
+    mask = gmax <= eps + slack
+    node_idx = np.argwhere(mask)
+    base = np.stack([field.origin()[k] + h * window[k][node_idx[:, k]] for k in range(m)], axis=1)
+    offsets = (np.arange(refine) + 0.5) / refine - 0.5
+    sub = np.stack([g.ravel() for g in np.meshgrid(*([offsets] * m), indexing="ij")], axis=1)
+    pts = (base[:, None, :] + h * sub[None, :, :]).reshape(-1, m)
+    pts = pts[np.all((pts >= lo) & (pts < hi), axis=1)]
+    gsup = np.max(np.abs(interpolate(field, pts, slice(1, 1 + m))), axis=0)
+    fire = gsup <= eps
+    hess = hessian_stack(interpolate(field, pts[fire], slice(1 + m, None)), m)
+    return float(np.sum(np.abs(_det_stack(hess))) * (h / refine) ** m / (2.0 * eps) ** m)
+
+
+@functools.cache
+def _small_field(m: int) -> FieldRealization:
+    spec = GridSpec(m=m, half_width=2.0, points_per_unit=8, guard=3.0)
+    return synthesize(GAUSS, spec, seed=5 + m)
+
+
+class TestLatticeStencils:
+    """The smoothed counter's fixed stencils against pointwise ``interpolate``."""
+
+    @pytest.mark.parametrize("refine", [1, 2, 5, 6, 48])
+    @pytest.mark.parametrize("m", [2, 3])
+    @settings(max_examples=4, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_lattice_matches_interpolate(self, m, refine, data):
+        # odd refine puts one offset at exactly 0, even refine straddles it;
+        # nodes anywhere their 7-tap stencils stay in the window
+        fr = _small_field(m)
+        w = fr.spec.window
+        node = st.lists(st.integers(3, w - 4), min_size=m, max_size=m)
+        k = 1 if refine**m > 10_000 else 4
+        nodes = np.array(data.draw(st.lists(node, min_size=k, max_size=k)))
+        offsets = (np.arange(refine) + 0.5) / refine - 0.5
+        got = _lattice(fr.coeffs[1:], nodes, _quintic_weights(offsets))
+        sub = np.stack([g.ravel() for g in np.meshgrid(*([offsets] * m), indexing="ij")], axis=1)
+        pts = (fr.origin() + fr.spec.spacing * (nodes[:, None, :] + sub[None])).reshape(-1, m)
+        assert got.shape == (len(fr.jet) - 1, len(pts))
+        # at most 5000 sub-nodes, evenly spread, go through interpolate
+        pick = np.unique(np.linspace(0, len(pts) - 1, 5000).astype(int))
+        want = interpolate(fr, pts[pick], slice(1, None))
+        scale = np.max(np.abs(want), axis=1, keepdims=True)
+        assert np.all(np.abs(got[:, pick] - want) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("refine", [1, 2, 5, 6, 48])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_count_matches_pointwise_reference(self, m, refine):
+        # boxes whose edges cut through cells, around a critical point so
+        # that sub-nodes fire; fewer cells per box as refine grows
+        fr = _small_field(m)
+        roots = count_newton(fr, ((-2.0,) * m, (2.0,) * m)).locations
+        root = roots[np.argmin(np.max(np.abs(roots), axis=1))]  # the most central
+        rng = np.random.default_rng(10 * m + refine)
+        half = fr.spec.spacing * max(0.6, 6.0 / refine) * rng.uniform(0.8, 1.2, size=(2, m))
+        box = (tuple(np.maximum(root - half[0], -2.0)), tuple(np.minimum(root + half[1], 2.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = count_kacrice_smoothed(fr, box, 0.2, refine=refine)
+            want = _smoothed_reference(fr, box, 0.2, refine)
+        assert want > 0
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+
+class TestSmoothedAtDimThree:
+    def test_agrees_with_newton(self):
+        # m = 3, N = 2 at 16 points per unit on the derived torus: one field,
+        # 15 critical points; the finest eps of the crosscheck ladder reads
+        # within 0.2% of the Newton count, 5% is the bound
+        m, n_half, ppu = 3, 2.0, 16
+        spec = GridSpec(m=m, half_width=n_half, points_per_unit=ppu,
+                        guard=wrap_guard(GAUSS, m, ppu)[0])
+        fr = synthesize(GAUSS, spec, seed=0)
+        box = ((-n_half,) * m, (n_half,) * m)
+        cps = count_newton(fr, box)
+        assert cps.failed_cells == 0 and cps.newton_count > 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # eps stays above the resolvability scale
+            smoothed = count_kacrice_smoothed(fr, box, (0.1, 0.05, 0.025))
+        assert abs(smoothed[-1] - cps.newton_count) <= 0.05 * cps.newton_count
 
 
 class TestExpectedCount:

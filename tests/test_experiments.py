@@ -1,10 +1,14 @@
+import itertools
 import json
 import math
+import types
 
 import numpy as np
 import pytest
 
-from critfield.critpoints import expected_count
+from critfield import experiments, field
+from critfield.config import BudgetError
+from critfield.critpoints import count_newton, expected_count
 from critfield.experiments import (
     ExperimentConfig,
     ExperimentRecord,
@@ -134,6 +138,31 @@ class TestRunClt:
             assert np.ptp(diff) < 1e-10
 
 
+    def test_spectral_cutoff_once_per_run(self, monkeypatch):
+        calls, derive = [], field.spectral_cutoff
+
+        def spy(*args):
+            calls.append(args)
+            return derive(*args)
+
+        monkeypatch.setattr(experiments, "spectral_cutoff", spy)
+        monkeypatch.setattr(field, "spectral_cutoff", spy)
+        small = ExperimentConfig(**{**_asdict(SMALL), "realizations": 3})
+        run_clt(small)
+        assert len(calls) == 1
+
+    def test_wall_clock_stops_between_realizations(self, monkeypatch):
+        # each clock reading is one second after the last: the start, then
+        # one reading before each realization
+        clock = itertools.count()
+        monkeypatch.setattr(experiments, "time", types.SimpleNamespace(perf_counter=lambda: next(clock)))
+        done = []
+        monkeypatch.setattr(experiments, "_count_one", lambda *args: done.append(args) or 10)
+        with pytest.raises(BudgetError, match="after 3 of 16 realizations"):
+            run_clt(SMALL, wall_clock=3.5)
+        assert len(done) == 3
+
+
 class TestVarianceScaling:
     def test_table_structure(self, small_record):
         table = variance_scaling(small_record)
@@ -214,6 +243,29 @@ class TestCrosscheck:
         for row in out["rows"]:
             assert row["newton"] > 0
         assert out["median_rel_eps=0.05"] < 0.2
+
+    def test_rows_carry_newton_failed_cells(self):
+        cfg = ExperimentConfig(**{
+            **_asdict(SMALL), "n_list": (3.0,), "realizations": 2, "points_per_unit": 16,
+            "eps_list": (0.1,),
+        })
+        out = estimator_crosscheck(cfg)
+        guard = out["torus"]["guard"]
+        spec = field.GridSpec(m=2, half_width=3.0, points_per_unit=16, guard=guard)
+        for row in out["rows"]:
+            assert set(row) == {"seed", "newton", "failed_cells", "kacrice_eps=0.1"}
+            cps = count_newton(field.synthesize(cfg.density(), spec, row["seed"]),
+                               ((-3.0, -3.0), (3.0, 3.0)))
+            assert (row["newton"], row["failed_cells"]) == (cps.newton_count, cps.failed_cells)
+            assert isinstance(row["failed_cells"], int)
+
+    def test_wall_clock_stops_before_the_next_field(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(experiments, "synthesize", lambda *args, **kw: made.append(args))
+        cfg = ExperimentConfig(**{**_asdict(SMALL), "n_list": (3.0,)})
+        with pytest.raises(BudgetError, match="after 0 of 8 realizations"):
+            estimator_crosscheck(cfg, wall_clock=0.0)
+        assert made == []
 
     def test_large_box_rejected(self):
         cfg = ExperimentConfig(**{**_asdict(SMALL), "n_list": (6.0, 7.0), "m": 3})
