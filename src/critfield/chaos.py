@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, linalg, special
+from scipy import linalg, special
 
 from .randmat import _absdet_shift_moments
-from .spectrum import DivergentIntegralError, SpectralDensity, spectral_moments
+from .spectrum import SpectralDensity, _radial_moment, spectral_moments
 
 __all__ = [
     "Chaos2Geometry",
@@ -164,19 +164,7 @@ def sphere_moment(m: int, exponents) -> float:
 
 def moment_Jk(w: SpectralDensity, k: int) -> float:
     """Radial moment J_k = integral_0^inf w(r)^2 r^k dr of the squared density."""
-    rmax = w.support_radius()
-    tail = np.linspace(rmax, 1.5 * rmax + 1.0, 8)
-    tail_vals = w(tail) ** 2 * tail ** (k + 1)
-    if np.any(tail_vals > 1e-8 * (1.0 + rmax) ** (k + 1)):
-        raise DivergentIntegralError(
-            f"w(r)^2 r^{k + 1} does not decay near r = {rmax:.3g}"
-        )
-    val, err = integrate.quad(
-        lambda r: float(w(r)) ** 2 * r**k, 0.0, rmax, limit=200, epsabs=1e-13, epsrel=1e-11
-    )
-    if val != 0 and err > 1e-8 * abs(val):
-        raise DivergentIntegralError(f"J_{k} quadrature failed to converge")
-    return val
+    return _radial_moment(w, k, 2)
 
 
 def msum_inner_products(w: SpectralDensity, m: int) -> dict:

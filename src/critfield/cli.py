@@ -57,15 +57,17 @@ def _density(cfg: RunConfig) -> spectrum.SpectralDensity:
 
 
 def _grid_spec(cfg: RunConfig) -> tuple[field.GridSpec, float]:
-    """Grid of the largest half-width, with the wrap guard the density needs,
-    and the achieved psi ratio; raises ValueError beyond the grid budget."""
+    """Grid of the largest half-width the subcommand runs (crosscheck runs
+    only the smallest), with the wrap guard the density needs, and the
+    achieved psi ratio; raises ValueError beyond the grid budget."""
     exp = cfg.experiment
     m = int(exp.get("m", 2))
     ppu = int(exp.get("points_per_unit", 8))
+    n_list = exp.get("n_list", [5.0])
     guard, wrap_ratio = field.wrap_guard(_density(cfg), m, ppu)
     spec = field.GridSpec(
         m=m,
-        half_width=float(max(exp.get("n_list", [5.0]))),
+        half_width=float((min if cfg.subcommand == "crosscheck" else max)(n_list)),
         points_per_unit=ppu,
         guard=guard,
     )

@@ -41,7 +41,6 @@ __all__ = [
     "synthesize",
     "jet_labels",
     "jet_statistics",
-    "evaluate_offgrid",
     "dump_realization",
     "load_realization",
 ]
@@ -375,13 +374,14 @@ def synthesize(
     return FieldRealization(spec=spec, jet=jet, seed=seed, spectral_cutoff=cutoff)
 
 
-def jet_statistics(fields: list[FieldRealization], stride: int = 4) -> dict:
+def jet_statistics(fields: list[FieldRealization]) -> dict:
     """Pooled empirical second moments of (X, grad X, hess X).
 
-    Returns a dict keyed by moment label with (estimate, stderr) pairs; the
-    standard error is over the per-realization means, which respects the
-    strong spatial correlation within one realization.  One realization
-    gives the estimates with a stderr of None.
+    Read at every fourth window node along each axis.  Returns a dict keyed
+    by moment label with (estimate, stderr) pairs; the standard error is
+    over the per-realization means, which respects the strong spatial
+    correlation within one realization.  One realization gives the
+    estimates with a stderr of None.
     """
     if not fields:
         raise ValueError("need at least 1 realization")
@@ -391,7 +391,7 @@ def jet_statistics(fields: list[FieldRealization], stride: int = 4) -> dict:
     # every product of two components but the odd gradient-Hessian ones
     pairs = [(a, b) for a in range(k) for b in range(a, k) if not 0 < a <= m < b]
 
-    sl = (slice(None),) + (slice(None, None, stride),) * m
+    sl = (slice(None),) + (slice(None, None, 4),) * m
     # per realization, the mean of every product of two components
     samples = [f.grid[sl].reshape(k, -1) for f in fields]
     per_real = np.array([s @ s.T / s.shape[1] for s in samples])
@@ -415,27 +415,6 @@ def interpolate(field_r: FieldRealization, pts: np.ndarray, comps=slice(None)) -
         ndimage.map_coordinates(c, coords, order=5, prefilter=False, mode="nearest")
         for c in field_r.coeffs[comps]
     ])
-
-
-def evaluate_offgrid(field_r: FieldRealization, t) -> dict:
-    """C^2-consistent jet (X, grad X, hess X) at an arbitrary point.
-
-    Points must be ``readable``: their spline stencil lies inside the
-    counting window, which covers the cube [-N, N]^m and two cells more; the
-    interpolant is an exact-at-nodes tensor-product quintic spline of each
-    stored array.  The Hessian comes back as symmetric (k, m, m) matrices,
-    (m, m) for one point.
-    """
-    t = np.atleast_2d(np.asarray(t, dtype=float))
-    m = field_r.spec.m
-    if not np.all(field_r.readable(t)):
-        raise ValueError("point outside the counting window")
-    vals = interpolate(field_r, t)
-    x, grad = vals[0], vals[1:1 + m]
-    hess = hessian_stack(vals[1 + m:], m)
-    if t.shape[0] == 1:
-        x, grad, hess = float(x[0]), grad[:, 0], hess[0]
-    return {"value": x, "gradient": grad, "hessian": hess}
 
 
 # --- binary reproducibility dump -----------------------------------------

@@ -32,7 +32,7 @@ __all__ = [
     "asymptotic_targets_semicircle",
 ]
 
-FUNCTIONALS = ("absdet", "p_absdet", "q_absdet", "p", "q", "p2", "pq", "q2", "absdet2")
+FUNCTIONALS = ("absdet", "p_absdet", "q_absdet", "p", "q", "p2", "pq", "q2")
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ def _functional_values(a: np.ndarray, functional: str) -> np.ndarray:
         p = tr**2
     if functional in ("q", "q2", "q_absdet", "pq"):
         q = np.einsum("nij,nij->n", a, a)
-    if functional in ("absdet", "p_absdet", "q_absdet", "absdet2"):
+    if functional in ("absdet", "p_absdet", "q_absdet"):
         f = np.abs(np.linalg.det(a))
     return {
         "absdet": lambda: f,
@@ -76,7 +76,6 @@ def _functional_values(a: np.ndarray, functional: str) -> np.ndarray:
         "p2": lambda: p**2,
         "pq": lambda: p * q,
         "q2": lambda: q**2,
-        "absdet2": lambda: f**2,
     }[functional]()
 
 
@@ -93,6 +92,10 @@ def expect_functional_mc(
     independent matrices; the convention is kept from an (A, -A) pairing,
     a no-op for these functionals, which are all even in A, so that a given
     (n_samples, seed) keeps its draws.  The stderr is sd / sqrt(n).
+
+    ``batch`` bounds the matrices drawn at once.  At u = 0 it only splits
+    the work.  At u > 0 each batch draws its identity shifts after its GOE
+    block, so the stream, and the estimate, depend on ``batch``.
     """
     if functional not in FUNCTIONALS:
         raise ValueError(f"unknown functional {functional!r}")

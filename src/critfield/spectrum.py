@@ -92,11 +92,11 @@ class SpectralDensity:
         out = np.where(r <= self.table[0][-1], self._spline(r), 0.0)
         return np.clip(out, 0.0, None)
 
-    def support_radius(self, tol: float = 1e-14) -> float:
-        """Radius beyond which w is (numerically) negligible."""
+    def support_radius(self) -> float:
+        """Radius beyond which w is (numerically) negligible: below 1e-14."""
         if self.family == "gaussian":
             sigma = self.params[0]
-            return sigma * math.sqrt(-2.0 * math.log(tol))
+            return sigma * math.sqrt(-2.0 * math.log(1e-14))
         if self.family == "compact-bump":
             return self.params[0]
         return float(self.table[0][-1])
@@ -117,28 +117,33 @@ class SpectralMoments:
             raise ValueError("spectral moments must be positive")
 
 
-def moment_Ik(w: SpectralDensity, k: int) -> float:
-    """Radial moment I_k(w) = integral_0^inf w(r) r^k dr.
+def _radial_moment(w: SpectralDensity, k: int, power: int) -> float:
+    """integral_0^inf w(r)^power r^k dr: I_k for power 1, J_k for power 2.
 
-    Adaptive quadrature on [0, R]; R is chosen so the integrand tail is below
-    1e-12 of the bulk.  Raises DivergentIntegralError when w(r) r^(k+1) shows
-    no decay at the cutoff.
+    Adaptive quadrature on [0, R], R = ``w.support_radius()``.  Raises
+    DivergentIntegralError when w(r)^power r^(k+1) shows no decay at R.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
+    wp, name = ("w(r)", "I") if power == 1 else (f"w(r)^{power}", "J")
     rmax = w.support_radius()
     tail = np.linspace(rmax, 1.5 * rmax + 1.0, 8)
-    tail_vals = w(tail) * tail ** (k + 1)
+    tail_vals = w(tail) ** power * tail ** (k + 1)
     if np.any(tail_vals > 1e-8 * (1.0 + rmax) ** (k + 1)):
         raise DivergentIntegralError(
-            f"w(r) r^{k + 1} does not decay near r = {rmax:.3g}"
+            f"{wp} r^{k + 1} does not decay near r = {rmax:.3g}"
         )
     val, err = integrate.quad(
-        lambda r: float(w(r)) * r**k, 0.0, rmax, limit=200, epsabs=1e-13, epsrel=1e-11
+        lambda r: float(w(r)) ** power * r**k, 0.0, rmax, limit=200, epsabs=1e-13, epsrel=1e-11
     )
     if val != 0 and err > 1e-8 * abs(val):
-        raise DivergentIntegralError(f"I_{k} quadrature failed to converge")
+        raise DivergentIntegralError(f"{name}_{k} quadrature failed to converge")
     return val
+
+
+def moment_Ik(w: SpectralDensity, k: int) -> float:
+    """Radial moment I_k(w) = integral_0^inf w(r) r^k dr."""
+    return _radial_moment(w, k, 1)
 
 
 def spectral_moments(w: SpectralDensity, m: int) -> SpectralMoments:
@@ -179,8 +184,8 @@ def _bessel_sphere_kernel(n, x: float) -> np.ndarray:
     return x**-nu * special.jv(nu, x)
 
 
-def radial_jet(w: SpectralDensity, m: int, rho, orders: int = 4) -> list[np.ndarray]:
-    """G^(k)(|t|^2 / 2) for k = 0..orders, vectorized over |t| = rho.
+def radial_jet(w: SpectralDensity, m: int, rho) -> list[np.ndarray]:
+    """G^(k)(|t|^2 / 2) for k = 0..4, vectorized over |t| = rho.
 
     Gaussian densities use the closed form G(q) = sigma^m exp(-sigma^2 q);
     other families go through oscillatory radial quadrature, one vector-valued
@@ -193,10 +198,10 @@ def radial_jet(w: SpectralDensity, m: int, rho, orders: int = 4) -> list[np.ndar
     if w.family == "gaussian":
         sigma = w.params[0]
         g0 = sigma**m * np.exp(-(sigma**2) * rho**2 / 2.0)
-        return [(-(sigma**2)) ** k * g0 for k in range(orders + 1)]
+        return [(-(sigma**2)) ** k * g0 for k in range(5)]
     rmax = w.support_radius()
-    k = np.arange(orders + 1)
-    out = np.empty((orders + 1, rho.size))
+    k = np.arange(5)
+    out = np.empty((5, rho.size))
     for idx, p in enumerate(rho):
         scale = (1.0 + p) ** k
 
@@ -308,16 +313,14 @@ def psi_envelope(w: SpectralDensity, m: int, t) -> float:
     return max(abs(v) for v in jet.derivatives.values())
 
 
-def nondegeneracy_ratio(moments: SpectralMoments, m: int | None = None) -> dict:
+def nondegeneracy_ratio(moments: SpectralMoments) -> dict:
     """Nondegeneracy of the joint (value, gradient, Hessian) Gaussian vector.
 
     The (m+1) x (m+1) covariance of (X(0), d^2_11 X(0), ..., d^2_mm X(0))
     has determinant (2h)^(m-1) ((m+2) h s - m d^2); positivity is equivalent
     to h s / d^2 != m / (m+2).
     """
-    if m is None:
-        m = moments.m
-    s, d, h = moments.s, moments.d, moments.h
+    m, s, d, h = moments.m, moments.s, moments.d, moments.h
     det_rm = (2.0 * h) ** (m - 1) * ((m + 2) * h * s - m * d**2)
     return {
         "ratio": float(h * s / d**2),

@@ -126,7 +126,8 @@ def test_criterion_02_wick_closed_forms(criterion_report):
         "q2": gram[1, 1] + eq * eq,
     }
     printed_pq = 110.0  # printed reference value for E[pq]
-    # the batch size only splits the work: draws and the iid stderr are the same
+    # at u > 0 the draws depend on the batch size (each batch draws its
+    # identity shifts after its GOE block): the gate is pinned to 50 000
     est = {
         f: expect_functional_mc(params, f, 1_000_000, seed=2, batch=50_000)
         for f in targets
@@ -155,7 +156,7 @@ def test_criterion_03_nondegeneracy_determinant(criterion_report):
         worst = max(worst, abs(np.linalg.det(r) - closed) / abs(closed))
     gauss_ok = True
     for m in (2, 3):
-        info = nondegeneracy_ratio(spectral_moments(GAUSS, m), m)
+        info = nondegeneracy_ratio(spectral_moments(GAUSS, m))
         gauss_ok &= info["nondegenerate"]
         gauss_ok &= abs(info["ratio"] - 1.0) <= 1e-6
         gauss_ok &= abs(info["ratio"] - m / (m + 2)) > 0.1

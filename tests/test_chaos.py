@@ -18,7 +18,7 @@ from critfield.chaos import (
     v2_infinity,
 )
 from critfield.randmat import EnsembleParams, sample_matrices
-from critfield.spectrum import SpectralDensity
+from critfield.spectrum import DivergentIntegralError, SpectralDensity
 
 GAUSS = SpectralDensity(family="gaussian", params=(1.0,))
 
@@ -223,6 +223,12 @@ class TestSphereIntegrals:
             sphere_moment(2, (1, 1, 1))
         with pytest.raises(ValueError):
             sphere_moment(3, (-1,))
+
+    def test_moment_Jk_divergent_tail_rejected(self):
+        r = np.linspace(0.0, 10.0, 101)
+        w = SpectralDensity(family="user-table", table=(tuple(r), tuple(1.0 / (1.0 + r))))
+        with pytest.raises(DivergentIntegralError, match=r"w\(r\)\^2 r\^4 does not decay"):
+            moment_Jk(w, 3)
 
     def test_moment_Jk_gaussian(self):
         # J_k of exp(-r^2/2) is Gamma((k+1)/2) / 2

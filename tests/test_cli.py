@@ -197,6 +197,37 @@ class TestMainExitCodes:
         assert "336^3 = 37,933,056 points needs a 5.65 GiB jet" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("dry_run", [True, False], ids=["dry-run", "run"])
+    def test_jet_budget_is_the_only_limit_on_n(self, tmp_path, capsys, dry_run):
+        # m = 2, N = 25 is a 462^2 torus, far inside the jet budget
+        text = (BASE_CLT.replace("n_list: [3.0]", "n_list: [25.0]")
+                .replace("realizations: 4", "realizations: 1"))
+        cfg = _write(tmp_path, "n.yaml", text)
+        out = tmp_path / "o"
+        argv = ["--config", cfg, "--out", str(out)] + (["--dry-run"] if dry_run else [])
+        assert main(argv) == EXIT_OK
+        if dry_run:
+            assert "grid: 462^2" in capsys.readouterr().out
+        else:
+            assert json.loads((out / "record.json").read_text())["summary"]["25.0"]["R"] == 1
+
+    @pytest.mark.parametrize("dry_run", [True, False], ids=["dry-run", "run"])
+    def test_crosscheck_sizes_the_grid_it_runs(self, tmp_path, capsys, dry_run):
+        # crosscheck synthesizes only the smallest half-width: N = 2 is a
+        # 96^2 torus, inside the budget, where N = 10 would need 220^2
+        text = (BASE_CLT.replace("subcommand: clt", "subcommand: crosscheck")
+                .replace("n_list: [3.0]", "n_list: [2.0, 10.0]")
+                + "budget:\n  grid_points: 20000\n")
+        cfg = _write(tmp_path, "x.yaml", text)
+        out = tmp_path / "o"
+        argv = ["--config", cfg, "--out", str(out)] + (["--dry-run"] if dry_run else [])
+        assert main(argv) == EXIT_OK
+        if dry_run:
+            assert "grid: 96^2" in capsys.readouterr().out
+        else:
+            torus = json.loads((out / "provenance.json").read_text())["torus"]
+            assert torus["n_per_side"] == {"2.0": 96}
+
     def test_config_error_exit(self, tmp_path):
         cfg = _write(tmp_path, "bad.yaml", "subcommand: nope\nseed: 1\n")
         assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG

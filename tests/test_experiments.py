@@ -53,12 +53,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(**{**_asdict(SMALL), "n_list": ()})
 
-    def test_grid_budget_cap(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(**{**_asdict(SMALL), "n_list": (25.0,)})
-        with pytest.raises(ValueError):
-            ExperimentConfig(**{**_asdict(SMALL), "m": 3, "n_list": (8.0,)})
-
     def test_realizations_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(**{**_asdict(SMALL), "realizations": 0})
@@ -150,6 +144,31 @@ class TestRunClt:
         small = ExperimentConfig(**{**_asdict(SMALL), "realizations": 3})
         run_clt(small)
         assert len(calls) == 1
+
+    def test_oversized_grid_refused_before_any_realization(self, monkeypatch):
+        # the jet-bytes budget is the only limit on N.  At m = 3 and 16
+        # points per unit N = 3 fits (216^3), but N = 7 needs a 336^3 torus,
+        # so the sweep is refused before N = 3 makes a field
+        made = []
+        monkeypatch.setattr(experiments, "synthesize", lambda *args, **kw: made.append(args))
+        cfg = ExperimentConfig(**{
+            **_asdict(SMALL), "m": 3, "n_list": (3.0, 7.0), "points_per_unit": 16,
+        })
+        with pytest.raises(ValueError, match="336\\^3 .* over the budget of 2 GiB"):
+            run_clt(cfg)
+        assert made == []
+
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_unsupported_dimension_refused_before_any_realization(self, monkeypatch, m):
+        made = []
+        monkeypatch.setattr(experiments, "synthesize", lambda *args, **kw: made.append(args))
+        cfg = ExperimentConfig(**{**_asdict(SMALL), "m": m})
+        for run in (run_clt, estimator_crosscheck):
+            with pytest.raises(ValueError, match="m in \\(2, 3\\)"):
+                run(cfg)
+            with pytest.raises(ValueError, match="only m = 2 and m = 3"):
+                run(cfg, wrap=(8.0, 1e-7))
+        assert made == []
 
     def test_wall_clock_stops_between_realizations(self, monkeypatch):
         # each clock reading is one second after the last: the start, then
@@ -267,10 +286,17 @@ class TestCrosscheck:
             estimator_crosscheck(cfg, wall_clock=0.0)
         assert made == []
 
-    def test_large_box_rejected(self):
-        cfg = ExperimentConfig(**{**_asdict(SMALL), "n_list": (6.0, 7.0), "m": 3})
-        with pytest.raises(ValueError):
+    def test_large_box_rejected(self, monkeypatch):
+        # m = 3, N = 7 at 24 points per unit is a 500^3 torus: refused by the
+        # jet-bytes budget alone, before the first field
+        made = []
+        monkeypatch.setattr(experiments, "synthesize", lambda *args, **kw: made.append(args))
+        cfg = ExperimentConfig(**{
+            **_asdict(SMALL), "m": 3, "n_list": (7.0,), "points_per_unit": 24,
+        })
+        with pytest.raises(ValueError, match="500\\^3 .* over the budget of 2 GiB"):
             estimator_crosscheck(cfg)
+        assert made == []
 
 
 class TestPersistence:

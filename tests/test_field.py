@@ -9,7 +9,7 @@ from critfield.field import (
     GridSpec,
     NyquistError,
     dump_realization,
-    evaluate_offgrid,
+    interpolate,
     jet_labels,
     jet_statistics,
     load_realization,
@@ -211,30 +211,29 @@ class TestOffgrid:
     def test_matches_grid_nodes(self, realization):
         idx = (10, 17)
         t = realization.origin() + realization.spec.spacing * np.array(idx)
-        res = evaluate_offgrid(realization, t)
-        grid = dict(zip(jet_labels(2), realization.grid))
-        assert res["value"] == pytest.approx(float(grid["X"][idx]), rel=1e-9)
-        assert res["gradient"][1] == pytest.approx(
-            float(grid["g1"][idx]), rel=1e-9
-        )
-        assert res["hessian"][(0, 1)] == pytest.approx(
-            float(grid["h01"][idx]), rel=1e-9
-        )
-        assert res["hessian"][(1, 0)] == res["hessian"][(0, 1)]
-
-    def test_outside_domain_rejected(self, realization):
-        with pytest.raises(ValueError):
-            evaluate_offgrid(realization, (100.0, 0.0))
+        # every jet component, the Hessian upper triangle included
+        vals = interpolate(realization, t[None, :])[:, 0]
+        np.testing.assert_allclose(vals, realization.grid[(slice(None),) + idx], rtol=1e-9)
 
     def test_stencil_must_stay_in_the_window(self, realization):
         # the window of N = 4 reaches 4 + 4 h; the quintic stencil of a point
         # reads 2 nodes below and 3 above its cell, so the readable points
         # are -4 - 2 h <= t < 4 + 2 h
         h = realization.spec.spacing
-        evaluate_offgrid(realization, [(-4.0 - 2.0 * h, 0.0), (4.0 + 1.99 * h, 0.0)])
-        for t in [(4.0 + 2.0 * h, 0.0), (0.0, -4.0 - 2.01 * h)]:
-            with pytest.raises(ValueError, match="outside the counting window"):
-                evaluate_offgrid(realization, t)
+        inside = np.array([(-4.0 - 2.0 * h, 0.0), (4.0 + 1.99 * h, 0.0)])
+        outside = np.array([(4.0 + 2.0 * h, 0.0), (0.0, -4.0 - 2.01 * h)])
+        assert realization.readable(inside).all()
+        assert not realization.readable(outside).any()
+        # a readable stencil reads no node past the window, so no boundary
+        # mode ever applies to it
+        coords = (inside - realization.origin()).T / h
+        vals = interpolate(realization, inside)
+        for mode in ("mirror", "wrap", "constant"):
+            other = [
+                ndimage.map_coordinates(c, coords, order=5, prefilter=False, mode=mode)
+                for c in realization.coeffs
+            ]
+            np.testing.assert_allclose(vals, other, rtol=1e-12, atol=0.0)
 
 
 class TestRoundTrip:
