@@ -40,6 +40,9 @@ def _mc_samples(cfg: RunConfig) -> int:
 # subcommands that synthesize fields on the torus of their experiment block
 _GRID_SUBCOMMANDS = ("field", "count", "clt", "crosscheck")
 
+# subcommands that run an experiments.ExperimentConfig built from that block
+_EXPERIMENT_SUBCOMMANDS = ("clt", "crosscheck")
+
 # density params when the block gives none
 _DEFAULT_PARAMS = {"gaussian": (1.0,)}
 
@@ -281,7 +284,11 @@ def _run_clt(cfg: RunConfig, out: Path, grid) -> dict:
         ks = experiments.normality_test(zeta, float(np.var(zeta, ddof=1)))
         lines.append(f"KS at N={n_max:g}: stat={ks['statistic']:.4f}, p={ks['p_value']:.4g}")
     if "plateau_ratio" in vtab:
-        lines.append(f"variance plateau ratio = {vtab['plateau_ratio']:.4f}")
+        lo, hi = vtab["plateau_ci"]
+        lines.append(
+            f"variance plateau ratio = {vtab['plateau_ratio']:.4f} "
+            f"(paired bootstrap 95% CI [{lo:.4f}, {hi:.4f}])"
+        )
     for flag in record.flags:
         lines.append(f"flag: {flag}")
     _write_summary(out, lines)
@@ -315,7 +322,7 @@ _RUNNERS = {
 }
 
 
-def _dry_run_plan(cfg: RunConfig, grid) -> list[str]:
+def _dry_run_plan(cfg: RunConfig, grid, econf) -> list[str]:
     lines = [f"subcommand: {cfg.subcommand}", f"seed: {cfg.seed}"]
     if grid is not None:
         spec, wrap_ratio = grid
@@ -332,8 +339,13 @@ def _dry_run_plan(cfg: RunConfig, grid) -> list[str]:
             f"wrap guard: {torus['guard']:g} beyond the box, psi ratio "
             f"{torus['wrap_ratio']:.3g} (tolerance {torus['tolerance']:g})"
         )
-        if "realizations" in cfg.experiment:
-            lines.append(f"realizations per N: {cfg.experiment['realizations']}")
+        if cfg.subcommand == "clt":
+            lines.append(
+                f"replicates: {econf.realizations}, each one field at "
+                f"N = {spec.half_width:g} counted at every N"
+            )
+        elif cfg.subcommand == "crosscheck":
+            lines.append(f"fields: {econf.realizations} at N = {spec.half_width:g}")
     if cfg.subcommand in _MC_SAMPLES:
         lines.append(f"MC samples: {_mc_samples(cfg):,}")
     return lines
@@ -344,8 +356,11 @@ def dispatch(cfg: RunConfig, args, config_path) -> int:
     # output is written, so a run fails exactly where its dry run does
     grid = _grid_spec(cfg) if cfg.subcommand in _GRID_SUBCOMMANDS else None
     _check_budget(cfg, None if grid is None else grid[0])
+    # the experiment block is built here too, so a dry run refuses what the
+    # run would
+    econf = _experiment_config(cfg) if cfg.subcommand in _EXPERIMENT_SUBCOMMANDS else None
     if args.dry_run:
-        for line in _dry_run_plan(cfg, grid):
+        for line in _dry_run_plan(cfg, grid, econf):
             print(line)
         return EXIT_OK
     out = _prepare_out(cfg, args)

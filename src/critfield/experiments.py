@@ -1,9 +1,10 @@
 """End-to-end Monte Carlo experiments on the critical-point count.
 
-A run synthesizes R independent field realizations on growing cubes
-[-N, N]^m, counts critical points, and checks the three limit statements:
-the mean E[Z_N] = C_m(w) (2N)^m, the variance plateau V_N = var(Z_N)/(2N)^m,
-and asymptotic normality of the rescaled fluctuation
+A run synthesizes R independent field realizations on the largest cube
+[-N, N]^m of the sweep, counts their critical points once, reads the count
+Z_N of every smaller cube off the same point set, and checks the three
+limit statements: the mean E[Z_N] = C_m(w) (2N)^m, the variance plateau
+V_N = var(Z_N)/(2N)^m, and asymptotic normality of the rescaled fluctuation
 
     zeta_N = (2N)^(-m/2) (Z_N - E[Z_N]).
 
@@ -105,14 +106,17 @@ class ExperimentRecord:
         return out
 
 
-def _count_one(w, spec, seed, cutoff):
+def _count_one(w, spec, seed, cutoff, n_list):
+    """Z_N at every N of n_list from one field on spec: one Newton count on
+    the cube of spec's half-width, whose half-open sub-cubes [-N, N)^m are
+    nested, so each Z_N is the number of its points inside [-N, N)^m."""
     fr = synthesize(w, spec, seed=seed, cutoff=cutoff)
-    n_half, m = spec.half_width, spec.m
-    box = ((-n_half,) * m, (n_half,) * m)
-    cps = count_newton(fr, box)
+    n_max, m = spec.half_width, spec.m
+    cps = count_newton(fr, ((-n_max,) * m, (n_max,) * m))
     if cps.failed_cells > 0.05 * max(cps.newton_count, 1):
         raise RuntimeError(f"{cps.failed_cells} unresolved cells")
-    return cps.newton_count
+    x = cps.locations
+    return [int(np.all((x >= -n) & (x < n), axis=1).sum()) for n in n_list]
 
 
 def _check_wall_clock(t0: float, wall_clock: float | None, done: int, total: int) -> None:
@@ -130,55 +134,51 @@ def run_clt(
 ) -> ExperimentRecord:
     """Synthesize, count, and center; deterministic given the master seed.
 
-    Realizations draw from SeedSequence(master).spawn streams, one per
-    (N index, replicate), so per-N results do not depend on sweep order.
-    A level aborts if more than 5% of its realizations fail.  E[Z_N] is
-    anchored to config.e_absdet_s1 when set, else to the exact
-    expect_absdet_S(m, 1).  ``wrap`` is the (guard, psi ratio) pair of
+    Each replicate is one field on the grid of the largest N, counted once;
+    Z_N at every level is read off its point set, so the levels are paired.
+    Replicate j draws from SeedSequence((master, len(n_list) - 1)).spawn(R)[j],
+    so every level's counts depend on the largest N and on len(n_list).  A
+    replicate that fails is dropped from every level and counted in each
+    level's failures; the sweep aborts if more than 5% of the replicates
+    fail.  E[Z_N] is anchored to config.e_absdet_s1 when set, else to the
+    exact expect_absdet_S(m, 1).  ``wrap`` is the (guard, psi ratio) pair of
     ``wrap_guard`` for the config's density and resolution; when None it is
-    derived here; the spectral cutoff is computed once, beside it.  Every
-    level's grid is checked against the budget before the first
-    realization.  With ``wall_clock`` set, no realization starts once that
-    many seconds have passed since the call began: BudgetError is raised.
+    derived here; the spectral cutoff is computed once, beside it.  The grid
+    is checked against the budget before the first realization.  With
+    ``wall_clock`` set, no realization starts once that many seconds have
+    passed since the call began: BudgetError is raised.
     """
     t0 = time.perf_counter()
     w = config.density()
-    m = config.m
+    m, n_list, r = config.m, config.n_list, config.realizations
     guard, wrap_ratio = wrap or wrap_guard(w, m, config.points_per_unit)
     cutoff = spectral_cutoff(w, m)
-    specs = [
-        GridSpec(m=m, half_width=n, points_per_unit=config.points_per_unit, guard=guard)
-        for n in config.n_list
-    ]
+    spec = GridSpec(
+        m=m, half_width=n_list[-1], points_per_unit=config.points_per_unit, guard=guard
+    )
     moments = spectral_moments(w, m)
     e_absdet = config.e_absdet_s1
     if e_absdet is None:
         e_absdet = expect_absdet_S(m, 1.0)
     c_m = expected_count(moments, m, 1.0, e_absdet)
 
-    flags = [] if config.realizations >= 30 else ["insufficient: R < 30"]
+    flags = [] if r >= 30 else ["insufficient: R < 30"]
+    streams = np.random.SeedSequence((config.master_seed, len(n_list) - 1)).spawn(r)
+    rows = []
+    for j, ss in enumerate(streams):
+        _check_wall_clock(t0, wall_clock, j, r)
+        seed = int(ss.generate_state(1)[0])
+        try:
+            rows.append(_count_one(w, spec, seed, cutoff, n_list))
+        except (RuntimeError, FloatingPointError) as exc:
+            flags.append(f"replicate {j} (seed {seed}) failed ({exc})")
+    n_fail = r - len(rows)
+    if n_fail > 0.05 * r:
+        raise RuntimeError(f"{n_fail}/{r} replicates failed")
+    counts = np.array(rows, dtype=float)  # (replicate, level)
     z_samples, failures, expected, zt, zp = {}, {}, {}, {}, {}
-    for i, spec in enumerate(specs):
-        n_half = spec.half_width
-        streams = np.random.SeedSequence((config.master_seed, i)).spawn(
-            config.realizations
-        )
-        counts, n_fail = [], 0
-        for j, ss in enumerate(streams):
-            _check_wall_clock(
-                t0, wall_clock, i * config.realizations + j, len(specs) * config.realizations
-            )
-            seed = int(ss.generate_state(1)[0])
-            try:
-                counts.append(_count_one(w, spec, seed, cutoff))
-            except (RuntimeError, FloatingPointError) as exc:
-                n_fail += 1
-                flags.append(f"N={n_half}: realization failed ({exc})")
-        if n_fail > 0.05 * config.realizations:
-            raise RuntimeError(
-                f"N={n_half}: {n_fail}/{config.realizations} realizations failed"
-            )
-        z = np.array(counts, dtype=float)
+    for i, n_half in enumerate(n_list):
+        z = counts[:, i]
         ez = c_m * (2.0 * n_half) ** m
         scale = (2.0 * n_half) ** (m / 2.0)
         z_samples[n_half] = z
@@ -189,7 +189,7 @@ def run_clt(
     return ExperimentRecord(
         config_digest=config.digest(),
         m=m,
-        n_list=config.n_list,
+        n_list=n_list,
         z_samples=z_samples,
         failures=failures,
         expected_mean=expected,
@@ -198,33 +198,43 @@ def run_clt(
         c_m=c_m,
         wall_time=time.perf_counter() - t0,
         flags=flags,
-        torus=torus_record(specs, wrap_ratio),
+        torus=torus_record([spec], wrap_ratio),
     )
 
 
 def variance_scaling(record: ExperimentRecord) -> dict:
-    """V_N = var(Z_N) / (2N)^m with bootstrap CIs (2000 resamples per level,
-    seed 1) and a plateau diagnostic."""
+    """V_N = var(Z_N) / (2N)^m with bootstrap CIs and a plateau diagnostic.
+
+    The levels share their replicates, so one set of 2000 resamples of the
+    replicates (seed 1) serves every level; the plateau ratio of the last
+    two levels gets its 95% interval, "plateau_ci", from the same resamples.
+    """
     rng = np.random.default_rng(1)
-    table = {}
+    r = len(record.z_samples[record.n_list[0]])
+    idx = rng.integers(0, r, size=(2000, r)) if r >= 2 else None
+    table, boots = {}, {}
     for n in record.n_list:
-        z = record.z_samples[n]
-        if len(z) < 2:
+        if idx is None:
             table[n] = {"V_N": float("nan"), "ci": (float("nan"), float("nan"))}
             continue
+        z = record.z_samples[n]
         scale = (2.0 * n) ** record.m
-        vn = z.var(ddof=1) / scale
-        idx = rng.integers(0, len(z), size=(2000, len(z)))
-        boots = z[idx].var(axis=1, ddof=1) / scale
-        lo, hi = np.percentile(boots, [2.5, 97.5])
+        boots[n] = z[idx].var(axis=1, ddof=1) / scale
+        lo, hi = np.percentile(boots[n], [2.5, 97.5])
         table[n] = {
-            "V_N": float(vn),
+            "V_N": float(z.var(ddof=1) / scale),
             "ci": (float(lo), float(hi)),
-            "bootstrap_se": float(boots.std(ddof=1)),
+            "bootstrap_se": float(boots[n].std(ddof=1)),
         }
-    ns = [n for n in record.n_list if np.isfinite(table[n]["V_N"])]
-    if len(ns) >= 2:
-        table["plateau_ratio"] = table[ns[-1]]["V_N"] / table[ns[-2]]["V_N"]
+    if len(boots) >= 2:
+        top, below = record.n_list[-1], record.n_list[-2]
+        # a level whose counts never vary gives an infinite or nan ratio; a
+        # resample that varies at neither level has none and is left out
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.float64(table[top]["V_N"]) / table[below]["V_N"]
+            lo, hi = np.nanpercentile(boots[top] / boots[below], [2.5, 97.5])
+        table["plateau_ratio"] = float(ratio)
+        table["plateau_ci"] = (float(lo), float(hi))
     return table
 
 

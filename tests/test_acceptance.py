@@ -68,8 +68,9 @@ GAUSS = SpectralDensity(family="gaussian", params=(1.0,))
 def clt_record():
     """One counting sweep shared by criteria 9, 10 and 11.
 
-    m = 2, gaussian density, N in {5, 10, 20}, 500 replicates per level,
-    mean formula anchored to the frozen determinant oracle.
+    m = 2, gaussian density, 500 replicates, each one field at N = 20 counted
+    at N in {5, 10, 20}, mean formula anchored to the frozen determinant
+    oracle.
     """
     config = ExperimentConfig(
         density_family="gaussian",
@@ -396,8 +397,12 @@ def test_criterion_11_variance_plateau_and_normality(criterion_report, clt_recor
     zeta = clt_record.zeta_pooled[20.0]
     ks = normality_test(zeta, table[20.0]["V_N"])
     ok = 0.8 <= ratio <= 1.25 and ks["p_value"] > 0.01
+    lo, hi = table["plateau_ci"]
     criterion_report(
-        11, ok, f"V_20/V_10 = {ratio:.3f}, KS p = {ks['p_value']:.3f} (R = {ks['n']})"
+        11,
+        ok,
+        f"V_20/V_10 = {ratio:.3f} (paired 95% CI [{lo:.3f}, {hi:.3f}]), "
+        f"KS p = {ks['p_value']:.3f} (R = {ks['n']})",
     )
     assert ok
 

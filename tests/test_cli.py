@@ -228,6 +228,36 @@ class TestMainExitCodes:
             torus = json.loads((out / "provenance.json").read_text())["torus"]
             assert torus["n_per_side"] == {"2.0": 96}
 
+    @pytest.mark.parametrize("subcommand", ["clt", "crosscheck"])
+    @pytest.mark.parametrize("dry_run", [True, False], ids=["dry-run", "run"])
+    def test_experiment_block_checked_before_output(self, tmp_path, capsys, subcommand,
+                                                    dry_run):
+        # the dry run refuses the block the run refuses, and neither writes
+        text = (BASE_CLT.replace("subcommand: clt", f"subcommand: {subcommand}")
+                .replace("n_list: [3.0]", "n_list: [5.0, 3.0]")
+                .replace("realizations: 4", "realizations: 0"))
+        cfg = _write(tmp_path, "e.yaml", text)
+        out = tmp_path / "o"
+        argv = ["--config", cfg, "--out", str(out)] + (["--dry-run"] if dry_run else [])
+        assert main(argv) == EXIT_CONFIG
+        assert "n_list must be nonempty and increasing" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_clt_plan_and_summary_count_replicates(self, tmp_path, capsys):
+        text = BASE_CLT.replace("n_list: [3.0]", "n_list: [2.0, 3.0]")
+        cfg = _write(tmp_path, "r.yaml", text)
+        assert main(["--config", cfg, "--dry-run"]) == EXIT_OK
+        assert "replicates: 4, each one field at N = 3 counted at every N" in (
+            capsys.readouterr().out
+        )
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out)]) == EXIT_OK
+        summary = (out / "summary.txt").read_text()
+        assert "variance plateau ratio = " in summary
+        assert "(paired bootstrap 95% CI [" in summary
+        torus = json.loads((out / "record.json").read_text())["torus"]
+        assert torus["n_per_side"] == {"3.0": 108}
+
     def test_config_error_exit(self, tmp_path):
         cfg = _write(tmp_path, "bad.yaml", "subcommand: nope\nseed: 1\n")
         assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG

@@ -176,10 +176,88 @@ class TestRunClt:
         clock = itertools.count()
         monkeypatch.setattr(experiments, "time", types.SimpleNamespace(perf_counter=lambda: next(clock)))
         done = []
-        monkeypatch.setattr(experiments, "_count_one", lambda *args: done.append(args) or 10)
-        with pytest.raises(BudgetError, match="after 3 of 16 realizations"):
+        monkeypatch.setattr(experiments, "_count_one", lambda *args: done.append(args) or [10, 12])
+        with pytest.raises(BudgetError, match="after 3 of 8 realizations"):
             run_clt(SMALL, wall_clock=3.5)
         assert len(done) == 3
+
+    def test_failed_replicate_dropped_from_every_level(self, monkeypatch):
+        # a stub count per replicate: level k reads seed % 100 + 1000 k, so
+        # paired rows differ by exactly 1000
+        seeds = []
+
+        def flaky(w, spec, seed, cutoff, n_list):
+            seeds.append(seed)
+            if len(seeds) == 2:
+                raise RuntimeError("7 unresolved cells")
+            return [seed % 100 + 1000 * k for k in range(len(n_list))]
+
+        monkeypatch.setattr(experiments, "_count_one", flaky)
+        # one failed replicate of three is over the 5% abort rule
+        with pytest.raises(RuntimeError, match="1/3 replicates failed"):
+            run_clt(ExperimentConfig(**{**_asdict(SMALL), "realizations": 3}))
+        # one of thirty is not: it is dropped from both levels at once
+        seeds.clear()
+        record = run_clt(ExperimentConfig(**{**_asdict(SMALL), "realizations": 30}))
+        kept = [s % 100 for i, s in enumerate(seeds) if i != 1]
+        for k, n in enumerate(SMALL.n_list):
+            np.testing.assert_array_equal(record.z_samples[n], np.array(kept) + 1000 * k)
+            assert record.failures[n] == 1
+        assert record.flags == [f"replicate 1 (seed {seeds[1]}) failed (7 unresolved cells)"]
+
+
+class TestNestedLevels:
+    """Each replicate is one field at the largest N; every Z_N is read off
+    its point set."""
+
+    @pytest.mark.parametrize(
+        "m, n_list, seed",
+        [(2, (5.0, 10.0, 20.0), 0), (2, (5.0, 10.0, 20.0), 1), (3, (3.0, 5.0), 0)],
+    )
+    def test_sub_box_equals_direct_count(self, m, n_list, seed):
+        w = SMALL.density()
+        guard, _ = field.wrap_guard(w, m, 8)
+        spec = field.GridSpec(m=m, half_width=n_list[-1], points_per_unit=8, guard=guard)
+        fr = field.synthesize(w, spec, seed)
+        top = count_newton(fr, ((-n_list[-1],) * m, (n_list[-1],) * m))
+        nested = experiments._count_one(w, spec, seed, field.spectral_cutoff(w, m), n_list)
+        for n, z in zip(n_list, nested):
+            direct = count_newton(fr, ((-n,) * m, (n,) * m))
+            inside = np.all((top.locations >= -n) & (top.locations < n), axis=1)
+            assert z == direct.newton_count == inside.sum()
+            np.testing.assert_allclose(top.locations[inside], direct.locations, atol=1e-9)
+
+    def test_counts_never_decrease_with_n(self):
+        cfg = ExperimentConfig(**{**_asdict(SMALL), "n_list": (1.0, 2.0, 3.5, 4.0)})
+        record = run_clt(cfg)
+        counts = np.array([record.z_samples[n] for n in cfg.n_list])
+        assert np.all(np.diff(counts, axis=0) >= 0)
+        assert np.all(counts[-1] > counts[0])
+
+    def test_top_level_is_the_seeded_field(self, small_record):
+        top = SMALL.n_list[-1]
+        streams = np.random.SeedSequence((SMALL.master_seed, len(SMALL.n_list) - 1)).spawn(
+            SMALL.realizations
+        )
+        spec = field.GridSpec(m=2, half_width=top, points_per_unit=8,
+                              guard=small_record.torus["guard"])
+        for j, ss in enumerate(streams):
+            fr = field.synthesize(SMALL.density(), spec, int(ss.generate_state(1)[0]))
+            direct = count_newton(fr, ((-top, -top), (top, top))).newton_count
+            assert small_record.z_samples[top][j] == direct
+
+    def test_one_field_per_replicate(self, monkeypatch):
+        made, synth = [], experiments.synthesize
+
+        def spy(w, spec, **kw):
+            made.append(spec.half_width)
+            return synth(w, spec, **kw)
+
+        monkeypatch.setattr(experiments, "synthesize", spy)
+        cfg = ExperimentConfig(**{**_asdict(SMALL), "n_list": (2.0, 3.0, 4.0),
+                                  "realizations": 3})
+        run_clt(cfg)
+        assert made == [4.0] * 3
 
 
 class TestVarianceScaling:
@@ -189,12 +267,28 @@ class TestVarianceScaling:
             row = table[n]
             assert row["ci"][0] <= row["V_N"] <= row["ci"][1]
             assert row["V_N"] > 0
-        assert "plateau_ratio" in table
+        lo, hi = table["plateau_ci"]
+        assert lo <= table["plateau_ratio"] <= hi
+
+    def test_levels_share_their_resamples(self):
+        # the lower level is twice the upper: V_4 / V_3 = 4 (3/4)^2 on every
+        # paired resample, so the ratio's interval collapses onto the ratio
+        z = np.random.default_rng(0).integers(20, 40, size=50).astype(float)
+        rec = _constant_record(r=50)
+        rec.n_list, rec.z_samples = (3.0, 4.0), {3.0: z, 4.0: 2.0 * z}
+        table = variance_scaling(rec)
+        assert table["plateau_ratio"] == pytest.approx(4.0 * (3.0 / 4.0) ** 2, rel=1e-12)
+        assert table["plateau_ci"] == pytest.approx((table["plateau_ratio"],) * 2, rel=1e-12)
 
     def test_degenerate_sample(self):
         rec = _constant_record()
         table = variance_scaling(rec)
         assert table[2.0]["V_N"] == 0.0
+        # a box too small to hold a point in any replicate: the ratio over
+        # a constant level is infinite, not a ZeroDivisionError
+        rec.n_list, rec.z_samples = (0.25, 2.0), {0.25: np.zeros(16), 2.0: np.arange(16.0)}
+        table = variance_scaling(rec)
+        assert table["plateau_ratio"] == math.inf
 
     def test_single_sample_gives_nan(self):
         rec = _constant_record(r=1)
