@@ -14,12 +14,12 @@ from critfield.experiments import (
     run_clt,
     variance_scaling,
 )
+from critfield.spectrum import SpectralDensity
 
 
 def main():
     config = ExperimentConfig(
-        density_family="gaussian",
-        density_params=(1.0,),
+        density=SpectralDensity(family="gaussian", params=(1.0,)),
         m=2,
         n_list=(3.0, 6.0, 12.0),
         realizations=60,

@@ -1,5 +1,11 @@
 """Batch front door: subcommand dispatch, persistence, plot-data emission.
 
+``dispatch`` builds the plan of a run (density, grid and wrap guard,
+experiment config, ensemble or dimension), with the checks of the objects
+and functions the run uses, and checks it against the budget before
+anything is written.  ``--dry-run`` prints the plan; a run stamps its
+provenance, torus included, then runs the plan.  Runners read no config.
+
 Exit codes: 0 success, 2 configuration error, 3 budget exceeded,
 4 numerical failure.
 """
@@ -15,6 +21,7 @@ import sys
 import time
 from importlib import metadata
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,64 +36,95 @@ EXIT_OK, EXIT_CONFIG, EXIT_BUDGET, EXIT_NUMERICAL = 0, 2, 3, 4
 _OUT_ENV = "CRITFIELD_OUT"
 
 
-# default ensemble.samples of the subcommands that draw matrices
-_MC_SAMPLES = {"randmat": 500_000}
+class _Plan(NamedTuple):
+    """What one run executes, built from its config before anything is
+    written.  Fields a subcommand does not use are None."""
+
+    subcommand: str
+    seed: int
+    wall_clock: float | None
+    m: int
+    density: spectrum.SpectralDensity | None = None  # all but randmat
+    spec: field.GridSpec | None = None  # field, count, clt, crosscheck
+    wrap: tuple[float, float] | None = None  # wrap_guard's (guard, psi ratio)
+    e_absdet_s1: float | None = None  # E|det| anchor of count and clt
+    experiment: experiments.ExperimentConfig | None = None  # clt, crosscheck
+    ensemble: randmat.EnsembleParams | None = None  # randmat, chaos
+    samples: int | None = None  # randmat's Monte Carlo draws
 
 
-def _mc_samples(cfg: RunConfig) -> int:
-    return int(cfg.ensemble.get("samples", _MC_SAMPLES.get(cfg.subcommand, 0)))
+def _require(block: dict, name: str, keys) -> None:
+    missing = [key for key in keys if key not in block]
+    if missing:
+        raise ConfigError(f"{name} block needs {' and '.join(missing)}")
 
 
-# subcommands that synthesize fields on the torus of their experiment block
-_GRID_SUBCOMMANDS = ("field", "count", "clt", "crosscheck")
-
-# subcommands that run an experiments.ExperimentConfig built from that block
-_EXPERIMENT_SUBCOMMANDS = ("clt", "crosscheck")
-
-# density params when the block gives none
-_DEFAULT_PARAMS = {"gaussian": (1.0,)}
-
-
-def _density(cfg: RunConfig) -> spectrum.SpectralDensity:
-    """The one density builder of every subcommand."""
-    block = cfg.density
+def _density(block: dict) -> spectrum.SpectralDensity:
+    """The density of the block: gaussian, sigma 1, unless it says otherwise."""
     family = block.get("family", "gaussian")
     table = None
     if "table" in block:
-        r, v = zip(*block["table"])
-        table = tuple(r), tuple(v)
-    params = tuple(block.get("params", _DEFAULT_PARAMS.get(family, ())))
+        rows = np.asarray(block["table"], dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != 2:
+            raise ConfigError("density table must be a list of [r, w(r)] rows")
+        table = tuple(rows[:, 0].tolist()), tuple(rows[:, 1].tolist())
+    params = tuple(block.get("params", (1.0,) if family == "gaussian" else ()))
     return spectrum.SpectralDensity(family=family, params=params, table=table)
 
 
-def _grid_spec(cfg: RunConfig) -> tuple[field.GridSpec, float]:
-    """Grid of the largest half-width the subcommand runs (crosscheck runs
-    only the smallest), with the wrap guard the density needs, and the
-    achieved psi ratio; raises ValueError beyond the grid budget."""
-    exp = cfg.experiment
-    m = int(exp.get("m", 2))
-    ppu = int(exp.get("points_per_unit", 8))
-    n_list = exp.get("n_list", [5.0])
-    guard, wrap_ratio = field.wrap_guard(_density(cfg), m, ppu)
-    spec = field.GridSpec(
-        m=m,
-        half_width=float((min if cfg.subcommand == "crosscheck" else max)(n_list)),
-        points_per_unit=ppu,
-        guard=guard,
-    )
-    return spec, wrap_ratio
+def _plan(cfg: RunConfig) -> _Plan:
+    """The one builder of every block a subcommand reads, and of the default
+    of each key.  The grid is that of the largest half-width the subcommand
+    runs (crosscheck runs only the smallest)."""
+    sub, exp, ens = cfg.subcommand, cfg.experiment, cfg.ensemble
+    wall_clock = cfg.budget.get("wall_clock")
+    plan = {"subcommand": sub, "seed": cfg.seed,
+            "wall_clock": None if wall_clock is None else float(wall_clock)}
+    if sub != "randmat":
+        plan["density"] = w = _density(cfg.density)
+    if sub in ("randmat", "chaos"):
+        _require(ens, "ensemble", ("m", "v"))
+        m, v = int(ens["m"]), float(ens["v"])
+        # chaos works over S(m; v, v) and draws nothing: u and samples are ignored
+        u = float(ens.get("u", v)) if sub == "randmat" else v
+        plan["ensemble"] = randmat.EnsembleParams(m=m, u=u, v=v)
+        if sub == "randmat":
+            plan["samples"] = int(ens.get("samples", 500_000))
+            randmat._check_samples(plan["samples"])
+    else:
+        m = int(exp.get("m", 2))
+    if sub in ("spectrum", "chaos"):
+        spectrum._check_dimension(m)
+    if sub in ("field", "count", "clt", "crosscheck"):
+        if sub in ("clt", "crosscheck"):
+            _require(exp, "experiment", ("n_list", "realizations"))
+        n_list = tuple(float(x) for x in exp.get("n_list", [5.0]))
+        ppu = int(exp.get("points_per_unit", 8))
+        e_absdet = exp.get("e_absdet_s1")
+        plan["e_absdet_s1"] = e_absdet = None if e_absdet is None else float(e_absdet)
+        if sub in ("clt", "crosscheck"):
+            eps = {}  # the default ladder is ExperimentConfig's
+            if "eps_list" in exp:
+                eps["eps_list"] = tuple(float(x) for x in exp["eps_list"])
+            plan["experiment"] = experiments.ExperimentConfig(
+                density=w, m=m, n_list=n_list, realizations=int(exp["realizations"]),
+                points_per_unit=ppu, master_seed=cfg.seed, e_absdet_s1=e_absdet, **eps,
+            )
+        plan["wrap"] = field.wrap_guard(w, m, ppu)
+        half_width = (min if sub == "crosscheck" else max)(n_list)
+        plan["spec"] = field.GridSpec(
+            m=m, half_width=half_width, points_per_unit=ppu, guard=plan["wrap"][0]
+        )
+    return _Plan(m=m, **plan)
 
 
-def _check_budget(cfg: RunConfig, spec: field.GridSpec | None) -> None:
-    budget = cfg.budget
-    if "grid_points" in budget and spec is not None:
-        need = spec.n_per_side**spec.m
-        if need > budget["grid_points"]:
+def _check_budget(budget: dict, plan: _Plan) -> None:
+    if "grid_points" in budget and plan.spec is not None:
+        need = plan.spec.n_per_side**plan.spec.m
+        if need > float(budget["grid_points"]):
             raise BudgetError(f"grid needs {need} points > budget {budget['grid_points']}")
-    if "samples" in budget and cfg.subcommand in _MC_SAMPLES:
-        asked = _mc_samples(cfg)
-        if asked > budget["samples"]:
-            raise BudgetError(f"MC asks {asked} samples > budget {budget['samples']}")
+    if plan.samples is not None and plan.samples > float(budget.get("samples", plan.samples)):
+        raise BudgetError(f"MC asks {plan.samples} samples > budget {budget['samples']}")
 
 
 def _prepare_out(cfg: RunConfig, args) -> Path:
@@ -102,12 +140,14 @@ def _prepare_out(cfg: RunConfig, args) -> Path:
     return out
 
 
-def _stamp(cfg: RunConfig, out: Path, config_path) -> None:
+def _stamp(plan: _Plan, out: Path, config_path) -> None:
     try:
         version = metadata.version("critfield")
     except metadata.PackageNotFoundError:
         version = "unknown"
-    stamp = {"version": version, "seed": cfg.seed, "subcommand": cfg.subcommand}
+    stamp = {"version": version, "seed": plan.seed, "subcommand": plan.subcommand}
+    if plan.spec is not None:
+        stamp["torus"] = field.torus_record([plan.spec], plan.wrap[1])
     (out / "provenance.json").write_text(json.dumps(stamp, indent=2))
     shutil.copyfile(config_path, out / "config.yaml")
 
@@ -118,19 +158,12 @@ def _write_summary(out: Path, lines: list[str]) -> None:
         print(line)
 
 
-def _run_spectrum(cfg: RunConfig, out: Path, grid) -> None:
-    w = _density(cfg)
-    m = int(cfg.experiment.get("m", 2)) if cfg.experiment else 2
-    mom = spectrum.spectral_moments(w, m)
+def _run_spectrum(plan: _Plan, out: Path) -> None:
+    m = plan.m
+    mom = spectrum.spectral_moments(plan.density, m)
     nd = spectrum.nondegeneracy_ratio(mom)
-    doc = {
-        "m": m,
-        "s": mom.s,
-        "d": mom.d,
-        "h": mom.h,
-        "i_table": {str(k): v for k, v in mom.i_table.items()},
-        **nd,
-    }
+    i_table = {str(k): v for k, v in mom.i_table.items()}
+    doc = {"m": m, "s": mom.s, "d": mom.d, "h": mom.h, "i_table": i_table, **nd}
     (out / "spectrum.json").write_text(json.dumps(doc, indent=2))
     _write_summary(
         out,
@@ -141,40 +174,33 @@ def _run_spectrum(cfg: RunConfig, out: Path, grid) -> None:
     )
 
 
-def _run_field(cfg: RunConfig, out: Path, grid) -> dict:
-    w = _density(cfg)
-    spec, wrap_ratio = grid
-    fr = field.synthesize(w, spec, seed=cfg.seed)
+def _run_field(plan: _Plan, out: Path) -> None:
+    spec = plan.spec
+    fr = field.synthesize(plan.density, spec, seed=plan.seed)
     field.dump_realization(fr, out / "realization.bin")
     stats = field.jet_statistics([fr])
     (out / "jet_statistics.json").write_text(
-        json.dumps({k: v for k, v in stats.items()}, indent=2, default=float)
+        json.dumps(stats, indent=2, default=float)
     )
     _write_summary(
         out,
         [
-            f"synthesized m={spec.m} jet {fr.grid.shape}, seed={cfg.seed}",
+            f"synthesized m={spec.m} jet {fr.grid.shape}, seed={plan.seed}",
             f"spectral cutoff radius = {fr.spectral_cutoff:.6g}",
             f"var(X) sample = {float(np.var(fr.grid[0])):.6g}",
         ],
     )
-    return field.torus_record([spec], wrap_ratio)
 
 
-def _run_count(cfg: RunConfig, out: Path, grid) -> dict:
-    w = _density(cfg)
-    spec, wrap_ratio = grid
+def _run_count(plan: _Plan, out: Path) -> None:
+    spec = plan.spec
     n_half = spec.half_width
-    fr = field.synthesize(w, spec, seed=cfg.seed)
+    fr = field.synthesize(plan.density, spec, seed=plan.seed)
     box = ((-n_half,) * spec.m, (n_half,) * spec.m)
     cps = critpoints.count_newton(fr, box)
     critpoints.write_csv(cps, out / "critical_points.csv")
-    mom = spectrum.spectral_moments(w, spec.m)
-    e_absdet = cfg.experiment.get("e_absdet_s1")
-    if e_absdet is None:
-        e_absdet = randmat.expect_absdet_S(spec.m, 1.0)
     expected = critpoints.expected_count(
-        mom, spec.m, (2.0 * n_half) ** spec.m, float(e_absdet)
+        plan.density, spec.m, (2.0 * n_half) ** spec.m, plan.e_absdet_s1
     )
     _write_summary(
         out,
@@ -185,28 +211,19 @@ def _run_count(cfg: RunConfig, out: Path, grid) -> dict:
             f"expected E[Z] = {expected:.6g}",
         ],
     )
-    return field.torus_record([spec], wrap_ratio)
 
 
-def _run_randmat(cfg: RunConfig, out: Path, grid) -> None:
-    ens = cfg.ensemble
-    m, u, v = int(ens["m"]), float(ens.get("u", ens["v"])), float(ens["v"])
-    n = _mc_samples(cfg)
-    params = randmat.EnsembleParams(m=m, u=u, v=v)
+def _run_randmat(plan: _Plan, out: Path) -> None:
+    params, n = plan.ensemble, plan.samples
+    m, u, v = params.m, params.u, params.v
     results = {
-        name: randmat.expect_functional_mc(params, name, n, seed=cfg.seed)
+        name: randmat.expect_functional_mc(params, name, n, seed=plan.seed)
         for name in ("absdet", "p_absdet", "q_absdet")
     }
-    rng = np.random.default_rng(cfg.seed + 1)
+    rng = np.random.default_rng(plan.seed + 1)
     eigs = np.linalg.eigvalsh(randmat.sample_matrices(params, 400, rng)).ravel()
     np.savetxt(out / "eigenvalues.csv", eigs, header="eigenvalue", comments="")
-    doc = {
-        "m": m,
-        "u": u,
-        "v": v,
-        "samples": n,
-        "results": results,
-    }
+    doc = {"m": m, "u": u, "v": v, "samples": n, "results": results}
     (out / "randmat.json").write_text(json.dumps(doc, indent=2))
     lines = [
         f"S(m={m}; u={u}, v={v}), {n} samples:",
@@ -220,12 +237,10 @@ def _run_randmat(cfg: RunConfig, out: Path, grid) -> None:
     _write_summary(out, lines)
 
 
-def _run_chaos(cfg: RunConfig, out: Path, grid) -> None:
-    ens = cfg.ensemble
-    m, v = int(ens["m"]), float(ens["v"])
+def _run_chaos(plan: _Plan, out: Path) -> None:
+    m, v = plan.ensemble.m, plan.ensemble.v
     geo = chaos_mod.chaos2_coefficients(m, v)
-    w = _density(cfg)
-    v2 = chaos_mod.v2_infinity(w, m, geo)
+    v2 = chaos_mod.v2_infinity(plan.density, m, geo)
     with open(out / "chaos_report.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["m", "v", "f0", "x", "y", "z", "V2_inf"])
@@ -240,41 +255,15 @@ def _run_chaos(cfg: RunConfig, out: Path, grid) -> None:
     )
 
 
-def _experiment_config(cfg: RunConfig) -> experiments.ExperimentConfig:
-    exp = cfg.experiment
-    missing = [key for key in ("n_list", "realizations") if key not in exp]
-    if missing:
-        raise ConfigError(f"experiment block needs {' and '.join(missing)}")
-    w = _density(cfg)
-    kwargs = dict(
-        density_family=w.family,
-        density_params=w.params,
-        density_table=w.table,
-        m=int(exp.get("m", 2)),
-        n_list=tuple(float(x) for x in exp["n_list"]),
-        realizations=int(exp["realizations"]),
-        points_per_unit=int(exp.get("points_per_unit", 8)),
-        master_seed=cfg.seed,
-    )
-    if "eps_list" in exp:
-        kwargs["eps_list"] = tuple(float(x) for x in exp["eps_list"])
-    if exp.get("e_absdet_s1") is not None:
-        kwargs["e_absdet_s1"] = float(exp["e_absdet_s1"])
-    return experiments.ExperimentConfig(**kwargs)
-
-
-def _run_clt(cfg: RunConfig, out: Path, grid) -> dict:
-    econf = _experiment_config(cfg)
-    spec, wrap_ratio = grid
-    record = experiments.run_clt(
-        econf, wrap=(spec.guard, wrap_ratio), wall_clock=cfg.budget.get("wall_clock")
-    )
-    experiments.save_record(record, out)
+def _run_clt(plan: _Plan, out: Path) -> None:
+    record = experiments.run_clt(plan.experiment, wrap=plan.wrap, wall_clock=plan.wall_clock)
+    summary = record.summary()
     vtab = experiments.variance_scaling(record)
+    experiments.save_record(record, out, summary, vtab)
     n_max = record.n_list[-1]
     lines = [f"C_{record.m}(w) = {record.c_m:.8g}"]
     for n in record.n_list:
-        s = record.summary()[n]
+        s = summary[n]
         lines.append(
             f"N={n:g}: mean Z/(2N)^m = {s['mean'] / (2 * n) ** record.m:.6g} "
             f"(expected {record.c_m:.6g}), V_N = {vtab[n]['V_N']:.6g}, R={s['R']}"
@@ -292,14 +281,11 @@ def _run_clt(cfg: RunConfig, out: Path, grid) -> dict:
     for flag in record.flags:
         lines.append(f"flag: {flag}")
     _write_summary(out, lines)
-    return record.torus
 
 
-def _run_crosscheck(cfg: RunConfig, out: Path, grid) -> dict:
-    econf = _experiment_config(cfg)
-    spec, wrap_ratio = grid
+def _run_crosscheck(plan: _Plan, out: Path) -> None:
     table = experiments.estimator_crosscheck(
-        econf, wrap=(spec.guard, wrap_ratio), wall_clock=cfg.budget.get("wall_clock")
+        plan.experiment, wrap=plan.wrap, wall_clock=plan.wall_clock
     )
     (out / "crosscheck.json").write_text(json.dumps(table, indent=2, default=float))
     lines = [
@@ -308,7 +294,6 @@ def _run_crosscheck(cfg: RunConfig, out: Path, grid) -> dict:
     failed = sum(row["failed_cells"] for row in table["rows"])
     lines.append(f"newton failed cells = {failed} over {len(table['rows'])} fields")
     _write_summary(out, lines)
-    return table["torus"]
 
 
 _RUNNERS = {
@@ -322,10 +307,14 @@ _RUNNERS = {
 }
 
 
-def _dry_run_plan(cfg: RunConfig, grid, econf) -> list[str]:
-    lines = [f"subcommand: {cfg.subcommand}", f"seed: {cfg.seed}"]
-    if grid is not None:
-        spec, wrap_ratio = grid
+def _plan_lines(plan: _Plan) -> list[str]:
+    lines = [f"subcommand: {plan.subcommand}", f"seed: {plan.seed}"]
+    lines += [f"{k}: {v}" for k, v in (("density", plan.density), ("ensemble", plan.ensemble))
+              if v is not None]
+    if plan.spec is None and plan.ensemble is None:
+        lines.append(f"dimension: m = {plan.m}")
+    if plan.spec is not None:
+        spec = plan.spec
         lines.append(
             f"grid: {spec.n_per_side}^{spec.m} points "
             f"({spec.n_per_side**spec.m:,} total per realization)"
@@ -334,47 +323,42 @@ def _dry_run_plan(cfg: RunConfig, grid, econf) -> list[str]:
             f"stored window: {spec.window}^{spec.m} nodes, "
             f"{spec.window_bytes:,} bytes of jet ({spec.window_bytes / 2**20:.1f} MiB)"
         )
-        torus = field.torus_record([spec], wrap_ratio)
+        torus = field.torus_record([spec], plan.wrap[1])
         lines.append(
             f"wrap guard: {torus['guard']:g} beyond the box, psi ratio "
             f"{torus['wrap_ratio']:.3g} (tolerance {torus['tolerance']:g})"
         )
-        if cfg.subcommand == "clt":
-            lines.append(
-                f"replicates: {econf.realizations}, each one field at "
-                f"N = {spec.half_width:g} counted at every N"
-            )
-        elif cfg.subcommand == "crosscheck":
-            lines.append(f"fields: {econf.realizations} at N = {spec.half_width:g}")
-    if cfg.subcommand in _MC_SAMPLES:
-        lines.append(f"MC samples: {_mc_samples(cfg):,}")
+    if plan.subcommand == "clt":
+        lines.append(
+            f"replicates: {plan.experiment.realizations}, each one field at "
+            f"N = {plan.spec.half_width:g} counted at every N"
+        )
+    elif plan.subcommand == "crosscheck":
+        lines.append(f"fields: {plan.experiment.realizations} at N = {plan.spec.half_width:g}")
+    if plan.samples is not None:
+        lines.append(f"MC samples: {plan.samples:,}")
     return lines
 
 
 def dispatch(cfg: RunConfig, args, config_path) -> int:
-    # the torus is sized (and checked against the grid budget) before any
+    # the whole plan is built, and checked against the budget, before any
     # output is written, so a run fails exactly where its dry run does
-    grid = _grid_spec(cfg) if cfg.subcommand in _GRID_SUBCOMMANDS else None
-    _check_budget(cfg, None if grid is None else grid[0])
-    # the experiment block is built here too, so a dry run refuses what the
-    # run would
-    econf = _experiment_config(cfg) if cfg.subcommand in _EXPERIMENT_SUBCOMMANDS else None
+    try:
+        plan = _plan(cfg)
+        _check_budget(cfg.budget, plan)
+    except TypeError as exc:  # a list where a number belongs, or the reverse
+        raise ConfigError(f"malformed config value: {exc}") from exc
     if args.dry_run:
-        for line in _dry_run_plan(cfg, grid, econf):
+        for line in _plan_lines(plan):
             print(line)
         return EXIT_OK
     out = _prepare_out(cfg, args)
-    _stamp(cfg, out, config_path)
+    _stamp(plan, out, config_path)
     t0 = time.perf_counter()
-    wall_budget = cfg.budget.get("wall_clock")
-    torus = _RUNNERS[cfg.subcommand](cfg, out, grid)
-    if torus is not None:
-        stamp = json.loads((out / "provenance.json").read_text())
-        stamp["torus"] = torus
-        (out / "provenance.json").write_text(json.dumps(stamp, indent=2))
+    _RUNNERS[plan.subcommand](plan, out)
     # clt and crosscheck also stop between realizations once it is spent
-    if wall_budget is not None and time.perf_counter() - t0 > wall_budget:
-        raise BudgetError(f"run exceeded wall-clock budget {wall_budget}s")
+    if plan.wall_clock is not None and time.perf_counter() - t0 > plan.wall_clock:
+        raise BudgetError(f"run exceeded wall-clock budget {plan.wall_clock}s")
     return EXIT_OK
 
 

@@ -21,7 +21,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.spatial import cKDTree
 
 from .field import FieldRealization, hessian_stack, interpolate
-from .spectrum import SpectralMoments
+from .randmat import expect_absdet_S
+from .spectrum import SpectralDensity, spectral_moments
 
 __all__ = [
     "CriticalPointSet",
@@ -247,6 +248,14 @@ def _lattice(coeffs: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.n
     return out.reshape(len(coeffs), -1)
 
 
+def _eps_ladder(eps) -> np.ndarray:
+    """eps as an array of smoothing widths, all of them positive."""
+    ladder = np.atleast_1d(np.asarray(eps, dtype=float))
+    if ladder.size == 0 or np.any(ladder <= 0):
+        raise ValueError("eps must be positive")
+    return ladder
+
+
 def count_kacrice_smoothed(field: FieldRealization, box, eps, refine: int = 6):
     """Smoothed count: quadrature of (2 eps)^(-m) 1{|grad|_inf <= eps}
     |det hess| over the half-open box.
@@ -270,9 +279,7 @@ def count_kacrice_smoothed(field: FieldRealization, box, eps, refine: int = 6):
     m = field.spec.m
     lo, hi = _box_arrays(box, field.spec)
     h = field.spec.spacing
-    ladder = np.atleast_1d(np.asarray(eps, dtype=float))
-    if ladder.size == 0 or np.any(ladder <= 0):
-        raise ValueError("eps must be positive")
+    ladder = _eps_ladder(eps)
     if refine < 1:
         raise ValueError("refine must be >= 1")
     resolvable = _hess_scale(field) * h / refine
@@ -338,10 +345,14 @@ def count_kacrice_smoothed(field: FieldRealization, box, eps, refine: int = 6):
 
 
 def expected_count(
-    moments: SpectralMoments, m: int, box_volume: float, e_absdet_s1: float
+    w: SpectralDensity, m: int, box_volume: float, e_absdet_s1: float | None = None
 ) -> float:
     """Theoretical expected count: (h_m / (2 pi d_m))^(m/2) E|det A| * vol,
-    with A drawn from the unit-variance symmetric-matrix ensemble."""
+    with A drawn from the unit-variance symmetric-matrix ensemble; E|det A|
+    is e_absdet_s1 when given, else the exact expect_absdet_S(m, 1)."""
+    moments = spectral_moments(w, m)
+    if e_absdet_s1 is None:
+        e_absdet_s1 = expect_absdet_S(m, 1.0)
     c = (moments.h / (2.0 * np.pi * moments.d)) ** (m / 2.0) * e_absdet_s1
     return c * box_volume
 

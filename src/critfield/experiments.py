@@ -20,17 +20,16 @@ import json
 import math
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 from scipy import stats
 
 from .config import BudgetError
-from .critpoints import count_kacrice_smoothed, count_newton, expected_count
+from .critpoints import _eps_ladder, count_kacrice_smoothed, count_newton, expected_count
 from .field import GridSpec, spectral_cutoff, synthesize, torus_record, wrap_guard
-from .randmat import expect_absdet_S
-from .spectrum import SpectralDensity, spectral_moments
+from .spectrum import SpectralDensity
 
 __all__ = [
     "ExperimentConfig",
@@ -47,8 +46,7 @@ __all__ = [
 class ExperimentConfig:
     """Inputs for one CLT sweep; hashable to a hex digest for provenance."""
 
-    density_family: str
-    density_params: tuple[float, ...]
+    density: SpectralDensity
     m: int
     n_list: tuple[float, ...]
     realizations: int
@@ -56,22 +54,21 @@ class ExperimentConfig:
     master_seed: int = 0
     eps_list: tuple[float, ...] = (0.2, 0.1, 0.05, 0.025, 0.0125)
     e_absdet_s1: float | None = None
-    density_table: tuple[tuple[float, ...], tuple[float, ...]] | None = None
 
     def __post_init__(self):
         if list(self.n_list) != sorted(self.n_list) or len(self.n_list) == 0:
             raise ValueError("n_list must be nonempty and increasing")
         if self.realizations < 1:
             raise ValueError("realizations must be >= 1")
-
-    def density(self) -> SpectralDensity:
-        return SpectralDensity(
-            family=self.density_family, params=self.density_params,
-            table=self.density_table,
-        )
+        _eps_ladder(self.eps_list)
 
     def digest(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True, default=list)
+        """Hex digest of the inputs.  The density enters as density_family,
+        density_params and density_table, never by its spline."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        w = doc.pop("density")
+        doc.update(density_family=w.family, density_params=w.params, density_table=w.table)
+        blob = json.dumps(doc, sort_keys=True, default=list)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -83,7 +80,7 @@ class ExperimentRecord:
     m: int
     n_list: tuple[float, ...]
     z_samples: dict[float, np.ndarray]  # N -> raw counts, failures excluded
-    failures: dict[float, int]
+    failures: int  # failed replicates, each left out of every level
     expected_mean: dict[float, float]  # theoretical E[Z_N]
     zeta_theoretical: dict[float, np.ndarray]
     zeta_pooled: dict[float, np.ndarray]
@@ -101,7 +98,7 @@ class ExperimentRecord:
                 "mean": float(z.mean()),
                 "expected": self.expected_mean[n],
                 "var": float(z.var(ddof=1)) if len(z) > 1 else float("nan"),
-                "failures": self.failures[n],
+                "failures": self.failures,
             }
         return out
 
@@ -138,29 +135,23 @@ def run_clt(
     Z_N at every level is read off its point set, so the levels are paired.
     Replicate j draws from SeedSequence((master, len(n_list) - 1)).spawn(R)[j],
     so every level's counts depend on the largest N and on len(n_list).  A
-    replicate that fails is dropped from every level and counted in each
-    level's failures; the sweep aborts if more than 5% of the replicates
-    fail.  E[Z_N] is anchored to config.e_absdet_s1 when set, else to the
-    exact expect_absdet_S(m, 1).  ``wrap`` is the (guard, psi ratio) pair of
-    ``wrap_guard`` for the config's density and resolution; when None it is
-    derived here; the spectral cutoff is computed once, beside it.  The grid
-    is checked against the budget before the first realization.  With
+    replicate that fails is dropped from every level and counted once in
+    failures; the sweep aborts if more than 5% of the replicates fail.
+    E[Z_N] is ``expected_count``'s.  ``wrap`` is ``wrap_guard``'s (guard, psi
+    ratio) for the config's density and resolution, derived here when None.
+    The grid is checked against the budget before the first realization.  With
     ``wall_clock`` set, no realization starts once that many seconds have
     passed since the call began: BudgetError is raised.
     """
     t0 = time.perf_counter()
-    w = config.density()
+    w = config.density
     m, n_list, r = config.m, config.n_list, config.realizations
     guard, wrap_ratio = wrap or wrap_guard(w, m, config.points_per_unit)
     cutoff = spectral_cutoff(w, m)
     spec = GridSpec(
         m=m, half_width=n_list[-1], points_per_unit=config.points_per_unit, guard=guard
     )
-    moments = spectral_moments(w, m)
-    e_absdet = config.e_absdet_s1
-    if e_absdet is None:
-        e_absdet = expect_absdet_S(m, 1.0)
-    c_m = expected_count(moments, m, 1.0, e_absdet)
+    c_m = expected_count(w, m, 1.0, config.e_absdet_s1)
 
     flags = [] if r >= 30 else ["insufficient: R < 30"]
     streams = np.random.SeedSequence((config.master_seed, len(n_list) - 1)).spawn(r)
@@ -176,13 +167,12 @@ def run_clt(
     if n_fail > 0.05 * r:
         raise RuntimeError(f"{n_fail}/{r} replicates failed")
     counts = np.array(rows, dtype=float)  # (replicate, level)
-    z_samples, failures, expected, zt, zp = {}, {}, {}, {}, {}
+    z_samples, expected, zt, zp = {}, {}, {}, {}
     for i, n_half in enumerate(n_list):
         z = counts[:, i]
         ez = c_m * (2.0 * n_half) ** m
         scale = (2.0 * n_half) ** (m / 2.0)
         z_samples[n_half] = z
-        failures[n_half] = n_fail
         expected[n_half] = ez
         zt[n_half] = (z - ez) / scale
         zp[n_half] = (z - z.mean()) / scale
@@ -191,7 +181,7 @@ def run_clt(
         m=m,
         n_list=n_list,
         z_samples=z_samples,
-        failures=failures,
+        failures=n_fail,
         expected_mean=expected,
         zeta_theoretical=zt,
         zeta_pooled=zp,
@@ -269,7 +259,7 @@ def estimator_crosscheck(
     eps.  ``wrap`` and ``wall_clock`` are as in ``run_clt``.
     """
     t0 = time.perf_counter()
-    w = config.density()
+    w = config.density
     m = config.m
     n_half = config.n_list[0]
     guard, wrap_ratio = wrap or wrap_guard(w, m, config.points_per_unit)
@@ -310,8 +300,9 @@ def estimator_crosscheck(
 # --- persistence ------------------------------------------------------------
 
 
-def save_record(record: ExperimentRecord, out_dir) -> Path:
-    """JSON summary plus per-N CSVs of raw and centered counts."""
+def save_record(record: ExperimentRecord, out_dir, summary: dict, vtab: dict) -> Path:
+    """JSON summary plus per-N CSVs of raw and centered counts, with the
+    record's ``summary()`` and its ``variance_scaling`` table ``vtab``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     doc = {
@@ -320,8 +311,8 @@ def save_record(record: ExperimentRecord, out_dir) -> Path:
         "n_list": list(record.n_list),
         "c_m": record.c_m,
         "expected_mean": {str(k): v for k, v in record.expected_mean.items()},
-        "failures": {str(k): v for k, v in record.failures.items()},
-        "summary": {str(k): v for k, v in record.summary().items()},
+        "failures": {str(n): record.failures for n in record.n_list},
+        "summary": {str(k): v for k, v in summary.items()},
         "wall_time": record.wall_time,
         "flags": record.flags,
         "torus": record.torus,
@@ -337,7 +328,6 @@ def save_record(record: ExperimentRecord, out_dir) -> Path:
                 record.zeta_pooled[n],
             ):
                 wr.writerow([f"{z:.1f}", f"{zt:.10g}", f"{zp:.10g}"])
-    vtab = variance_scaling(record)
     with open(out / "variance.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["N", "V_N", "ci_lo", "ci_hi"])

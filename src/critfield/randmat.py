@@ -79,6 +79,12 @@ def _functional_values(a: np.ndarray, functional: str) -> np.ndarray:
     }[functional]()
 
 
+def _check_samples(n_samples: int) -> None:
+    """The floor of expect_functional_mc's draw count."""
+    if n_samples < 10_000:
+        raise ValueError("n_samples must be >= 1e4")
+
+
 def expect_functional_mc(
     params: EnsembleParams,
     functional: str,
@@ -99,8 +105,7 @@ def expect_functional_mc(
     """
     if functional not in FUNCTIONALS:
         raise ValueError(f"unknown functional {functional!r}")
-    if n_samples < 10_000:
-        raise ValueError("n_samples must be >= 1e4")
+    _check_samples(n_samples)
     rng = np.random.default_rng(seed)
     count = n_samples // 2
     sums, sqs = 0.0, 0.0

@@ -146,14 +146,19 @@ def moment_Ik(w: SpectralDensity, k: int) -> float:
     return _radial_moment(w, k, 1)
 
 
+def _check_dimension(m: int) -> None:
+    """The dimension rule of the spectral moments and all built on them."""
+    if m < 2:
+        raise ValueError("dimension m must be >= 2")
+
+
 def spectral_moments(w: SpectralDensity, m: int) -> SpectralMoments:
     """s_m, d_m, h_m from the radial moments I_(m-1), I_(m+1), I_(m+3).
 
     (2 pi)^(m/2) s_m = 2 pi^(m/2) / Gamma(m/2) * I_(m-1),
     with d_m and h_m carrying the extra 1/m and 1/(m (m+2)) factors.
     """
-    if m < 2:
-        raise ValueError("dimension m must be >= 2")
+    _check_dimension(m)
     i_table = {j: moment_Ik(w, j) for j in (m - 1, m + 1, m + 3)}
     base = 2.0 / (2.0 ** (m / 2.0) * special.gamma(m / 2.0))
     s = base * i_table[m - 1]

@@ -73,8 +73,7 @@ def clt_record():
     oracle.
     """
     config = ExperimentConfig(
-        density_family="gaussian",
-        density_params=(1.0,),
+        density=GAUSS,
         m=2,
         n_list=(5.0, 10.0, 20.0),
         realizations=500,
@@ -409,8 +408,7 @@ def test_criterion_11_variance_plateau_and_normality(criterion_report, clt_recor
 
 def test_criterion_12_estimator_agreement(criterion_report):
     config = ExperimentConfig(
-        density_family="gaussian",
-        density_params=(1.0,),
+        density=GAUSS,
         m=2,
         n_list=(5.0,),
         realizations=50,
@@ -429,8 +427,7 @@ def test_criterion_12_estimator_agreement(criterion_report):
 
 def test_criterion_13_determinism(criterion_report):
     config = ExperimentConfig(
-        density_family="gaussian",
-        density_params=(1.0,),
+        density=GAUSS,
         m=2,
         n_list=(3.0,),
         realizations=6,

@@ -1,7 +1,9 @@
+import collections
 import contextlib
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 import yaml
@@ -18,7 +20,7 @@ from critfield.cli import (
     main,
 )
 from critfield.config import ConfigError, parse_config
-from critfield import cli, experiments, field
+from critfield import cli, experiments, field, spectrum
 from critfield.field import load_realization
 
 
@@ -280,6 +282,9 @@ class TestMainExitCodes:
         assert "spent after 0 of 200 realizations" in capsys.readouterr().err
         assert not (out / "record.json").exists()
         assert not (out / "crosscheck.json").exists()
+        # the provenance, torus included, is written before the run starts
+        torus = json.loads((out / "provenance.json").read_text())["torus"]
+        assert torus["n_per_side"] == {"3.0": 108}
 
     def test_nyquist_exit(self, tmp_path, capsys):
         # one point per unit cannot resolve the unit Gaussian spectrum: the
@@ -336,16 +341,33 @@ class TestMainExitCodes:
 
     def test_clt_runs_user_table_density(self, tmp_path, monkeypatch):
         # the table reaches the experiment config, as it reaches `count`; the
-        # CLI's guard reaches run_clt, so its psi search (about 1 s for this
-        # table) runs once per run
-        calls, derive = [], field.wrap_guard
+        # plan builds the density, its guard and the experiment once, so one
+        # run fits the spline once, runs the psi search (about 1 s for this
+        # table) once, bootstraps once, summarizes once and stamps once
+        calls = collections.Counter()
 
-        def spy(*args):
-            calls.append(args)
-            return derive(*args)
+        def spy(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
 
-        monkeypatch.setattr(cli.field, "wrap_guard", spy)
-        monkeypatch.setattr(experiments, "wrap_guard", spy)
+        guard = spy("wrap_guard", field.wrap_guard)
+        monkeypatch.setattr(cli.field, "wrap_guard", guard)
+        monkeypatch.setattr(experiments, "wrap_guard", guard)
+        monkeypatch.setattr(spectrum.interpolate, "CubicSpline",
+                            spy("spline", spectrum.interpolate.CubicSpline))
+        monkeypatch.setattr(experiments, "variance_scaling",
+                            spy("variance_scaling", experiments.variance_scaling))
+        monkeypatch.setattr(experiments.ExperimentRecord, "summary",
+                            spy("summary", experiments.ExperimentRecord.summary))
+        write_text = Path.write_text
+
+        def write(path, *args, **kwargs):
+            calls[path.name] += 1
+            return write_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", write)
         text = (
             "subcommand: clt\nseed: 5\n"
             "density:\n  family: user-table\n"
@@ -357,7 +379,8 @@ class TestMainExitCodes:
         assert main(["--config", cfg, "--out", str(out)]) == EXIT_OK
         doc = json.loads((out / "record.json").read_text())
         assert doc["summary"]["2.0"]["R"] == 2
-        assert len(calls) == 1
+        once = ("spline", "wrap_guard", "variance_scaling", "summary", "provenance.json")
+        assert {name: calls[name] for name in once} == dict.fromkeys(once, 1)
 
     def test_numerical_failure_exit(self, tmp_path):
         # a flat user table has no spectral decay: moment quadrature diverges
@@ -553,3 +576,130 @@ class TestConfigFuzz:
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_BUDGET)
         lines = err.getvalue().splitlines()
         assert len(lines) == (0 if code == EXIT_OK else 1), lines
+
+
+# configs whose dry run once planned what the run then refused, or that
+# ended in a traceback (a missing ensemble key was an uncaught KeyError, a
+# table given as one list of numbers or a text budget an uncaught TypeError);
+# every one is a config error, in both, before any output
+_REFUSED = {
+    "randmat-no-v": {"subcommand": "randmat", "ensemble": {"m": 3}},
+    "chaos-no-m": {"subcommand": "chaos", "density": {"family": "gaussian"},
+                   "ensemble": {"v": 1.0}},
+    "randmat-v-negative": {"subcommand": "randmat", "ensemble": {"m": 2, "v": -1.0}},
+    "randmat-10-samples": {"subcommand": "randmat",
+                           "ensemble": {"m": 2, "v": 1.0, "samples": 10}},
+    "chaos-m1": {"subcommand": "chaos", "density": {"family": "gaussian"},
+                 "ensemble": {"m": 1, "v": 1.0}},
+    "spectrum-m1": {"subcommand": "spectrum", "density": {"family": "gaussian"},
+                    "experiment": {"m": 1}},
+    "clt-table-not-rows": {"subcommand": "clt",
+                       "density": {"family": "user-table", "table": [1, 2]},
+                       "experiment": {"n_list": [3.0], "realizations": 2}},
+    "count-table-not-rows": {"subcommand": "count",
+                         "density": {"family": "user-table", "table": [1, 2]},
+                         "experiment": {"n_list": [3.0]}},
+    "crosscheck-eps-zero": {"subcommand": "crosscheck", "density": {"family": "gaussian"},
+                            "experiment": {"n_list": [3.0], "realizations": 2,
+                                           "eps_list": [0.1, 0.0]}},
+    "randmat-text-sample-budget": {"subcommand": "randmat", "ensemble": {"m": 2, "v": 1.0},
+                                   "budget": {"samples": "many"}},
+    "clt-text-wall-clock": {"subcommand": "clt", "density": {"family": "gaussian"},
+                            "experiment": {"n_list": [3.0], "realizations": 2},
+                            "budget": {"wall_clock": "soon"}},
+    "clt-null-grid-budget": {"subcommand": "clt", "density": {"family": "gaussian"},
+                             "experiment": {"n_list": [3.0], "realizations": 2},
+                             "budget": {"grid_points": None}},
+}
+
+
+def _dry_run_then_run(path, doc):
+    """Exit code and stderr lines of the dry run, then of the run, of one
+    config; the output directory must not exist after the dry run."""
+    (path / "c.yaml").write_text(yaml.safe_dump({"seed": 1, **doc}))
+    out = path / "o"
+    results = []
+    for dry in (["--dry-run"], []):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["--config", str(path / "c.yaml"), "--out", str(out)] + dry)
+        results.append((code, err.getvalue().splitlines()))
+        if dry:
+            assert not out.exists()
+    return results, out
+
+
+def _check_dry_run_matches_run(path, doc):
+    (dry, dry_err), (run, run_err) = _dry_run_then_run(path, doc)[0]
+    assert dry in (EXIT_OK, EXIT_CONFIG, EXIT_BUDGET)
+    assert len(dry_err) == (0 if dry == EXIT_OK else 1), dry_err
+    # a run may still fail where only computing shows it (exit 4)
+    assert run == dry or (dry == EXIT_OK and run == EXIT_NUMERICAL), (dry, run, run_err)
+    if run != EXIT_OK:
+        assert len(run_err) == 1, run_err
+    return dry
+
+
+@pytest.mark.parametrize("name", sorted(_REFUSED))
+def test_dry_run_refuses_what_the_run_refuses(tmp_path, name):
+    assert _check_dry_run_matches_run(tmp_path, _REFUSED[name]) == EXIT_CONFIG
+    assert not (tmp_path / "o").exists()
+
+
+_TABLES = st.sampled_from([
+    [[0.0, 1.0], [1.0, 0.6], [2.0, 0.14], [3.0, 0.01], [4.0, 0.0]],
+    [1, 2],
+    [[0.0, 1.0], [1.0]],
+    [[0.0, 1.0], [1.0, 0.5, 0.2]],
+    [[0.0, 1.0, 2.0], [1.0, 0.5, 0.0]],
+    [[1.0, 1.0], [0.0, 0.5]],
+    [[0.0, -1.0], [1.0, 0.0]],
+    [[0.0, "a"], [1.0, 0.0]],
+    [[0.0, 1.0]],
+    [],
+    {"r": 1.0},
+    "abc",
+])
+
+# None leaves the key out
+_ENSEMBLE_BLOCKS = st.builds(
+    lambda **block: {k: v for k, v in block.items() if v is not None},
+    m=st.sampled_from([2, 3, None, 1, 0]),
+    u=st.sampled_from([None, 1.0, 0.0, -1.0]),
+    v=st.sampled_from([1.0, 0.5, None, 0.0, -1.0]),
+    samples=st.sampled_from([20_000, 10_000, None, 9_999, 10]),
+).filter(bool)  # an empty block fails parsing, with a line per problem
+
+
+class TestDryRunMatchesRun:
+    @settings(
+        max_examples=60, deadline=None, derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        subcommand=st.sampled_from(["spectrum", "randmat", "chaos"]),
+        density=st.one_of(
+            st.just({"family": "gaussian"}),
+            _DENSITY_BLOCKS,
+            st.fixed_dictionaries({"family": st.just("user-table"), "table": _TABLES}),
+        ),
+        ensemble=_ENSEMBLE_BLOCKS,
+        m=st.sampled_from([None, 2, 3, 1, 0]),
+        sample_budget=st.sampled_from([None, 10**6, 1000]),
+    )
+    def test_dry_run_and_run_agree(
+        self, tmp_path_factory, subcommand, density, ensemble, m, sample_budget
+    ):
+        # the dry run ends in a plan, a config error or a budget error with one
+        # line on stderr; the run ends in the same code, or in a numerical
+        # failure, and writes nothing when the config is refused
+        doc = {"subcommand": subcommand, "density": density}
+        if subcommand != "spectrum":
+            doc["ensemble"] = ensemble
+        if m is not None:
+            doc["experiment"] = {"m": m}
+        if sample_budget is not None:
+            doc["budget"] = {"samples": sample_budget}
+        path = tmp_path_factory.mktemp("agree")
+        if _check_dry_run_matches_run(path, doc) != EXIT_OK:
+            assert not (path / "o").exists()

@@ -27,7 +27,7 @@ from critfield.field import (
     synthesize,
     wrap_guard,
 )
-from critfield.spectrum import SpectralDensity, spectral_moments
+from critfield.spectrum import SpectralDensity
 
 SPEC = GridSpec(m=2, half_width=3.2, points_per_unit=10, guard=6.4)
 # a cube of half-width 6.4 holds boxes shifted by one lattice period
@@ -366,8 +366,7 @@ class TestSmoothedAtDimThree:
 class TestExpectedCount:
     def test_gaussian_density_formula(self):
         w = SpectralDensity(family="gaussian", params=(1.0,))
-        mom = spectral_moments(w, 2)
-        val = expected_count(mom, 2, box_volume=36.0, e_absdet_s1=2.0)
+        val = expected_count(w, 2, box_volume=36.0, e_absdet_s1=2.0)
         assert val == pytest.approx(36.0 * 2.0 / (2.0 * np.pi), rel=1e-9)
 
 
