@@ -31,16 +31,18 @@ def main():
     print(f"config digest {record.config_digest}, wall time {record.wall_time:.1f}s")
     print(f"{'N':>4} {'mean':>9} {'expected':>9} {'V_N':>8}  bootstrap 95% CI")
     table = variance_scaling(record)
-    for n, row in record.summary().items():
+    # record.counts is level by replicate: row i holds Z_N at N = n_list[i]
+    for n, z in zip(record.n_list, record.counts):
         v = table[n]
         print(
-            f"{n:4g} {row['mean']:9.2f} {row['expected']:9.2f} "
+            f"{n:4g} {z.mean():9.2f} {record.c_m * (2 * n) ** record.m:9.2f} "
             f"{v['V_N']:8.4f}  [{v['ci'][0]:.4f}, {v['ci'][1]:.4f}]"
         )
     print(f"plateau ratio V_12/V_6 = {table['plateau_ratio']:.3f}")
 
-    n_top = record.n_list[-1]
-    ks = normality_test(record.zeta_pooled[n_top], table[n_top]["V_N"])
+    # zeta_N = (2N)^(-m/2) (Z_N - E[Z_N]), centred on the sample mean
+    n_top, z = record.n_list[-1], record.counts[-1]
+    ks = normality_test((z - z.mean()) / (2 * n_top) ** (record.m / 2), table[n_top]["V_N"])
     print(f"KS normality at N={n_top:g}: statistic {ks['statistic']:.4f}, "
           f"p = {ks['p_value']:.3f}")
 

@@ -2,9 +2,10 @@
 
 ``dispatch`` builds the plan of a run (density, grid and wrap guard,
 experiment config, ensemble or dimension), with the checks of the objects
-and functions the run uses, and checks it against the budget before
-anything is written.  ``--dry-run`` prints the plan; a run stamps its
-provenance, torus included, then runs the plan.  Runners read no config.
+and functions the run uses (the grid's resolution among them), and checks
+it against the budget before anything is written.  ``--dry-run`` prints the
+plan; a run stamps its provenance, torus included, then runs the plan.
+Runners read no config.
 
 Exit codes: 0 success, 2 configuration error, 3 budget exceeded,
 4 numerical failure.
@@ -115,6 +116,7 @@ def _plan(cfg: RunConfig) -> _Plan:
         plan["spec"] = field.GridSpec(
             m=m, half_width=half_width, points_per_unit=ppu, guard=plan["wrap"][0]
         )
+        plan["spec"].check_resolution(field.spectral_cutoff(w, m))
     return _Plan(m=m, **plan)
 
 
@@ -147,7 +149,7 @@ def _stamp(plan: _Plan, out: Path, config_path) -> None:
         version = "unknown"
     stamp = {"version": version, "seed": plan.seed, "subcommand": plan.subcommand}
     if plan.spec is not None:
-        stamp["torus"] = field.torus_record([plan.spec], plan.wrap[1])
+        stamp["torus"] = field.torus_record(plan.spec, plan.wrap[1])
     (out / "provenance.json").write_text(json.dumps(stamp, indent=2))
     shutil.copyfile(config_path, out / "config.yaml")
 
@@ -257,19 +259,18 @@ def _run_chaos(plan: _Plan, out: Path) -> None:
 
 def _run_clt(plan: _Plan, out: Path) -> None:
     record = experiments.run_clt(plan.experiment, wrap=plan.wrap, wall_clock=plan.wall_clock)
-    summary = record.summary()
     vtab = experiments.variance_scaling(record)
-    experiments.save_record(record, out, summary, vtab)
-    n_max = record.n_list[-1]
-    lines = [f"C_{record.m}(w) = {record.c_m:.8g}"]
-    for n in record.n_list:
-        s = summary[n]
+    experiments.save_record(record, out, vtab)
+    m, n_max = record.m, record.n_list[-1]
+    lines = [f"C_{m}(w) = {record.c_m:.8g}"]
+    for n, z in zip(record.n_list, record.counts):
         lines.append(
-            f"N={n:g}: mean Z/(2N)^m = {s['mean'] / (2 * n) ** record.m:.6g} "
-            f"(expected {record.c_m:.6g}), V_N = {vtab[n]['V_N']:.6g}, R={s['R']}"
+            f"N={n:g}: mean Z/(2N)^m = {z.mean() / (2 * n) ** m:.6g} "
+            f"(expected {record.c_m:.6g}), V_N = {vtab[n]['V_N']:.6g}, R={len(z)}"
         )
-    if len(record.z_samples[n_max]) >= 100:
-        zeta = record.zeta_theoretical[n_max]
+    if record.counts.shape[1] >= 100:
+        scale = (2.0 * n_max) ** (m / 2.0)
+        zeta = (record.counts[-1] - record.c_m * (2.0 * n_max) ** m) / scale
         ks = experiments.normality_test(zeta, float(np.var(zeta, ddof=1)))
         lines.append(f"KS at N={n_max:g}: stat={ks['statistic']:.4f}, p={ks['p_value']:.4g}")
     if "plateau_ratio" in vtab:
@@ -323,7 +324,7 @@ def _plan_lines(plan: _Plan) -> list[str]:
             f"stored window: {spec.window}^{spec.m} nodes, "
             f"{spec.window_bytes:,} bytes of jet ({spec.window_bytes / 2**20:.1f} MiB)"
         )
-        torus = field.torus_record([spec], plan.wrap[1])
+        torus = field.torus_record(spec, plan.wrap[1])
         lines.append(
             f"wrap guard: {torus['guard']:g} beyond the box, psi ratio "
             f"{torus['wrap_ratio']:.3g} (tolerance {torus['tolerance']:g})"

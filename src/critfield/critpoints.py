@@ -182,17 +182,13 @@ def count_newton(field: FieldRealization, box) -> CriticalPointSet:
 
     idx = np.flatnonzero(converged)
     idx = idx[np.all((cur[idx] >= lo) & (cur[idx] < hi), axis=1)]
-    # deterministic dedup within half a cell: lexicographic order, greedy keep
+    # deterministic dedup within half a cell: lexicographic order, greedy
+    # keep; with the pairs (i < j) sorted, keep[i] is final before any (i, .)
     idx = idx[np.lexsort(cur[idx].T[::-1])]
-    found = cur[idx]
-    tree = cKDTree(found)
     keep = np.ones(len(idx), dtype=bool)
-    for i in range(len(idx)):
-        if not keep[i]:
-            continue
-        for j in tree.query_ball_point(found[i], 0.5 * h):
-            if j > i:
-                keep[j] = False
+    for i, j in sorted(cKDTree(cur[idx]).query_pairs(0.5 * h)):
+        if keep[i]:
+            keep[j] = False
     idx = idx[keep]
 
     g = at_root[:m, idx]

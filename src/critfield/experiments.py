@@ -74,33 +74,18 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentRecord:
-    """Raw counts plus derived statistics for one sweep."""
+    """Raw counts of one sweep.  E[Z_N] = c_m (2N)^m and the centred zeta_N
+    are derived from ``counts`` where they are used, never stored."""
 
     config_digest: str
     m: int
     n_list: tuple[float, ...]
-    z_samples: dict[float, np.ndarray]  # N -> raw counts, failures excluded
+    counts: np.ndarray  # (level, replicate): row i is Z_{N_i}, failures excluded
     failures: int  # failed replicates, each left out of every level
-    expected_mean: dict[float, float]  # theoretical E[Z_N]
-    zeta_theoretical: dict[float, np.ndarray]
-    zeta_pooled: dict[float, np.ndarray]
     c_m: float
     wall_time: float
     flags: list[str] = field(default_factory=list)
     torus: dict = field(default_factory=dict)  # field.torus_record of the run
-
-    def summary(self) -> dict:
-        out = {}
-        for n in self.n_list:
-            z = self.z_samples[n]
-            out[n] = {
-                "R": len(z),
-                "mean": float(z.mean()),
-                "expected": self.expected_mean[n],
-                "var": float(z.var(ddof=1)) if len(z) > 1 else float("nan"),
-                "failures": self.failures,
-            }
-        return out
 
 
 def _count_one(w, spec, seed, cutoff, n_list):
@@ -129,7 +114,7 @@ def run_clt(
     wrap: tuple[float, float] | None = None,
     wall_clock: float | None = None,
 ) -> ExperimentRecord:
-    """Synthesize, count, and center; deterministic given the master seed.
+    """Synthesize and count; deterministic given the master seed.
 
     Each replicate is one field on the grid of the largest N, counted once;
     Z_N at every level is read off its point set, so the levels are paired.
@@ -137,11 +122,11 @@ def run_clt(
     so every level's counts depend on the largest N and on len(n_list).  A
     replicate that fails is dropped from every level and counted once in
     failures; the sweep aborts if more than 5% of the replicates fail.
-    E[Z_N] is ``expected_count``'s.  ``wrap`` is ``wrap_guard``'s (guard, psi
-    ratio) for the config's density and resolution, derived here when None.
-    The grid is checked against the budget before the first realization.  With
-    ``wall_clock`` set, no realization starts once that many seconds have
-    passed since the call began: BudgetError is raised.
+    c_m is ``expected_count``'s at unit volume.  ``wrap`` is ``wrap_guard``'s
+    (guard, psi ratio) for the config's density and resolution, derived here
+    when None.  The grid is checked against the budget before the first
+    realization.  With ``wall_clock`` set, no realization starts once that
+    many seconds have passed since the call began: BudgetError is raised.
     """
     t0 = time.perf_counter()
     w = config.density
@@ -166,29 +151,16 @@ def run_clt(
     n_fail = r - len(rows)
     if n_fail > 0.05 * r:
         raise RuntimeError(f"{n_fail}/{r} replicates failed")
-    counts = np.array(rows, dtype=float)  # (replicate, level)
-    z_samples, expected, zt, zp = {}, {}, {}, {}
-    for i, n_half in enumerate(n_list):
-        z = counts[:, i]
-        ez = c_m * (2.0 * n_half) ** m
-        scale = (2.0 * n_half) ** (m / 2.0)
-        z_samples[n_half] = z
-        expected[n_half] = ez
-        zt[n_half] = (z - ez) / scale
-        zp[n_half] = (z - z.mean()) / scale
     return ExperimentRecord(
         config_digest=config.digest(),
         m=m,
         n_list=n_list,
-        z_samples=z_samples,
+        counts=np.array(rows, dtype=float).T.copy(),  # level-major
         failures=n_fail,
-        expected_mean=expected,
-        zeta_theoretical=zt,
-        zeta_pooled=zp,
         c_m=c_m,
         wall_time=time.perf_counter() - t0,
         flags=flags,
-        torus=torus_record([spec], wrap_ratio),
+        torus=torus_record(spec, wrap_ratio),
     )
 
 
@@ -200,14 +172,13 @@ def variance_scaling(record: ExperimentRecord) -> dict:
     two levels gets its 95% interval, "plateau_ci", from the same resamples.
     """
     rng = np.random.default_rng(1)
-    r = len(record.z_samples[record.n_list[0]])
+    r = record.counts.shape[1]
     idx = rng.integers(0, r, size=(2000, r)) if r >= 2 else None
     table, boots = {}, {}
-    for n in record.n_list:
+    for n, z in zip(record.n_list, record.counts):
         if idx is None:
             table[n] = {"V_N": float("nan"), "ci": (float("nan"), float("nan"))}
             continue
-        z = record.z_samples[n]
         scale = (2.0 * n) ** record.m
         boots[n] = z[idx].var(axis=1, ddof=1) / scale
         lo, hi = np.percentile(boots[n], [2.5, 97.5])
@@ -285,7 +256,7 @@ def estimator_crosscheck(
             (f"kacrice_eps={eps}", k) for eps, k in zip(config.eps_list, smoothed)
         )
         rows.append(row)
-    out = {"rows": rows, "torus": torus_record([spec], wrap_ratio)}
+    out = {"rows": rows, "torus": torus_record(spec, wrap_ratio)}
     for eps in config.eps_list:
         rel = np.array(
             [
@@ -300,34 +271,43 @@ def estimator_crosscheck(
 # --- persistence ------------------------------------------------------------
 
 
-def save_record(record: ExperimentRecord, out_dir, summary: dict, vtab: dict) -> Path:
-    """JSON summary plus per-N CSVs of raw and centered counts, with the
-    record's ``summary()`` and its ``variance_scaling`` table ``vtab``."""
+def save_record(record: ExperimentRecord, out_dir, vtab: dict) -> Path:
+    """JSON summary plus per-N CSVs of raw and centred counts, with the
+    record's ``variance_scaling`` table ``vtab``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    m, keys = record.m, [str(n) for n in record.n_list]
+    expected = [record.c_m * (2.0 * n) ** m for n in record.n_list]
+    summary = {
+        key: {
+            "R": len(z),
+            "mean": float(z.mean()),
+            "expected": ez,
+            "var": float(z.var(ddof=1)) if len(z) > 1 else float("nan"),
+            "failures": record.failures,
+        }
+        for key, z, ez in zip(keys, record.counts, expected)
+    }
     doc = {
         "config_digest": record.config_digest,
-        "m": record.m,
+        "m": m,
         "n_list": list(record.n_list),
         "c_m": record.c_m,
-        "expected_mean": {str(k): v for k, v in record.expected_mean.items()},
-        "failures": {str(n): record.failures for n in record.n_list},
-        "summary": {str(k): v for k, v in summary.items()},
+        "expected_mean": dict(zip(keys, expected)),
+        "failures": dict.fromkeys(keys, record.failures),
+        "summary": summary,
         "wall_time": record.wall_time,
         "flags": record.flags,
         "torus": record.torus,
     }
     (out / "record.json").write_text(json.dumps(doc, indent=2))
-    for n in record.n_list:
+    for n, z, ez in zip(record.n_list, record.counts, expected):
+        scale = (2.0 * n) ** (m / 2.0)
         with open(out / f"samples_N{n:g}.csv", "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["Z", "zeta_theoretical", "zeta_pooled"])
-            for z, zt, zp in zip(
-                record.z_samples[n],
-                record.zeta_theoretical[n],
-                record.zeta_pooled[n],
-            ):
-                wr.writerow([f"{z:.1f}", f"{zt:.10g}", f"{zp:.10g}"])
+            for zj, zt, zp in zip(z, (z - ez) / scale, (z - z.mean()) / scale):
+                wr.writerow([f"{zj:.1f}", f"{zt:.10g}", f"{zp:.10g}"])
     with open(out / "variance.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["N", "V_N", "ci_lo", "ci_hi"])

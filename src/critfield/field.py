@@ -146,6 +146,14 @@ class GridSpec:
     def nyquist_radius(self) -> float:
         return np.pi * self.points_per_unit
 
+    def check_resolution(self, cutoff: float) -> None:
+        """Raise NyquistError if the grid does not resolve spectral radius cutoff."""
+        if cutoff > self.nyquist_radius:
+            raise NyquistError(
+                f"spectral mass extends to radius {cutoff:.3g} but the grid only "
+                f"resolves {self.nyquist_radius:.3g}; raise points_per_unit"
+            )
+
 
 def wrap_guard(w: SpectralDensity, m: int, points_per_unit: int) -> tuple[float, float]:
     """Torus length beyond the box that keeps the wrap error within tolerance.
@@ -189,14 +197,14 @@ def wrap_guard(w: SpectralDensity, m: int, points_per_unit: int) -> tuple[float,
     return (hi + 2 * _REACH_CELLS) * h, r
 
 
-def torus_record(specs: list[GridSpec], wrap_ratio: float) -> dict:
-    """JSON-ready account of the tori of one run: the guard, the tolerance,
-    the achieved psi ratio and the nodes per side at each half-width."""
+def torus_record(spec: GridSpec, wrap_ratio: float) -> dict:
+    """JSON-ready account of the torus of one run: the guard, the tolerance,
+    the achieved psi ratio and the nodes per side at the half-width."""
     return {
-        "guard": specs[0].guard,
+        "guard": spec.guard,
         "tolerance": _COVARIANCE_TOL,
         "wrap_ratio": wrap_ratio,
-        "n_per_side": {str(s.half_width): s.n_per_side for s in specs},
+        "n_per_side": {str(spec.half_width): spec.n_per_side},
     }
 
 
@@ -336,11 +344,7 @@ def synthesize(
     m, n = spec.m, spec.n_per_side
     if cutoff is None:
         cutoff = spectral_cutoff(w, m)
-    if cutoff > spec.nyquist_radius:
-        raise NyquistError(
-            f"spectral mass extends to radius {cutoff:.3g} but the grid only "
-            f"resolves {spec.nyquist_radius:.3g}; raise points_per_unit"
-        )
+    spec.check_resolution(cutoff)
     freqs = 2.0 * np.pi * np.fft.fftfreq(n, d=spec.spacing)
     lam = [_along(freqs, a, m) for a in range(m)]
     rad = np.sqrt(sum(x**2 for x in lam))

@@ -377,7 +377,7 @@ def test_criterion_09_second_chaos_floor(criterion_report, clt_record):
 
 
 def test_criterion_10_mean_formula(criterion_report, clt_record):
-    z = clt_record.z_samples[10.0][:200]
+    z = clt_record.counts[clt_record.n_list.index(10.0)][:200]
     density = (2.0 * 10.0) ** 2
     mean = z.mean() / density
     stderr = z.std(ddof=1) / (math.sqrt(len(z)) * density)
@@ -393,7 +393,8 @@ def test_criterion_10_mean_formula(criterion_report, clt_record):
 def test_criterion_11_variance_plateau_and_normality(criterion_report, clt_record):
     table = variance_scaling(clt_record)
     ratio = table["plateau_ratio"]
-    zeta = clt_record.zeta_pooled[20.0]
+    z = clt_record.counts[clt_record.n_list.index(20.0)]
+    zeta = (z - z.mean()) / (2.0 * 20.0) ** (2 / 2.0)
     ks = normality_test(zeta, table[20.0]["V_N"])
     ok = 0.8 <= ratio <= 1.25 and ks["p_value"] > 0.01
     lo, hi = table["plateau_ci"]
@@ -438,9 +439,9 @@ def test_criterion_13_determinism(criterion_report):
     def run_hash():
         record = run_clt(config)
         blob = record.config_digest.encode()
-        for n in record.n_list:
-            blob += record.z_samples[n].tobytes()
-            blob += record.zeta_theoretical[n].tobytes()
+        for n, z in zip(record.n_list, record.counts):
+            blob += z.tobytes()
+            blob += ((z - record.c_m * (2.0 * n) ** 2) / (2.0 * n) ** (2 / 2.0)).tobytes()
         return hashlib.sha256(blob).hexdigest()
 
     first, second = run_hash(), run_hash()

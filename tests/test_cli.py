@@ -298,6 +298,23 @@ class TestMainExitCodes:
         assert "raise points_per_unit" in err
         assert not (out / "record.json").exists()
 
+    @pytest.mark.parametrize("subcommand", ["field", "count", "clt", "crosscheck"])
+    @pytest.mark.parametrize("dry_run", [True, False], ids=["dry-run", "run"])
+    def test_unresolved_grid_refused_before_output(self, tmp_path, capsys, subcommand,
+                                                   dry_run):
+        # the plan runs synthesize's resolution check: one point per unit
+        # resolves radius pi, below the unit Gaussian's cutoff of 5.33
+        text = (BASE_CLT.replace("subcommand: clt", f"subcommand: {subcommand}")
+                .replace("points_per_unit: 8", "points_per_unit: 1"))
+        cfg = _write(tmp_path, "q.yaml", text)
+        out = tmp_path / "o"
+        argv = ["--config", cfg, "--out", str(out)] + (["--dry-run"] if dry_run else [])
+        assert main(argv) == EXIT_NUMERICAL
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err == ("numerical failure: spectral mass extends to radius 5.33 but the "
+                       "grid only resolves 3.14; raise points_per_unit")
+        assert not out.exists()
+
     def test_crosscheck_summary_totals_failed_cells(self, tmp_path):
         text = (BASE_CLT.replace("subcommand: clt", "subcommand: crosscheck")
                 .replace("realizations: 4", "realizations: 2")
@@ -343,7 +360,7 @@ class TestMainExitCodes:
         # the table reaches the experiment config, as it reaches `count`; the
         # plan builds the density, its guard and the experiment once, so one
         # run fits the spline once, runs the psi search (about 1 s for this
-        # table) once, bootstraps once, summarizes once and stamps once
+        # table) once, bootstraps once and stamps once
         calls = collections.Counter()
 
         def spy(name, fn):
@@ -359,8 +376,6 @@ class TestMainExitCodes:
                             spy("spline", spectrum.interpolate.CubicSpline))
         monkeypatch.setattr(experiments, "variance_scaling",
                             spy("variance_scaling", experiments.variance_scaling))
-        monkeypatch.setattr(experiments.ExperimentRecord, "summary",
-                            spy("summary", experiments.ExperimentRecord.summary))
         write_text = Path.write_text
 
         def write(path, *args, **kwargs):
@@ -379,7 +394,7 @@ class TestMainExitCodes:
         assert main(["--config", cfg, "--out", str(out)]) == EXIT_OK
         doc = json.loads((out / "record.json").read_text())
         assert doc["summary"]["2.0"]["R"] == 2
-        once = ("spline", "wrap_guard", "variance_scaling", "summary", "provenance.json")
+        once = ("spline", "wrap_guard", "variance_scaling", "provenance.json")
         assert {name: calls[name] for name in once} == dict.fromkeys(once, 1)
 
     def test_numerical_failure_exit(self, tmp_path):

@@ -61,10 +61,9 @@ class TestConfig:
 class TestRunClt:
     def test_counts_near_expectation(self, small_record):
         assert small_record.failures == 0
-        for n in SMALL.n_list:
-            z = small_record.z_samples[n]
-            assert len(z) == SMALL.realizations
-            ez = small_record.expected_mean[n]
+        assert small_record.counts.shape == (len(SMALL.n_list), SMALL.realizations)
+        for n, z in zip(SMALL.n_list, small_record.counts):
+            ez = small_record.c_m * (2.0 * n) ** SMALL.m
             # mean count within 5 standard errors of the Kac-Rice prediction
             se = z.std(ddof=1) / np.sqrt(len(z))
             assert abs(z.mean() - ez) < 5 * se
@@ -76,39 +75,38 @@ class TestRunClt:
 
     def test_deterministic(self, small_record):
         again = run_clt(SMALL)
-        for n in SMALL.n_list:
-            np.testing.assert_array_equal(
-                again.z_samples[n], small_record.z_samples[n]
-            )
+        np.testing.assert_array_equal(again.counts, small_record.counts)
         assert again.config_digest == small_record.config_digest
 
     def test_seed_changes_counts(self, small_record):
         other = run_clt(replace(SMALL, master_seed=7))
-        assert any(
-            not np.array_equal(other.z_samples[n], small_record.z_samples[n])
-            for n in SMALL.n_list
-        )
+        assert not np.array_equal(other.counts, small_record.counts)
 
-    def test_exact_anchor_by_default(self):
+    def test_exact_anchor_by_default(self, tmp_path):
         cfg = replace(SMALL, n_list=(3.0,), realizations=2, e_absdet_s1=None)
         record = run_clt(cfg)
         assert record.c_m == expected_count(cfg.density, 2, 1.0, expect_absdet_S(2, 1.0))
         # h = d = 1 for the unit gaussian, up to the moment quadrature
         assert record.c_m == pytest.approx(4.0 / math.sqrt(3.0) / (2.0 * math.pi), rel=1e-9)
-        assert record.expected_mean[3.0] == record.c_m * 36.0
+        doc = json.loads(save_record(record, tmp_path, variance_scaling(record)).read_text())
+        assert doc["expected_mean"]["3.0"] == record.c_m * 36.0
 
-    def test_centering_conventions(self, small_record):
-        for n in SMALL.n_list:
+    def test_centering_conventions(self, small_record, tmp_path):
+        # the samples CSVs hold zeta_N = (2N)^(-m/2) (Z_N - E[Z_N]) centred on
+        # c_m (2N)^m and on the level's mean, each written to 10 digits
+        save_record(small_record, tmp_path, variance_scaling(small_record))
+        for n, z in zip(SMALL.n_list, small_record.counts):
             scale = (2.0 * n) ** (SMALL.m / 2.0)
-            z = small_record.z_samples[n]
-            np.testing.assert_allclose(
-                small_record.zeta_theoretical[n],
-                (z - small_record.expected_mean[n]) / scale,
-            )
-            assert abs(small_record.zeta_pooled[n].mean()) < 1e-12
+            zeta_theoretical = (z - small_record.c_m * (2.0 * n) ** SMALL.m) / scale
+            zeta_pooled = (z - z.mean()) / scale
+            rows = (tmp_path / f"samples_N{n:g}.csv").read_text().splitlines()
+            assert rows[1:] == [
+                f"{zj:.1f},{zt:.10g},{zp:.10g}"
+                for zj, zt, zp in zip(z, zeta_theoretical, zeta_pooled)
+            ]
+            assert abs(zeta_pooled.mean()) < 1e-12
             # the two centerings differ by a constant offset only
-            diff = small_record.zeta_theoretical[n] - small_record.zeta_pooled[n]
-            assert np.ptp(diff) < 1e-10
+            assert np.ptp(zeta_theoretical - zeta_pooled) < 1e-10
 
 
     def test_spectral_cutoff_once_per_run(self, monkeypatch):
@@ -177,8 +175,8 @@ class TestRunClt:
         seeds.clear()
         record = run_clt(replace(SMALL, realizations=30))
         kept = [s % 100 for i, s in enumerate(seeds) if i != 1]
-        for k, n in enumerate(SMALL.n_list):
-            np.testing.assert_array_equal(record.z_samples[n], np.array(kept) + 1000 * k)
+        for k, z in enumerate(record.counts):
+            np.testing.assert_array_equal(z, np.array(kept) + 1000 * k)
         assert record.failures == 1
         assert record.flags == [f"replicate 1 (seed {seeds[1]}) failed (7 unresolved cells)"]
 
@@ -207,7 +205,7 @@ class TestNestedLevels:
     def test_counts_never_decrease_with_n(self):
         cfg = replace(SMALL, n_list=(1.0, 2.0, 3.5, 4.0))
         record = run_clt(cfg)
-        counts = np.array([record.z_samples[n] for n in cfg.n_list])
+        counts = record.counts
         assert np.all(np.diff(counts, axis=0) >= 0)
         assert np.all(counts[-1] > counts[0])
 
@@ -221,7 +219,7 @@ class TestNestedLevels:
         for j, ss in enumerate(streams):
             fr = field.synthesize(SMALL.density, spec, int(ss.generate_state(1)[0]))
             direct = count_newton(fr, ((-top, -top), (top, top))).newton_count
-            assert small_record.z_samples[top][j] == direct
+            assert small_record.counts[-1][j] == direct
 
     def test_one_field_per_replicate(self, monkeypatch):
         made, synth = [], experiments.synthesize
@@ -251,7 +249,7 @@ class TestVarianceScaling:
         # paired resample, so the ratio's interval collapses onto the ratio
         z = np.random.default_rng(0).integers(20, 40, size=50).astype(float)
         rec = _constant_record(r=50)
-        rec.n_list, rec.z_samples = (3.0, 4.0), {3.0: z, 4.0: 2.0 * z}
+        rec.n_list, rec.counts = (3.0, 4.0), np.array([z, 2.0 * z])
         table = variance_scaling(rec)
         assert table["plateau_ratio"] == pytest.approx(4.0 * (3.0 / 4.0) ** 2, rel=1e-12)
         assert table["plateau_ci"] == pytest.approx((table["plateau_ratio"],) * 2, rel=1e-12)
@@ -262,7 +260,7 @@ class TestVarianceScaling:
         assert table[2.0]["V_N"] == 0.0
         # a box too small to hold a point in any replicate: the ratio over
         # a constant level is infinite, not a ZeroDivisionError
-        rec.n_list, rec.z_samples = (0.25, 2.0), {0.25: np.zeros(16), 2.0: np.arange(16.0)}
+        rec.n_list, rec.counts = (0.25, 2.0), np.array([np.zeros(16), np.arange(16.0)])
         table = variance_scaling(rec)
         assert table["plateau_ratio"] == math.inf
 
@@ -273,16 +271,12 @@ class TestVarianceScaling:
 
 
 def _constant_record(r: int = 16) -> ExperimentRecord:
-    z = np.full(r, 21.0)
     return ExperimentRecord(
         config_digest="0" * 16,
         m=2,
         n_list=(2.0,),
-        z_samples={2.0: z},
+        counts=np.full((1, r), 21.0),
         failures=0,
-        expected_mean={2.0: 21.0},
-        zeta_theoretical={2.0: z - 21.0},
-        zeta_pooled={2.0: z - z.mean()},
         c_m=21.0 / 16.0,
         wall_time=0.0,
     )
@@ -362,8 +356,7 @@ class TestCrosscheck:
 
 class TestPersistence:
     def test_roundtrip(self, small_record, tmp_path):
-        summary, vtab = small_record.summary(), variance_scaling(small_record)
-        path = save_record(small_record, tmp_path / "run", summary, vtab)
+        path = save_record(small_record, tmp_path / "run", variance_scaling(small_record))
         doc = json.loads(path.read_text())
         assert doc["config_digest"] == small_record.config_digest
         assert doc["m"] == 2
