@@ -260,7 +260,10 @@ def count_kacrice_smoothed(field: FieldRealization, box, eps, refine: int = 6):
     points, so plain grid sums carry O(h / eps) error from the sharp
     boundary.  Grid nodes near the region (slack = one cell of gradient
     variation) are therefore supersampled ``refine`` times per axis through
-    the quintic-spline jet; the rest of the grid contributes exactly zero.
+    the quintic-spline jet, over each node's whole cell, and the sub-nodes
+    in the box are summed; the rest of the grid contributes exactly zero.
+    Every cell that meets the box is read, so the count is additive over a
+    split of the box.
     The sub-nodes sit at the same offsets around every node, so the spline
     is evaluated as fixed stencils: the gradient at every sub-node of the
     supersampled nodes, the Hessian only around nodes with a sub-node in
@@ -287,8 +290,11 @@ def count_kacrice_smoothed(field: FieldRealization, box, eps, refine: int = 6):
         )
     origin = field.origin()
     coords = origin[0] + h * np.arange(field.spec.window)  # same on every axis
-    # the window nodes with lo <= x < hi on each axis
-    first, stop = np.searchsorted(coords, lo), np.searchsorted(coords, hi)
+    # the window nodes whose cells [x - h/2, x + h/2) meet [lo, hi) on each
+    # axis, lo - h/2 < x < hi + h/2; the sub-nodes outside the box are
+    # trimmed below
+    first = np.searchsorted(coords, lo - 0.5 * h, side="right")
+    stop = np.searchsorted(coords, hi + 0.5 * h)
     sl = tuple(slice(a, b) for a, b in zip(first, stop))
 
     gmax = np.max(np.abs(field.grid[(slice(1, 1 + m),) + sl]), axis=0)

@@ -14,8 +14,14 @@ The torus is wider than the cube [-N, N]^m by a wrap guard, but only the
 window |x_i| <= N + _REACH_CELLS h is ever read.  Every component's
 multiplier is a product of per-axis factors 1, i lam_a or -lam_a^2, so the
 inverse transform runs one axis at a time, keeps only the window's rows
-after each axis, and branches only where the components' factors differ
-(FFT pruning, Markel 1971): the guard is never materialized.
+after each axis, and branches only where the components' factors differ:
+the guard is never materialized.  That prunes the transforms' outputs; their
+inputs are pruned to the density's band, the block of axis frequencies
+|lam_j| <= Lambda outside which every amplitude times its largest
+derivative factor is below rounding (``_band``).  The spectrum is built on
+that block alone, and each axis transforms only the lines the band leaves
+nonzero (FFT pruning, Markel 1971).  The normals are still drawn for the
+whole torus, so a seed's field does not depend on the band.
 """
 
 from __future__ import annotations
@@ -59,6 +65,11 @@ def _jet_bytes(m: int, n: int) -> int:
 # One budget for the two truncations of the sampled covariance: the spectral
 # mass beyond the cutoff radius and the wrapped tail psi(guard) / psi(0).
 _COVARIANCE_TOL = 1e-6
+
+# Share of the largest squared amplitude times derivative factor below which
+# a lattice frequency is left out of synthesis: its term is below rounding
+# in every jet component.
+_BAND_TOL = 1e-40
 
 # Cells the counting path reads beyond the box on each side: one candidate
 # cell plus the quintic spline stencil.
@@ -270,17 +281,40 @@ def _along(v: np.ndarray, axis: int, m: int) -> np.ndarray:
     return v.reshape([-1 if k == axis else 1 for k in range(m)])
 
 
-def _spline_multiplier(n: int, m: int) -> np.ndarray:
-    """Fourier multiplier of the periodic quintic B-spline prefilter on n^m.
+def _spline_multiplier(n: int, band: np.ndarray, m: int) -> np.ndarray:
+    """Fourier multiplier of the periodic quintic B-spline prefilter on n^m,
+    at the axis frequency indices ``band`` along every axis.
 
     Per axis it is 120 / (66 + 52 cos w + 2 cos 2w), the inverse transfer
     function of the sampled quintic B-spline (Unser, Aldroubi & Eden, IEEE
     TSP 1993); it matches ndimage.spline_filter(order=5, mode="grid-wrap").
     The multiplier is real and even in the frequency.
     """
-    om = 2.0 * np.pi * np.fft.fftfreq(n)
+    om = 2.0 * np.pi * np.fft.fftfreq(n)[band]
     p = 120.0 / (66.0 + 52.0 * np.cos(om) + 2.0 * np.cos(2.0 * om))
     return functools.reduce(np.multiply, [_along(p, a, m) for a in range(m)])
+
+
+def _band(w: SpectralDensity, spec: GridSpec) -> np.ndarray:
+    """Axis frequency indices that synthesis keeps, in transform order:
+    0 .. K, then -K .. -1 (mod n), or the whole axis.
+
+    Squared, a lattice frequency's amplitude times its largest derivative
+    factor 1 + r^2 is w(r) (1 + r^2)^2 up to a constant, at r = dlam sqrt(q)
+    with q the sum of its squared axis indices.  With q* the last q <=
+    m (n/2)^2 at which that product exceeds _BAND_TOL of its largest value
+    on the axis, K = isqrt(q*): a frequency outside the block has some
+    |k_j| > K, so q >= (K + 1)^2 > q* and its product is below the bound.
+    A compact density's band is its support.
+    """
+    m, n = spec.m, spec.n_per_side
+    r = 2.0 * np.pi / spec.period * np.sqrt(np.arange(m * (n // 2) ** 2 + 1))
+    f = w(r) * (1.0 + r**2) ** 2
+    peak = f[np.arange(n // 2 + 1) ** 2].max()
+    k = math.isqrt(int(np.flatnonzero(f > _BAND_TOL * peak).max(initial=0)))
+    if 2 * k + 1 >= n:
+        return np.arange(n)
+    return np.r_[0:k + 1, n - k:n]
 
 
 def spectral_cutoff(w: SpectralDensity, m: int) -> float:
@@ -298,32 +332,49 @@ def spectral_cutoff(w: SpectralDensity, m: int) -> float:
     return float(grid[min(idx, len(grid) - 1)])
 
 
-def _transform_window(part, comps, axis: int, factor: dict, jet: np.ndarray) -> None:
+def _transform_window(part, comps, axis: int, factor: dict, n: int, jet: np.ndarray) -> None:
     """Finish the inverse transforms of the jet components ``comps`` from
     ``part`` and write each one's counting window into ``jet``.
 
-    A component with derivative orders k_a has the multiplier prod_a
-    (i lam_a)^k_a, with ``factor[k]`` the per-axis factor of order k > 0.
-    ``part`` is transformed along the axes before ``axis`` and cropped to the
-    window there, and ``comps`` agree in their orders along those axes.  The
+    ``part`` holds the band block along ``axis`` and the axes after it, in
+    transform order (0 .. K, then -K .. -1), and is transformed along the
+    axes before it and cropped to the window there; each of its lines along
+    ``axis`` is spread over the n-point axis with zeros between the two
+    runs, so only the band's lines are ever transformed.  A component with
+    derivative orders k_a has the multiplier prod_a (i lam_a)^k_a, with
+    ``factor[k]`` the per-axis factor of order k > 0 on the band, and
+    ``comps`` agree in their orders along the axes before ``axis``.  The
     components that also agree along ``axis`` share one transform along it,
     so only the window's rows go on to the next axis (FFT pruning).
     """
-    m, n, w = part.ndim, part.shape[axis], jet.shape[-1]
-    keep = (slice(None),) * axis + (slice(n // 2 - w // 2, n // 2 + w // 2 + 1),)
+    m, b, w = part.ndim, part.shape[axis], jet.shape[-1]
+    lead = (slice(None),) * axis
+    keep = lead + (slice(n // 2 - w // 2, n // 2 + w // 2 + 1),)
+    # the band's two runs, as (block rows, axis rows); the whole axis is a
+    # band with an empty gap
+    h = b // 2 + 1
+    runs = [(slice(0, h), slice(0, h)), (slice(h, b), slice(n - b + h, n))]
     # the orders read off the labels: "h01" -> (1, 1, 0), "X" -> (0, 0, 0)
     orders = [tuple(label[1:].count(str(a)) for a in range(m)) for label in jet_labels(m)]
     groups = {}
     for c in comps:
         groups.setdefault(orders[c][axis], []).append(c)
-    for k in sorted(groups, reverse=True):  # order 0 last: it overwrites part
-        x = part if k == 0 else part * _along(factor[k], axis, m)
+    for k, group in groups.items():
+        x = np.empty(part.shape[:axis] + (n,) + part.shape[axis + 1:], dtype=complex)
+        x[lead + (slice(h, n - b + h),)] = 0.0
+        for rows, to in runs:
+            if k == 0:
+                x[lead + (to,)] = part[lead + (rows,)]
+            else:
+                np.multiply(part[lead + (rows,)], _along(factor[k][rows], axis, m),
+                            out=x[lead + (to,)])
         # norm="forward" leaves the inverse unscaled: a plain Fourier sum
         x = sfft.ifft(x, axis=axis, norm="forward", overwrite_x=True)[keep]
         if axis == m - 1:
-            jet[groups[k][0]] = x
+            jet[group[0]] = x
         else:
-            _transform_window(x, groups[k], axis + 1, factor, jet)
+            _transform_window(x, group, axis + 1, factor, n, jet)
+        del x  # free this buffer before the next group allocates its own
 
 
 def synthesize(
@@ -338,43 +389,57 @@ def synthesize(
     component's complex transform returns the grid values and, in the
     otherwise unused imaginary part, the quintic spline coefficients; only
     the counting window of the torus is transformed out and stored.
-    ``cutoff`` is ``spectral_cutoff(w, spec.m)``, computed here when None;
-    raises NyquistError when the grid does not resolve it.
+
+    The spectrum is built and transformed only on the band block of
+    ``_band``: the frequencies left out carry amplitudes below rounding.
+    The normals are still drawn for the whole torus, in the same order, so
+    a seed gives the same field whatever the band.  ``cutoff`` is
+    ``spectral_cutoff(w, spec.m)``, computed here when None; raises
+    NyquistError when the grid does not resolve it.
     """
     m, n = spec.m, spec.n_per_side
     if cutoff is None:
         cutoff = spectral_cutoff(w, m)
     spec.check_resolution(cutoff)
-    freqs = 2.0 * np.pi * np.fft.fftfreq(n, d=spec.spacing)
+    band = _band(w, spec)
+    block = np.ix_(*[band] * m)
+    freqs = (2.0 * np.pi * np.fft.fftfreq(n, d=spec.spacing))[band]
     lam = [_along(freqs, a, m) for a in range(m)]
     rad = np.sqrt(sum(x**2 for x in lam))
     dlam = 2.0 * np.pi / spec.period
     amp = np.sqrt(2.0 * (2.0 * np.pi) ** (-m / 2.0) * w(rad) * dlam**m)
+    del rad
 
+    # both normal arrays cover the whole torus, drawn in turn into one
+    # buffer, and only their block is kept
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal(rad.shape) + 1j * rng.standard_normal(rad.shape)
-    coeff = amp * z / np.sqrt(2.0)
-    del rad, amp, z
+    draw = np.empty((n,) * m)
+    re = rng.standard_normal(out=draw)[block]
+    im = rng.standard_normal(out=draw)[block]
+    del draw
+    coeff = amp * (re + 1j * im) / np.sqrt(2.0)
+    del amp, re, im
 
     # real(ifftn(C)) = ifftn(C_h) for the Hermitian part C_h(k) = (C(k) +
-    # conj C(-k)) / 2.  The spline multiplier P is real and even, so
-    # ifftn(C_h (1 + iP)) is the field plus i times its spline coefficients.
+    # conj C(-k)) / 2; the block is symmetric, so C(-k) is in it.  The spline
+    # multiplier P is real and even, so ifftn(C_h (1 + iP)) is the field plus
+    # i times its spline coefficients.
     herm = np.roll(np.flip(coeff), 1, axis=tuple(range(m)))  # C(-k)
     np.conjugate(herm, out=herm)
     herm += coeff
     herm *= 0.5
     del coeff
-    folded = herm * _spline_multiplier(n, m)
+    folded = herm * _spline_multiplier(n, band, m)
     folded *= 1j
     folded += herm
     del herm
 
     # Odd derivatives of the real Nyquist cosine vanish at the grid nodes, so
     # an odd factor is zero there; that keeps every multiplier Hermitian.
-    odd = freqs.copy()
-    odd[n // 2] = 0.0
+    odd = np.where(band == n // 2, 0.0, freqs)
+    factor = {1: 1j * odd, 2: -freqs**2}
     jet = np.empty((len(jet_labels(m)),) + (spec.window,) * m, dtype=complex)
-    _transform_window(folded, range(len(jet)), 0, {1: 1j * odd, 2: -freqs**2}, jet)
+    _transform_window(folded, range(len(jet)), 0, factor, n, jet)
     return FieldRealization(spec=spec, jet=jet, seed=seed, spectral_cutoff=cutoff)
 
 

@@ -209,6 +209,21 @@ class TestSynthesizedField:
         # saddles outnumber either extremum type on average
         assert sigs[1] >= max(sigs[0], sigs[2])
 
+    def test_saddles_balance_extrema(self):
+        # at m = 2 stationarity gives Cov(h00, h11) = Var(h01), so E det hess
+        # X = 0 and, by Kac-Rice, E[#saddles] = E[#extrema] in any box; the
+        # mean difference over 16 fields is 0 within 4.5 standard errors
+        spec = GridSpec(m=2, half_width=5.0, points_per_unit=8,
+                        guard=wrap_guard(GAUSS, 2, 8)[0])
+        box = ((-5.0, -5.0), (5.0, 5.0))
+        diffs = []
+        for seed in range(16):
+            sigs = count_newton(synthesize(GAUSS, spec, seed), box).signatures
+            assert sigs.size > 0
+            diffs.append(np.sum(sigs == 1) - np.sum(sigs != 1))
+        mean, se = np.mean(diffs), np.std(diffs, ddof=1) / np.sqrt(len(diffs))
+        assert abs(mean) <= 4.5 * se if se > 0 else mean == 0
+
 
 @functools.cache
 def _gaussian_field(seed: int, half_width: float = 5.0) -> FieldRealization:
@@ -259,6 +274,24 @@ class TestCountingInvariants:
             np.sort(got.locations - d, axis=0), np.sort(cps.locations, axis=0), atol=1e-9
         )
 
+    @pytest.mark.parametrize("offset", [0.0, -0.02], ids=["lattice", "off-lattice"])
+    def test_smoothed_split_adds_up(self, offset):
+        # every cell that meets a box is read, so the halves of a box split
+        # at x = cut add up to the whole box's count.  The cut runs through
+        # the eps-neighbourhood of the root nearest x = 0, on the lattice
+        # plane just above it or 0.02 below that plane, where the half-cell
+        # strips along the cut hold 2.6% and 1.0% of the whole count
+        fr = _gaussian_field(0)
+        roots = count_newton(fr, self.BOX).locations
+        x0 = roots[np.argmin(np.abs(roots[:, 0])), 0]
+        cut = math.ceil(x0 * fr.spec.points_per_unit) * fr.spec.spacing + offset
+        ladder = (0.1, 0.05)
+        (lo_x, lo_y), (hi_x, hi_y) = self.BOX
+        whole = count_kacrice_smoothed(fr, self.BOX, ladder)
+        left = count_kacrice_smoothed(fr, ((lo_x, lo_y), (cut, hi_y)), ladder)
+        right = count_kacrice_smoothed(fr, ((cut, lo_y), (hi_x, hi_y)), ladder)
+        np.testing.assert_allclose(np.add(left, right), whole, rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("seed", [11, 12])
     def test_eps_ladder_matches_scalar_calls(self, seed):
         fr = synthesize(GAUSS, GridSpec(m=2, half_width=3.0, points_per_unit=32, guard=6.0), seed)
@@ -277,7 +310,10 @@ def _smoothed_reference(field: FieldRealization, box, eps: float, refine: int) -
     m, h = field.spec.m, field.spec.spacing
     lo, hi = np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float)
     coords = field.origin()[0] + h * np.arange(field.spec.window)
-    window = [np.flatnonzero((coords >= lo[k]) & (coords < hi[k])) for k in range(m)]
+    # the nodes whose cells [x - h/2, x + h/2) meet [lo, hi)
+    window = [
+        np.flatnonzero((coords > lo[k] - 0.5 * h) & (coords < hi[k] + 0.5 * h)) for k in range(m)
+    ]
     gmax = np.max(np.abs(field.grid[(slice(1, 1 + m),) + np.ix_(*window)]), axis=0)
     upper = field.grid[1 + m:]
     slack = 1.5 * math.sqrt(m) * max(float(upper.max()), -float(upper.min())) * h

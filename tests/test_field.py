@@ -1,3 +1,6 @@
+import functools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,9 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from critfield.field import (
+    _BAND_TOL,
     _COVARIANCE_TOL,
+    _band,
     GridSpec,
     NyquistError,
     dump_realization,
@@ -207,6 +212,52 @@ class TestSynthesis:
         assert jet_labels(3)[4:] == ["h00", "h01", "h02", "h11", "h12", "h22"]
 
 
+# a non-monotone table: two bumps, the outer one taller than the inner dip
+TABLE = SpectralDensity(
+    family="user-table",
+    table=((0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0), (1.0, 0.3, 0.05, 0.6, 0.2, 0.05, 0.02)),
+)
+
+
+class TestBand:
+    """The frequencies that synthesis leaves out carry, squared and times the
+    largest derivative factor (1 + |lam|^2)^2, at most _BAND_TOL of the
+    largest such product on the lattice."""
+
+    @pytest.mark.parametrize(
+        "w, m, ppu",
+        [(GAUSS, 2, 8), (GAUSS, 3, 8), (GAUSS, 2, 64), (BUMP, 2, 8), (TABLE, 2, 8), (TABLE, 3, 6)],
+        ids=["gaussian-m2", "gaussian-m3", "gaussian-ppu64", "bump-1-4", "table-m2", "table-m3"],
+    )
+    def test_left_out_frequencies_are_below_rounding(self, w, m, ppu):
+        spec = GridSpec(m=m, half_width=2.0, points_per_unit=ppu, guard=6.0)
+        n = spec.n_per_side
+        band = _band(w, spec)
+        k = len(band) // 2
+        assert len(band) < n  # the band prunes
+        np.testing.assert_array_equal(band, np.r_[0:k + 1, n - k:n])
+        idx = np.fft.fftfreq(n, d=1.0 / n)  # signed axis indices
+        freqs = 2.0 * np.pi * np.fft.fftfreq(n, d=spec.spacing)
+        lam = np.meshgrid(*([freqs] * m), indexing="ij")
+        rad = np.sqrt(sum(x**2 for x in lam))
+        f = w(rad) * (1.0 + rad**2) ** 2
+        out = functools.reduce(np.logical_or, np.meshgrid(*([np.abs(idx) > k] * m), indexing="ij"))
+        assert out.any()
+        assert f[out].max() <= _BAND_TOL * f.max()
+
+    @pytest.mark.parametrize("w", [BUMP, TABLE], ids=["bump-1-4", "table"])
+    def test_compact_band_is_the_support(self, w):
+        spec = GridSpec(m=2, half_width=2.0, points_per_unit=8, guard=6.0)
+        dlam = 2.0 * np.pi / spec.period
+        assert len(_band(w, spec)) // 2 == math.floor(w.support_radius() / dlam)
+
+    def test_band_reaching_nyquist_is_the_whole_axis(self):
+        # at 3 points per unit the Gaussian's products stay above the bound
+        # out to the Nyquist radius 3 pi
+        spec = GridSpec(m=2, half_width=2.0, points_per_unit=3, guard=6.0)
+        np.testing.assert_array_equal(_band(GAUSS, spec), np.arange(spec.n_per_side))
+
+
 class TestOffgrid:
     def test_matches_grid_nodes(self, realization):
         idx = (10, 17)
@@ -305,34 +356,38 @@ def _legacy_grid(w, spec, seed):
 
 
 @pytest.mark.parametrize(
-    "spec",
+    "w, spec",
     [
-        GridSpec(m=2, half_width=4.0, points_per_unit=8, guard=8.0),
-        GridSpec(m=3, half_width=2.0, points_per_unit=6, guard=4.0),
-        GridSpec(m=2, half_width=5.0, points_per_unit=8, guard=7.375),  # 140 = 2^2 5 7
+        (GAUSS, GridSpec(m=2, half_width=4.0, points_per_unit=8, guard=8.0)),
+        (GAUSS, GridSpec(m=3, half_width=2.0, points_per_unit=6, guard=4.0)),
+        (GAUSS, GridSpec(m=2, half_width=5.0, points_per_unit=8, guard=7.375)),  # 140 = 2^2 5 7
+        # the band is the bump's support: 17 of 448 frequencies per axis
+        (BUMP, GridSpec(m=2, half_width=1.0, points_per_unit=8, guard=53.75)),
+        # crosscheck's resolution: 39 of 550 frequencies per axis
+        (GAUSS, GridSpec(m=2, half_width=1.0, points_per_unit=64, guard=6.453125)),
     ],
-    ids=["m2", "m3", "m2-fast"],
+    ids=["m2", "m3", "m2-fast", "m2-bump", "m2-ppu64"],
 )
 class TestFoldedPrefilter:
-    # the pruned transform returns the legacy torus-wide jet cropped to the
-    # counting window
+    # the pruned transform of the band returns the legacy torus-wide jet of
+    # every frequency cropped to the counting window
 
     @staticmethod
     def _window(spec, torus):
         n, r = spec.n_per_side, spec.window_radius
         return torus[(slice(n // 2 - r, n // 2 + r + 1),) * spec.m]
 
-    def test_coefficients_match_spline_filter(self, spec):
-        fr = synthesize(GAUSS, spec, seed=31)
-        legacy = _legacy_grid(GAUSS, spec, seed=31)
+    def test_coefficients_match_spline_filter(self, w, spec):
+        fr = synthesize(w, spec, seed=31)
+        legacy = _legacy_grid(w, spec, seed=31)
         for label, coeffs, torus in zip(jet_labels(spec.m), fr.coeffs, legacy):
             ref = self._window(spec, ndimage.spline_filter(torus, order=5, mode="grid-wrap"))
             err = np.max(np.abs(coeffs - ref)) / np.max(np.abs(ref))
             assert err <= 1e-12, label
 
-    def test_grid_values_match_legacy_formula(self, spec):
-        fr = synthesize(GAUSS, spec, seed=31)
-        legacy = _legacy_grid(GAUSS, spec, seed=31)
+    def test_grid_values_match_legacy_formula(self, w, spec):
+        fr = synthesize(w, spec, seed=31)
+        legacy = _legacy_grid(w, spec, seed=31)
         for label, grid, torus in zip(jet_labels(spec.m), fr.grid, legacy):
             ref = self._window(spec, torus)
             err = np.max(np.abs(grid - ref)) / np.max(np.abs(ref))
