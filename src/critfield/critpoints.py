@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -33,6 +32,8 @@ __all__ = [
 ]
 
 _MAX_ITER = 40
+# evaluations in a row without a new best |grad|_inf that retire an iterate
+_STALL = 3
 
 # The smoothed counter's stencil taps around a node along one axis, and the
 # sub-nodes or gathered coefficients per component it holds at once: 1 MB
@@ -95,14 +96,14 @@ def _candidate_cells(field: FieldRealization, lo, hi):
     i_hi = np.ceil((hi - origin) / h).astype(int) + 1
     window = tuple(slice(i_lo[k], i_hi[k] + 1) for k in range(m))
 
-    # one contiguous copy of the window: the 2^m corner slices each read it
-    g = np.ascontiguousarray(field.grid[(slice(1, 1 + m),) + window])
-    lo_c = hi_c = None
-    for off in itertools.product((0, 1), repeat=m):
-        sl = tuple(slice(o, g.shape[1 + k] - 1 + o) for k, o in enumerate(off))
-        v = g[(slice(None),) + sl]
-        lo_c = v if lo_c is None else np.minimum(lo_c, v)
-        hi_c = v if hi_c is None else np.maximum(hi_c, v)
+    # the min and max over the 2^m corners of every cell, one axis at a time:
+    # each pass pairs the neighbouring slices along one axis
+    lo_c = hi_c = field.grid[(slice(1, 1 + m),) + window]
+    for k in range(1, 1 + m):
+        first = (slice(None),) * k + (slice(None, -1),)
+        second = (slice(None),) * k + (slice(1, None),)
+        lo_c = np.minimum(lo_c[first], lo_c[second])
+        hi_c = np.maximum(hi_c[first], hi_c[second])
     mask = np.all((lo_c <= 0.0) & (hi_c >= 0.0), axis=0)
     idx = np.argwhere(mask)
     centers = origin + (idx + i_lo + 0.5) * h
@@ -125,10 +126,14 @@ def count_newton(field: FieldRealization, box) -> CriticalPointSet:
     Newton iterations on grad X start from every sign-variation cell; the
     jet is the quintic-spline interpolant of the spectrally exact derivative
     arrays.  Converged roots are deduplicated and classified by Hessian
-    signature; cells whose iterations fail are reported, making the count a
-    certified lower bound in that (rare) case.  The box must lie in the
-    realization's cube [-N, N]^m; an iterate whose spline stencil leaves the
-    counting window is marked escaped.
+    signature.  An iterate stops when it converges, when its spline stencil
+    leaves the counting window (escaped), when its |grad|_inf has not
+    improved on its best for 3 evaluations in a row (retired), or at the
+    40-iteration cap; an iterate that keeps improving, however slowly, runs
+    to the cap.  ``failed_cells`` counts the iterates that stopped short of
+    convergence within 1e-6 gscale of zero, making the count a certified
+    lower bound in that (rare) case.  The box must lie in the realization's
+    cube [-N, N]^m.
     """
     m = field.spec.m
     lo, hi = _box_arrays(box, field.spec)
@@ -146,15 +151,24 @@ def count_newton(field: FieldRealization, box) -> CriticalPointSet:
     # gradient and Hessian upper triangle (jet components 1 and up) at the
     # iterate where each candidate converged
     at_root = np.empty((field.jet.shape[0] - 1, n_candidates))
+    # |grad|_inf: the best so far, the evaluations since it, the latest
+    best = np.full(n_candidates, np.inf)
+    stale = np.zeros(n_candidates, dtype=int)
+    last = np.full(n_candidates, np.inf)
     max_step = 2.0 * h
     for _ in range(_MAX_ITER):
         if active.size == 0:
             break
         vals = interpolate(field, cur[active], slice(1, None))
-        ok = np.max(np.abs(vals[:m]), axis=0) <= tol
+        gsup = np.max(np.abs(vals[:m]), axis=0)
+        ok = gsup <= tol
         converged[active[ok]] = True
         at_root[:, active[ok]] = vals[:, ok]
-        active, vals = active[~ok], vals[:, ~ok]
+        last[active] = gsup
+        stale[active] = np.where(gsup < best[active], 0, stale[active] + 1)
+        best[active] = np.minimum(best[active], gsup)
+        going = ~ok & (stale[active] < _STALL)
+        active, vals = active[going], vals[:, going]
         g = vals[:m].T
         hess = hessian_stack(vals[m:], m)
         try:
@@ -170,15 +184,14 @@ def count_newton(field: FieldRealization, box) -> CriticalPointSet:
         escaped[active[out]] = True
         active = active[~out]
 
-    # Candidates still active at the iteration cap split two ways.
+    # Retired iterates and those still active at the cap split two ways.
     # Sign-variation cells are a superset heuristic: the component zero sets
     # can pass through a cell without intersecting, in which case |grad|
-    # stagnates at a strictly positive value and there is no root to find.
-    # Only iterates that stalled *near* a root (small but uncertified
-    # gradient) count as failures.
+    # stagnates at a strictly positive value (or cycles above it) and there
+    # is no root to find.  Only iterates whose last evaluated |grad|_inf lies
+    # *near* zero (small but uncertified) count as failures.
     stalled = ~converged & ~escaped
-    g_final = interpolate(field, cur[stalled], slice(1, 1 + m))
-    failed = int(np.sum(np.max(np.abs(g_final), axis=0) <= 1e-6 * gscale))
+    failed = int(np.sum(last[stalled] <= 1e-6 * gscale))
 
     idx = np.flatnonzero(converged)
     idx = idx[np.all((cur[idx] >= lo) & (cur[idx] < hi), axis=1)]

@@ -1,5 +1,6 @@
 import csv
 import functools
+import itertools
 import math
 import warnings
 
@@ -8,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
+from scipy.spatial import cKDTree
 
 from critfield.critpoints import (
     CriticalPointSet,
+    _candidate_cells,
     _det_stack,
     _lattice,
     _quintic_weights,
@@ -43,6 +46,7 @@ def _analytic_field(kind: str, spec: GridSpec = SPEC) -> FieldRealization:
 
     "coscos": X = cos(k x) cos(k y), lattice of extrema and saddles.
     "ramp":   X = x, gradient never vanishes.
+    "cubed":  X = sin^3(k x) + cos(k y), a double zero of X_x on x = 0.
     "flat":   X = 0 identically.
 
     The jet is sampled on the whole torus, prefiltered periodically, and
@@ -59,6 +63,16 @@ def _analytic_field(kind: str, spec: GridSpec = SPEC) -> FieldRealization:
             -K**2 * np.cos(K * x) * np.cos(K * y),
             K**2 * np.sin(K * x) * np.sin(K * y),
             -K**2 * np.cos(K * x) * np.cos(K * y),
+        ]
+    elif kind == "cubed":
+        s, c = np.sin(K * x), np.cos(K * x)
+        grid = [
+            s**3 + np.cos(K * y),
+            3 * K * s**2 * c,
+            -K * np.sin(K * y),
+            3 * K**2 * (2 * s * c**2 - s**3),
+            np.zeros_like(x),
+            -K**2 * np.cos(K * y),
         ]
     elif kind == "ramp":
         grid = [x, np.ones_like(x)] + [np.zeros_like(x)] * 4
@@ -223,6 +237,128 @@ class TestSynthesizedField:
             diffs.append(np.sum(sigs == 1) - np.sum(sigs != 1))
         mean, se = np.mean(diffs), np.std(diffs, ddof=1) / np.sqrt(len(diffs))
         assert abs(mean) <= 4.5 * se if se > 0 else mean == 0
+
+    def test_alternating_index_sum_m3(self):
+        # at m = 3, X -> -X maps index k to 3 - k, so (-1)^index flips sign
+        # and E sum (-1)^signature = 0 exactly; the mean over 8 fields is 0
+        # within 4.5 standard errors.  Retiring iterates must not drop the
+        # points of one signature
+        spec = GridSpec(m=3, half_width=3.0, points_per_unit=8,
+                        guard=wrap_guard(GAUSS, 3, 8)[0])
+        box = ((-3.0,) * 3, (3.0,) * 3)
+        sums = []
+        for seed in range(8):
+            sigs = count_newton(synthesize(GAUSS, spec, seed), box).signatures
+            assert sigs.size > 0
+            sums.append(np.sum((-1) ** sigs))
+        mean, se = np.mean(sums), np.std(sums, ddof=1) / np.sqrt(len(sums))
+        assert abs(mean) <= 4.5 * se if se > 0 else mean == 0
+
+
+def _corner_candidates(field: FieldRealization, lo, hi) -> np.ndarray:
+    """Candidate cell centers from the min and max over each cell's 2^m
+    corners, one corner slice at a time."""
+    m, h, origin = field.spec.m, field.spec.spacing, field.origin()
+    i_lo = np.floor((lo - origin) / h).astype(int) - 1
+    i_hi = np.ceil((hi - origin) / h).astype(int) + 1
+    g = field.grid[(slice(1, 1 + m),) + tuple(slice(a, b + 1) for a, b in zip(i_lo, i_hi))]
+    corners = [
+        g[(slice(None),) + tuple(slice(o, g.shape[1 + k] - 1 + o) for k, o in enumerate(off))]
+        for off in itertools.product((0, 1), repeat=m)
+    ]
+    lo_c, hi_c = np.minimum.reduce(corners), np.maximum.reduce(corners)
+    idx = np.argwhere(np.all((lo_c <= 0.0) & (hi_c >= 0.0), axis=0))
+    return origin + (idx + i_lo + 0.5) * h
+
+
+def _newton_reference(field: FieldRealization, box):
+    """(locations, signatures, failed_cells) of the Newton count without
+    retirement: every iterate that neither converges nor escapes runs to the
+    40-iteration cap, and the failure test reads |grad| at its final point."""
+    m, h = field.spec.m, field.spec.spacing
+    lo, hi = np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float)
+    gscale = np.sqrt(np.mean(field.grid[1] ** 2))
+    cur = _corner_candidates(field, lo, hi)
+    active = np.arange(len(cur))
+    converged = np.zeros(len(cur), dtype=bool)
+    escaped = np.zeros(len(cur), dtype=bool)
+    for _ in range(40):
+        if active.size == 0:
+            break
+        vals = interpolate(field, cur[active], slice(1, None))
+        ok = np.max(np.abs(vals[:m]), axis=0) <= 1e-10 * gscale
+        converged[active[ok]] = True
+        active, vals = active[~ok], vals[:, ~ok]
+        step = np.linalg.solve(hessian_stack(vals[m:], m), vals[:m].T[..., None])[..., 0]
+        norms = np.linalg.norm(step, axis=1, keepdims=True)
+        cur[active] -= np.where(norms > 2 * h, step * (2 * h / norms), step)
+        out = ~field.readable(cur[active])
+        escaped[active[out]] = True
+        active = active[~out]
+    stalled = ~converged & ~escaped
+    g_final = interpolate(field, cur[stalled], slice(1, 1 + m))
+    failed = int(np.sum(np.max(np.abs(g_final), axis=0) <= 1e-6 * gscale))
+    idx = np.flatnonzero(converged)
+    idx = idx[np.all((cur[idx] >= lo) & (cur[idx] < hi), axis=1)]
+    idx = idx[np.lexsort(cur[idx].T[::-1])]
+    keep = np.ones(len(idx), dtype=bool)
+    for i, j in sorted(cKDTree(cur[idx]).query_pairs(0.5 * h)):
+        if keep[i]:
+            keep[j] = False
+    idx = idx[keep]
+    hess = hessian_stack(interpolate(field, cur[idx], slice(1 + m, None)), m)
+    return cur[idx], np.sum(np.linalg.eigvalsh(hess) < 0.0, axis=1), failed
+
+
+def _assert_matches_reference(cps: CriticalPointSet, ref) -> None:
+    locations, signatures, failed = ref
+    assert cps.newton_count == len(signatures)
+    order, ref_order = np.lexsort(cps.locations.T[::-1]), np.lexsort(locations.T[::-1])
+    np.testing.assert_array_equal(cps.signatures[order], signatures[ref_order])
+    np.testing.assert_allclose(cps.locations[order], locations[ref_order], rtol=0, atol=1e-9)
+    assert cps.failed_cells <= failed
+
+
+class TestNewtonRetirement:
+    """Retired iterates leave the count as iterating every one to the cap does."""
+
+    @pytest.mark.parametrize(
+        "m, half_width, seed",
+        [(2, 10.0, 0), (2, 10.0, 1), (2, 10.0, 39), (2, 20.0, 48), (3, 3.0, 0), (3, 3.0, 30)],
+    )
+    def test_matches_uncapped_reference(self, m, half_width, seed):
+        # seeds 39 (m = 2) and 30 (m = 3): one iterate wanders to iteration 37
+        # and then converges on a root another cell finds; the reference
+        # counts it as a failed cell, retirement does not.  (2, 20.0, 48): a
+        # stall of 2 evaluations instead of 3 loses a root
+        spec = GridSpec(m=m, half_width=half_width, points_per_unit=8,
+                        guard=wrap_guard(GAUSS, m, 8)[0])
+        fr = synthesize(GAUSS, spec, seed)
+        box = ((-half_width,) * m, (half_width,) * m)
+        lo, hi = np.array(box)
+        # min and max are exact, so the per-axis passes give the same cells
+        np.testing.assert_array_equal(_candidate_cells(fr, lo, hi), _corner_candidates(fr, lo, hi))
+        cps = count_newton(fr, box)
+        assert cps.newton_count > 0
+        _assert_matches_reference(cps, _newton_reference(fr, box))
+
+    def test_creeping_iterate_is_not_retired(self):
+        # X_x = 3 k sin^2(k x) cos(k x) has a double zero on x = 0, where
+        # Newton halves the distance per step: |grad| keeps improving, slowly,
+        # so the iterates run until they converge on the degenerate root
+        fr = _analytic_field("cubed")
+        box = ((-2.0, -2.0), (2.0, 2.0))
+        cps = count_newton(fr, box)
+        ref = _newton_reference(fr, box)
+        _assert_matches_reference(cps, ref)
+        assert cps.failed_cells == ref[2] == 0
+        # (0, 0) and (+-1.6, 0); at the first, det hess X vanishes and the
+        # iterate stops a few 1e-6 short of it
+        assert cps.newton_count == 3
+        origin = np.argmin(np.max(np.abs(cps.locations), axis=1))
+        assert np.max(np.abs(cps.locations[origin])) < 1e-4
+        others = np.delete(np.abs(cps.det_hessian), origin)
+        assert abs(cps.det_hessian[origin]) < 1e-4 * others.min()
 
 
 @functools.cache
