@@ -250,7 +250,10 @@ def _lattice(coeffs: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.n
     ix = tuple(taps + nodes[:, a] for a, taps in enumerate(lead)) + (nodes[:, -1] + _TAPS[0],)
     out = np.empty((len(coeffs), len(nodes)) + (r,) * m)
     for c, coeff in enumerate(coeffs):
-        v = sliding_window_view(coeff, t, axis=-1)[ix] @ weights  # (t, ..., t, k, r)
+        # one 2-D product, whatever k: a batch of (1, t) rows would go to
+        # another BLAS kernel, and each node's values would then depend on
+        # how many nodes share its call
+        v = sliding_window_view(coeff, t, axis=-1)[ix].reshape(-1, t) @ weights
         for a in reversed(range(m - 1)):  # (t^a, t, ...) -> (t^a, r, ...)
             v = np.matmul(weights.T, v.reshape(t**a, t, -1))
         out[c] = np.moveaxis(v.reshape((r,) * (m - 1) + (-1, r)), -2, 0)
@@ -271,10 +274,13 @@ def count_kacrice_smoothed(field: FieldRealization, box, eps, refine: int = 6):
 
     The indicator region is a union of small neighborhoods of the critical
     points, so plain grid sums carry O(h / eps) error from the sharp
-    boundary.  Grid nodes near the region (slack = one cell of gradient
-    variation) are therefore supersampled ``refine`` times per axis through
-    the quintic-spline jet, over each node's whole cell, and the sub-nodes
-    in the box are summed; the rest of the grid contributes exactly zero.
+    boundary.  Grid nodes near the region are therefore supersampled
+    ``refine`` times per axis through the quintic-spline jet, over each
+    node's whole cell, and the sub-nodes in the box are summed; the rest of
+    the grid contributes exactly zero.  A node is near when its grid
+    |grad|_inf is within eps plus a slack of one cell of gradient variation,
+    1.5 sqrt(m) h times the largest |h_ij| over the 3^m nodes around it, so
+    the nodes supersampled follow the local Hessian, not the window's.
     Every cell that meets the box is read, so the count is additive over a
     split of the box.
     The sub-nodes sit at the same offsets around every node, so the spline
@@ -311,17 +317,25 @@ def count_kacrice_smoothed(field: FieldRealization, box, eps, refine: int = 6):
     sl = tuple(slice(a, b) for a, b in zip(first, stop))
 
     gmax = np.max(np.abs(field.grid[(slice(1, 1 + m),) + sl]), axis=0)
-    # gradient can swing by about max|hess| * h * sqrt(m) within one cell
-    upper = field.grid[1 + m:]
-    hmax = max(float(upper.max()), -float(upper.min()))
-    slack = 1.5 * math.sqrt(m) * hmax * h
+    # the gradient can swing by about max|hess| * h * sqrt(m) within a cell:
+    # the largest |h_ij| at each node, one component at a time, then over
+    # the 3^m nodes around it (the window holds a ring of nodes around sl)
+    ring = tuple(slice(a - 1, b + 1) for a, b in zip(first, stop))
+    hmax = np.abs(field.grid[(1 + m,) + ring])
+    for comp in field.grid[2 + m:]:
+        np.maximum(hmax, np.abs(comp[ring]), out=hmax)
+    for a in range(m):  # each node and its two neighbours along axis a
+        lead, inner = (slice(None),) * a, hmax.shape[a] - 2
+        below, at, above = (lead + (slice(k, k + inner),) for k in range(3))
+        hmax = np.maximum(np.maximum(hmax[below], hmax[at]), hmax[above])
+    slack = 1.5 * math.sqrt(m) * h * hmax
     mask = gmax <= ladder.max() + slack
 
     # jet indices of the supersampled nodes; the box lies in the cube, so
     # every stencil tap of their sub-nodes lies in the window
     nodes = np.argwhere(mask) + first
     base = origin + h * nodes
-    masked_gmax = gmax[mask]
+    gmax, slack = gmax[mask], slack[mask]
     # refine^m sub-nodes per grid cell (midpoint rule anchored at the node)
     offsets = (np.arange(refine) + 0.5) / refine - 0.5
     weights = _quintic_weights(offsets)
@@ -329,8 +343,8 @@ def count_kacrice_smoothed(field: FieldRealization, box, eps, refine: int = 6):
         [g.ravel() for g in np.meshgrid(*([offsets] * m), indexing="ij")], axis=1
     )
     # per chunk of nodes, the sub-nodes in the region of the largest eps:
-    # their gradient sup-norms, their nodes' grid sup-norms and |det hess|
-    gsups, gmaxes, absdets = [], [], []
+    # their gradient sup-norms, their nodes and |det hess|
+    gsups, owners, absdets = [], [], []
     step = max(1, _LATTICE_CHUNK // max(refine, len(_TAPS)) ** m)
     # at least one pass, so that a box without supersampled nodes counts 0
     for start in range(0, max(len(nodes), 1), step):
@@ -348,13 +362,14 @@ def count_kacrice_smoothed(field: FieldRealization, box, eps, refine: int = 6):
         tri = _lattice(field.coeffs[1 + m:], nodes[part][lit], weights)
         hess = hessian_stack(tri[:, by_node[lit].ravel()], m)
         gsups.append(gsup[fire])
-        gmaxes.append(masked_gmax[part][np.nonzero(by_node)[0]])
+        owners.append(start + np.nonzero(by_node)[0])
         absdets.append(np.abs(_det_stack(hess)))
-    gsup, node_gmax, absdet = map(np.concatenate, (gsups, gmaxes, absdets))
+    gsup, owner, absdet = map(np.concatenate, (gsups, owners, absdets))
+    node_gmax, node_slack = gmax[owner], slack[owner]
     weight = (h / refine) ** m
     counts = []
     for e in ladder:
-        on = (node_gmax <= e + slack) & (gsup <= e)
+        on = (node_gmax <= e + node_slack) & (gsup <= e)
         counts.append(float(np.sum(absdet[on]) * weight / (2.0 * e) ** m))
     return counts[0] if np.ndim(eps) == 0 else counts
 

@@ -28,7 +28,14 @@ from scipy import stats
 
 from .config import BudgetError
 from .critpoints import _eps_ladder, count_kacrice_smoothed, count_newton, expected_count
-from .field import GridSpec, spectral_cutoff, synthesize, torus_record, wrap_guard
+from .field import (
+    GridSpec,
+    spectral_band,
+    spectral_cutoff,
+    synthesize,
+    torus_record,
+    wrap_guard,
+)
 from .spectrum import SpectralDensity
 
 __all__ = [
@@ -88,11 +95,11 @@ class ExperimentRecord:
     torus: dict = field(default_factory=dict)  # field.torus_record of the run
 
 
-def _count_one(w, spec, seed, cutoff, n_list):
+def _count_one(w, spec, seed, cutoff, band, n_list):
     """Z_N at every N of n_list from one field on spec: one Newton count on
     the cube of spec's half-width, whose half-open sub-cubes [-N, N)^m are
     nested, so each Z_N is the number of its points inside [-N, N)^m."""
-    fr = synthesize(w, spec, seed=seed, cutoff=cutoff)
+    fr = synthesize(w, spec, seed=seed, cutoff=cutoff, band=band)
     n_max, m = spec.half_width, spec.m
     cps = count_newton(fr, ((-n_max,) * m, (n_max,) * m))
     if cps.failed_cells > 0.05 * max(cps.newton_count, 1):
@@ -136,6 +143,7 @@ def run_clt(
     spec = GridSpec(
         m=m, half_width=n_list[-1], points_per_unit=config.points_per_unit, guard=guard
     )
+    band = spectral_band(w, spec)
     c_m = expected_count(w, m, 1.0, config.e_absdet_s1)
 
     flags = [] if r >= 30 else ["insufficient: R < 30"]
@@ -145,7 +153,7 @@ def run_clt(
         _check_wall_clock(t0, wall_clock, j, r)
         seed = int(ss.generate_state(1)[0])
         try:
-            rows.append(_count_one(w, spec, seed, cutoff, n_list))
+            rows.append(_count_one(w, spec, seed, cutoff, band, n_list))
         except (RuntimeError, FloatingPointError) as exc:
             flags.append(f"replicate {j} (seed {seed}) failed ({exc})")
     n_fail = r - len(rows)
@@ -238,6 +246,7 @@ def estimator_crosscheck(
     spec = GridSpec(
         m=m, half_width=n_half, points_per_unit=config.points_per_unit, guard=guard
     )
+    band = spectral_band(w, spec)
     box = ((-n_half,) * m, (n_half,) * m)
     rows = []
     streams = np.random.SeedSequence((config.master_seed, 0x9C)).spawn(
@@ -246,7 +255,7 @@ def estimator_crosscheck(
     for j, ss in enumerate(streams):
         _check_wall_clock(t0, wall_clock, j, config.realizations)
         seed = int(ss.generate_state(1)[0])
-        fr = synthesize(w, spec, seed=seed, cutoff=cutoff)
+        fr = synthesize(w, spec, seed=seed, cutoff=cutoff, band=band)
         cps = count_newton(fr, box)
         row = {"seed": seed, "newton": cps.newton_count, "failed_cells": cps.failed_cells}
         with warnings.catch_warnings():

@@ -18,10 +18,12 @@ after each axis, and branches only where the components' factors differ:
 the guard is never materialized.  That prunes the transforms' outputs; their
 inputs are pruned to the density's band, the block of axis frequencies
 |lam_j| <= Lambda outside which every amplitude times its largest
-derivative factor is below rounding (``_band``).  The spectrum is built on
-that block alone, and each axis transforms only the lines the band leaves
-nonzero (FFT pruning, Markel 1971).  The normals are still drawn for the
-whole torus, so a seed's field does not depend on the band.
+derivative factor is below rounding (``spectral_band``).  The normals are
+drawn and the spectrum is built on that block alone, and each axis
+transforms only the lines the band leaves nonzero (FFT pruning, Markel
+1971).  So a seed's field depends on the torus period and the band alone:
+two grids of one period whose bands agree sample one trigonometric
+polynomial, and agree at their shared nodes.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ __all__ = [
     "NyquistError",
     "wrap_guard",
     "spectral_cutoff",
+    "spectral_band",
     "torus_record",
     "synthesize",
     "jet_labels",
@@ -295,7 +298,7 @@ def _spline_multiplier(n: int, band: np.ndarray, m: int) -> np.ndarray:
     return functools.reduce(np.multiply, [_along(p, a, m) for a in range(m)])
 
 
-def _band(w: SpectralDensity, spec: GridSpec) -> np.ndarray:
+def spectral_band(w: SpectralDensity, spec: GridSpec) -> np.ndarray:
     """Axis frequency indices that synthesis keeps, in transform order:
     0 .. K, then -K .. -1 (mod n), or the whole axis.
 
@@ -305,7 +308,9 @@ def _band(w: SpectralDensity, spec: GridSpec) -> np.ndarray:
     m (n/2)^2 at which that product exceeds _BAND_TOL of its largest value
     on the axis, K = isqrt(q*): a frequency outside the block has some
     |k_j| > K, so q >= (K + 1)^2 > q* and its product is below the bound.
-    A compact density's band is its support.
+    A compact density's band is its support.  It depends on the density
+    and the grid alone, so a sweep computes it once and passes it to every
+    ``synthesize`` call.
     """
     m, n = spec.m, spec.n_per_side
     r = 2.0 * np.pi / spec.period * np.sqrt(np.arange(m * (n // 2) ** 2 + 1))
@@ -378,7 +383,11 @@ def _transform_window(part, comps, axis: int, factor: dict, n: int, jet: np.ndar
 
 
 def synthesize(
-    w: SpectralDensity, spec: GridSpec, seed: int, cutoff: float | None = None
+    w: SpectralDensity,
+    spec: GridSpec,
+    seed: int,
+    cutoff: float | None = None,
+    band: np.ndarray | None = None,
 ) -> FieldRealization:
     """Sample the centered stationary field with spectral density w.
 
@@ -390,19 +399,21 @@ def synthesize(
     otherwise unused imaginary part, the quintic spline coefficients; only
     the counting window of the torus is transformed out and stored.
 
-    The spectrum is built and transformed only on the band block of
-    ``_band``: the frequencies left out carry amplitudes below rounding.
-    The normals are still drawn for the whole torus, in the same order, so
-    a seed gives the same field whatever the band.  ``cutoff`` is
-    ``spectral_cutoff(w, spec.m)``, computed here when None; raises
-    NyquistError when the grid does not resolve it.
+    The normals are drawn, the spectrum built and transformed only on the
+    band block ``(len(band),) * m``: the frequencies left out carry
+    amplitudes below rounding.  The real parts are drawn first, then the
+    imaginary parts, each in transform order, so a seed's field depends on
+    the period and the band, not on the points per unit.  ``cutoff`` is
+    ``spectral_cutoff(w, spec.m)`` and ``band`` is ``spectral_band(w,
+    spec)``, each computed here when None; raises NyquistError when the grid
+    does not resolve the cutoff.
     """
     m, n = spec.m, spec.n_per_side
     if cutoff is None:
         cutoff = spectral_cutoff(w, m)
     spec.check_resolution(cutoff)
-    band = _band(w, spec)
-    block = np.ix_(*[band] * m)
+    if band is None:
+        band = spectral_band(w, spec)
     freqs = (2.0 * np.pi * np.fft.fftfreq(n, d=spec.spacing))[band]
     lam = [_along(freqs, a, m) for a in range(m)]
     rad = np.sqrt(sum(x**2 for x in lam))
@@ -410,13 +421,9 @@ def synthesize(
     amp = np.sqrt(2.0 * (2.0 * np.pi) ** (-m / 2.0) * w(rad) * dlam**m)
     del rad
 
-    # both normal arrays cover the whole torus, drawn in turn into one
-    # buffer, and only their block is kept
     rng = np.random.default_rng(seed)
-    draw = np.empty((n,) * m)
-    re = rng.standard_normal(out=draw)[block]
-    im = rng.standard_normal(out=draw)[block]
-    del draw
+    re = rng.standard_normal(amp.shape)
+    im = rng.standard_normal(amp.shape)
     coeff = amp * (re + 1j * im) / np.sqrt(2.0)
     del amp, re, im
 

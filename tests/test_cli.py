@@ -5,10 +5,12 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from critfield.cli import (
     EXIT_BUDGET,
@@ -458,7 +460,19 @@ class TestMainExitCodes:
         assert main(["--config", cfg, "--out", str(out)]) == EXIT_OK
         stats = json.loads((out / "jet_statistics.json").read_text())
         est, stderr = stats["X.X"]
-        assert est == pytest.approx(1.0, rel=0.5)
+        # X.X is the mean of X^2 over the K = 15^2 window nodes that
+        # jet_statistics reads, every fourth along each axis: spacing 1/2 on
+        # [-3.5, 3.5]^2.  The field has C(t) = exp(-|t|^2 / 2), so E X.X = 1
+        # and Var X.X = 2 sum_ij C(x_i - x_j)^2 / K^2 (sd 0.31, about 21
+        # independent values).  That weighted sum of chi^2_1 variables is
+        # close to chi^2_nu / nu with nu = 2 / Var, and the bounds are its
+        # 1e-5 and 1 - 1e-5 quantiles, [0.17, 2.90].  Over seeds 0-999 the
+        # one-field estimate has sd 0.31 and lies in [0.35, 2.49]
+        x = np.arange(-3.5, 3.75, 0.5)
+        nodes = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
+        lag2 = np.sum((nodes[:, None] - nodes[None]) ** 2, axis=-1)
+        nu = 1.0 / np.mean(np.exp(-lag2))
+        assert chi2.ppf(1e-5, nu) / nu <= est <= chi2.ppf(1.0 - 1e-5, nu) / nu
         assert stderr is None
         assert set(stats) >= {"g0.g1", "h00.h11", "X.h01"}
         back = load_realization(out / "realization.bin")

@@ -122,6 +122,20 @@ class TestRunClt:
         run_clt(small)
         assert len(calls) == 1
 
+    def test_band_once_per_sweep(self, monkeypatch):
+        calls, derive = [], field.spectral_band
+
+        def spy(*args):
+            calls.append(args)
+            return derive(*args)
+
+        monkeypatch.setattr(experiments, "spectral_band", spy)
+        monkeypatch.setattr(field, "spectral_band", spy)
+        small = replace(SMALL, realizations=3)
+        run_clt(small)
+        estimator_crosscheck(replace(small, eps_list=(0.1,)))
+        assert len(calls) == 2
+
     def test_oversized_grid_refused_before_any_realization(self, monkeypatch):
         # the jet-bytes budget is the only limit on N.  At m = 3 and 16
         # points per unit N = 3 fits (216^3), but N = 7 needs a 336^3 torus,
@@ -161,7 +175,7 @@ class TestRunClt:
         # paired rows differ by exactly 1000
         seeds = []
 
-        def flaky(w, spec, seed, cutoff, n_list):
+        def flaky(w, spec, seed, cutoff, band, n_list):
             seeds.append(seed)
             if len(seeds) == 2:
                 raise RuntimeError("7 unresolved cells")
@@ -195,7 +209,9 @@ class TestNestedLevels:
         spec = field.GridSpec(m=m, half_width=n_list[-1], points_per_unit=8, guard=guard)
         fr = field.synthesize(w, spec, seed)
         top = count_newton(fr, ((-n_list[-1],) * m, (n_list[-1],) * m))
-        nested = experiments._count_one(w, spec, seed, field.spectral_cutoff(w, m), n_list)
+        nested = experiments._count_one(
+            w, spec, seed, field.spectral_cutoff(w, m), field.spectral_band(w, spec), n_list
+        )
         for n, z in zip(n_list, nested):
             direct = count_newton(fr, ((-n,) * m, (n,) * m))
             inside = np.all((top.locations >= -n) & (top.locations < n), axis=1)

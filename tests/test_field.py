@@ -10,7 +10,6 @@ from scipy import ndimage
 from critfield.field import (
     _BAND_TOL,
     _COVARIANCE_TOL,
-    _band,
     GridSpec,
     NyquistError,
     dump_realization,
@@ -18,6 +17,7 @@ from critfield.field import (
     jet_labels,
     jet_statistics,
     load_realization,
+    spectral_band,
     synthesize,
     wrap_guard,
 )
@@ -232,7 +232,7 @@ class TestBand:
     def test_left_out_frequencies_are_below_rounding(self, w, m, ppu):
         spec = GridSpec(m=m, half_width=2.0, points_per_unit=ppu, guard=6.0)
         n = spec.n_per_side
-        band = _band(w, spec)
+        band = spectral_band(w, spec)
         k = len(band) // 2
         assert len(band) < n  # the band prunes
         np.testing.assert_array_equal(band, np.r_[0:k + 1, n - k:n])
@@ -249,13 +249,29 @@ class TestBand:
     def test_compact_band_is_the_support(self, w):
         spec = GridSpec(m=2, half_width=2.0, points_per_unit=8, guard=6.0)
         dlam = 2.0 * np.pi / spec.period
-        assert len(_band(w, spec)) // 2 == math.floor(w.support_radius() / dlam)
+        assert len(spectral_band(w, spec)) // 2 == math.floor(w.support_radius() / dlam)
 
     def test_band_reaching_nyquist_is_the_whole_axis(self):
         # at 3 points per unit the Gaussian's products stay above the bound
         # out to the Nyquist radius 3 pi
         spec = GridSpec(m=2, half_width=2.0, points_per_unit=3, guard=6.0)
-        np.testing.assert_array_equal(_band(GAUSS, spec), np.arange(spec.n_per_side))
+        np.testing.assert_array_equal(spectral_band(GAUSS, spec), np.arange(spec.n_per_side))
+
+    def test_field_depends_on_period_and_band_only(self):
+        # a seed draws its normals on the band block, so two grids of period
+        # 16 with one band sample one trigonometric polynomial: ppu 8's
+        # nodes are every fourth node of ppu 32's.  With the window radii 44
+        # and 164, coarse node i is fine node 4 i - 12
+        coarse, fine = (GridSpec(m=2, half_width=5.0, points_per_unit=ppu, guard=6.0)
+                        for ppu in (8, 32))
+        assert coarse.period == fine.period == 16.0
+        band = spectral_band(GAUSS, coarse)
+        assert len(band) < coarse.n_per_side  # the band does not reach ppu 8's Nyquist
+        np.testing.assert_array_equal(spectral_band(GAUSS, fine) % coarse.n_per_side, band)
+        a = synthesize(GAUSS, coarse, seed=77).grid[(slice(None),) + (slice(3, 86),) * 2]
+        b = synthesize(GAUSS, fine, seed=77).grid[(slice(None),) + (slice(0, 329, 4),) * 2]
+        scale = np.max(np.abs(b), axis=(1, 2), keepdims=True)
+        assert np.all(np.abs(a - b) <= 1e-12 * scale)
 
 
 class TestOffgrid:
@@ -340,15 +356,20 @@ class TestRoundTrip:
 
 def _legacy_grid(w, spec, seed):
     """Grid values of every jet component on the whole torus by the meshgrid
-    formula real(ifftn(C * mult)) * n^m, one numpy transform per component."""
+    formula real(ifftn(C * mult)) * n^m, one numpy transform per component.
+    The normals are drawn on the band block, real parts then imaginary
+    parts, and the torus holds zeros outside it."""
     m, n = spec.m, spec.n_per_side
     freqs = 2.0 * np.pi * np.fft.fftfreq(n, d=spec.spacing)
     lam = np.meshgrid(*([freqs] * m), indexing="ij")
     rad = np.sqrt(sum(x**2 for x in lam))
     dlam = 2.0 * np.pi / spec.period
     amp = np.sqrt(2.0 * (2.0 * np.pi) ** (-m / 2.0) * w(rad) * dlam**m)
+    band = spectral_band(w, spec)
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal(rad.shape) + 1j * rng.standard_normal(rad.shape)
+    z = np.zeros(rad.shape, dtype=complex)
+    block = (len(band),) * m
+    z[np.ix_(*[band] * m)] = rng.standard_normal(block) + 1j * rng.standard_normal(block)
     coeff = amp * z / np.sqrt(2.0)
     mults = [1.0] + [1j * lam[j] for j in range(m)]
     mults += [-lam[i] * lam[j] for i in range(m) for j in range(i, m)]
@@ -370,7 +391,8 @@ def _legacy_grid(w, spec, seed):
 )
 class TestFoldedPrefilter:
     # the pruned transform of the band returns the legacy torus-wide jet of
-    # every frequency cropped to the counting window
+    # every frequency, with the same normals on the band and zeros outside
+    # it, cropped to the counting window
 
     @staticmethod
     def _window(spec, torus):
