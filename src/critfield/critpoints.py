@@ -110,14 +110,19 @@ def _candidate_cells(field: FieldRealization, lo, hi):
     return centers
 
 
-def _det_stack(hess: np.ndarray) -> np.ndarray:
-    """det of a (k, m, m) stack with the explicit 2x2 / 3x3 formulas."""
-    m = hess.shape[-1]
+def _adjugate(rows: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Adjugate (m, m, k) and determinant (k,) of the symmetric matrices whose
+    upper triangles are the rows (m(m+1)/2, k) in jet order, m = 2 or 3.
+    The determinant is the first row of the matrix against the first
+    column of the adjugate."""
     if m == 2:
-        return hess[:, 0, 0] * hess[:, 1, 1] - hess[:, 0, 1] ** 2
-    a, b, c = hess[:, 0, 0], hess[:, 0, 1], hess[:, 0, 2]
-    d, e, f = hess[:, 1, 1], hess[:, 1, 2], hess[:, 2, 2]
-    return a * (d * f - e**2) - b * (b * f - c * e) + c * (b * e - c * d)
+        a, b, d = rows
+        return np.array([[d, -b], [-b, a]]), a * d - b * b
+    a, b, c, d, e, f = rows
+    c00, c01, c02 = d * f - e * e, c * e - b * f, b * e - c * d
+    c11, c12, c22 = a * f - c * c, b * c - a * e, a * d - b * b
+    adj = [[c00, c01, c02], [c01, c11, c12], [c02, c12, c22]]
+    return np.array(adj), a * c00 + b * c01 + c * c02
 
 
 def count_newton(field: FieldRealization, box) -> CriticalPointSet:
@@ -125,9 +130,10 @@ def count_newton(field: FieldRealization, box) -> CriticalPointSet:
 
     Newton iterations on grad X start from every sign-variation cell; the
     jet is the quintic-spline interpolant of the spectrally exact derivative
-    arrays.  Converged roots are deduplicated and classified by Hessian
-    signature.  An iterate stops when it converges, when its spline stencil
-    leaves the counting window (escaped), when its |grad|_inf has not
+    arrays.  A step is adj(H) g / det(H) in closed form, and zero where det
+    H = 0 exactly.  Converged roots are deduplicated and classified by
+    Hessian signature.  An iterate stops when it converges, when its spline
+    stencil leaves the counting window (escaped), when its |grad|_inf has not
     improved on its best for 3 evaluations in a row (retired), or at the
     40-iteration cap; an iterate that keeps improving, however slowly, runs
     to the cap.  ``failed_cells`` counts the iterates that stopped short of
@@ -169,16 +175,12 @@ def count_newton(field: FieldRealization, box) -> CriticalPointSet:
         best[active] = np.minimum(best[active], gsup)
         going = ~ok & (stale[active] < _STALL)
         active, vals = active[going], vals[:, going]
-        g = vals[:m].T
-        hess = hessian_stack(vals[m:], m)
-        try:
-            step = np.linalg.solve(hess, g[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            step = np.stack(
-                [np.linalg.lstsq(hess[k], g[k], rcond=None)[0] for k in range(len(g))]
-            )
+        # a singular Hessian gives a zero step: the iterate stalls and retires
+        adj, det = _adjugate(vals[m:], m)
+        step = np.einsum("ijk,jk->ik", adj, vals[:m])
+        step = np.divide(step, det, out=np.zeros_like(step), where=det != 0.0).T
         norms = np.linalg.norm(step, axis=1, keepdims=True)
-        step = np.where(norms > max_step, step * (max_step / norms), step)
+        step = step * (max_step / np.maximum(norms, max_step))  # at most max_step long
         cur[active] = cur[active] - step
         out = ~field.readable(cur[active])  # the stencil left the window
         escaped[active[out]] = True
@@ -204,14 +206,13 @@ def count_newton(field: FieldRealization, box) -> CriticalPointSet:
             keep[j] = False
     idx = idx[keep]
 
-    g = at_root[:m, idx]
-    hess = hessian_stack(at_root[m:, idx], m)
-    dets = _det_stack(hess)
+    g, upper = at_root[:m, idx], at_root[m:, idx]
+    dets = _adjugate(upper, m)[1]
     deg_tol = 1e-8 * _hess_scale(field) ** m
     return CriticalPointSet(
         locations=cur[idx],
         residuals=np.sqrt(np.vecdot(g, g, axis=0)),  # rounds as norm() of one point
-        signatures=np.sum(np.linalg.eigvalsh(hess) < 0.0, axis=1),
+        signatures=np.sum(np.linalg.eigvalsh(hessian_stack(upper, m)) < 0.0, axis=1),
         det_hessian=dets,
         box=(tuple(lo), tuple(hi)),
         failed_cells=failed,
@@ -360,10 +361,9 @@ def count_kacrice_smoothed(field: FieldRealization, box, eps, refine: int = 6):
         by_node = fire.reshape(-1, refine**m)
         lit = by_node.any(axis=1)  # nodes with a sub-node in the region
         tri = _lattice(field.coeffs[1 + m:], nodes[part][lit], weights)
-        hess = hessian_stack(tri[:, by_node[lit].ravel()], m)
         gsups.append(gsup[fire])
         owners.append(start + np.nonzero(by_node)[0])
-        absdets.append(np.abs(_det_stack(hess)))
+        absdets.append(np.abs(_adjugate(tri[:, by_node[lit].ravel()], m)[1]))
     gsup, owner, absdet = map(np.concatenate, (gsups, owners, absdets))
     node_gmax, node_slack = gmax[owner], slack[owner]
     weight = (h / refine) ** m

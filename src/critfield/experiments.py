@@ -95,25 +95,34 @@ class ExperimentRecord:
     torus: dict = field(default_factory=dict)  # field.torus_record of the run
 
 
-def _count_one(w, spec, seed, cutoff, band, n_list):
-    """Z_N at every N of n_list from one field on spec: one Newton count on
-    the cube of spec's half-width, whose half-open sub-cubes [-N, N)^m are
-    nested, so each Z_N is the number of its points inside [-N, N)^m."""
-    fr = synthesize(w, spec, seed=seed, cutoff=cutoff, band=band)
-    n_max, m = spec.half_width, spec.m
-    cps = count_newton(fr, ((-n_max,) * m, (n_max,) * m))
-    if cps.failed_cells > 0.05 * max(cps.newton_count, 1):
-        raise RuntimeError(f"{cps.failed_cells} unresolved cells")
-    x = cps.locations
-    return [int(np.all((x >= -n) & (x < n), axis=1).sum()) for n in n_list]
-
-
-def _check_wall_clock(t0: float, wall_clock: float | None, done: int, total: int) -> None:
-    """Raise BudgetError once ``wall_clock`` seconds have passed since t0."""
-    if wall_clock is not None and time.perf_counter() - t0 > wall_clock:
-        raise BudgetError(
-            f"wall-clock budget {wall_clock:g}s spent after {done} of {total} realizations"
-        )
+def _sweep(
+    config: ExperimentConfig, half_width: float, key: int, wrap, wall_clock, per_field
+):
+    """The one replicate loop: replicate j synthesizes one field on the cube
+    of ``half_width`` from SeedSequence((master, key)).spawn(R)[j] and hands
+    it to ``per_field(j, field, box)``, box being that cube.  The grid, the
+    cutoff and the band are built once, before any field; ``wrap`` and
+    ``wall_clock`` are as in ``run_clt``.  Returns the per-field results,
+    ``torus_record`` of the grid and the seconds spent.
+    """
+    t0 = time.perf_counter()
+    w, m, r = config.density, config.m, config.realizations
+    guard, wrap_ratio = wrap or wrap_guard(w, m, config.points_per_unit)
+    cutoff = spectral_cutoff(w, m)
+    spec = GridSpec(
+        m=m, half_width=half_width, points_per_unit=config.points_per_unit, guard=guard
+    )
+    band = spectral_band(w, spec)
+    box = ((-half_width,) * m, (half_width,) * m)
+    out = []
+    for j, ss in enumerate(np.random.SeedSequence((config.master_seed, key)).spawn(r)):
+        if wall_clock is not None and time.perf_counter() - t0 > wall_clock:
+            raise BudgetError(
+                f"wall-clock budget {wall_clock:g}s spent after {j} of {r} realizations"
+            )
+        seed = int(ss.generate_state(1)[0])
+        out.append(per_field(j, synthesize(w, spec, seed=seed, cutoff=cutoff, band=band), box))
+    return out, torus_record(spec, wrap_ratio), time.perf_counter() - t0
 
 
 def run_clt(
@@ -127,48 +136,46 @@ def run_clt(
     Z_N at every level is read off its point set, so the levels are paired.
     Replicate j draws from SeedSequence((master, len(n_list) - 1)).spawn(R)[j],
     so every level's counts depend on the largest N and on len(n_list).  A
-    replicate that fails is dropped from every level and counted once in
-    failures; the sweep aborts if more than 5% of the replicates fail.
+    replicate that fails is dropped from every level, counted once in
+    failures and named with its seed in a flag; the sweep aborts if more
+    than 5% of the replicates fail.
     c_m is ``expected_count``'s at unit volume.  ``wrap`` is ``wrap_guard``'s
     (guard, psi ratio) for the config's density and resolution, derived here
     when None.  The grid is checked against the budget before the first
     realization.  With ``wall_clock`` set, no realization starts once that
     many seconds have passed since the call began: BudgetError is raised.
     """
-    t0 = time.perf_counter()
-    w = config.density
-    m, n_list, r = config.m, config.n_list, config.realizations
-    guard, wrap_ratio = wrap or wrap_guard(w, m, config.points_per_unit)
-    cutoff = spectral_cutoff(w, m)
-    spec = GridSpec(
-        m=m, half_width=n_list[-1], points_per_unit=config.points_per_unit, guard=guard
-    )
-    band = spectral_band(w, spec)
-    c_m = expected_count(w, m, 1.0, config.e_absdet_s1)
-
+    n_list, r = config.n_list, config.realizations
     flags = [] if r >= 30 else ["insufficient: R < 30"]
-    streams = np.random.SeedSequence((config.master_seed, len(n_list) - 1)).spawn(r)
-    rows = []
-    for j, ss in enumerate(streams):
-        _check_wall_clock(t0, wall_clock, j, r)
-        seed = int(ss.generate_state(1)[0])
+
+    def nested(j, fr, box):
+        # the half-open sub-cubes [-N, N)^m are nested: Z_N counts the points
+        # of the largest cube's count inside [-N, N)^m
         try:
-            rows.append(_count_one(w, spec, seed, cutoff, band, n_list))
+            cps = count_newton(fr, box)
+            if cps.failed_cells > 0.05 * max(cps.newton_count, 1):
+                raise RuntimeError(f"{cps.failed_cells} unresolved cells")
         except (RuntimeError, FloatingPointError) as exc:
-            flags.append(f"replicate {j} (seed {seed}) failed ({exc})")
+            flags.append(f"replicate {j} (seed {fr.seed}) failed ({exc})")
+            return None
+        x = cps.locations
+        return [int(np.all((x >= -n) & (x < n), axis=1).sum()) for n in n_list]
+
+    rows, torus, wall_time = _sweep(config, n_list[-1], len(n_list) - 1, wrap, wall_clock, nested)
+    rows = [z for z in rows if z is not None]
     n_fail = r - len(rows)
     if n_fail > 0.05 * r:
         raise RuntimeError(f"{n_fail}/{r} replicates failed")
     return ExperimentRecord(
         config_digest=config.digest(),
-        m=m,
+        m=config.m,
         n_list=n_list,
         counts=np.array(rows, dtype=float).T.copy(),  # level-major
         failures=n_fail,
-        c_m=c_m,
-        wall_time=time.perf_counter() - t0,
+        c_m=expected_count(config.density, config.m, 1.0, config.e_absdet_s1),
+        wall_time=wall_time,
         flags=flags,
-        torus=torus_record(spec, wrap_ratio),
+        torus=torus,
     )
 
 
@@ -235,37 +242,24 @@ def estimator_crosscheck(
     one smoothed pass per field; reports relative disagreement quantiles per
     eps and the torus under "torus".  Each row carries the field's seed, its
     Newton count and unresolved Newton cells, and one smoothed count per
-    eps.  ``wrap`` and ``wall_clock`` are as in ``run_clt``.
+    eps; every field keeps its row.  Replicate j draws from
+    SeedSequence((master, 0x9C)).spawn(R)[j].  ``wrap`` and ``wall_clock``
+    are as in ``run_clt``.
     """
-    t0 = time.perf_counter()
-    w = config.density
-    m = config.m
-    n_half = config.n_list[0]
-    guard, wrap_ratio = wrap or wrap_guard(w, m, config.points_per_unit)
-    cutoff = spectral_cutoff(w, m)
-    spec = GridSpec(
-        m=m, half_width=n_half, points_per_unit=config.points_per_unit, guard=guard
-    )
-    band = spectral_band(w, spec)
-    box = ((-n_half,) * m, (n_half,) * m)
-    rows = []
-    streams = np.random.SeedSequence((config.master_seed, 0x9C)).spawn(
-        config.realizations
-    )
-    for j, ss in enumerate(streams):
-        _check_wall_clock(t0, wall_clock, j, config.realizations)
-        seed = int(ss.generate_state(1)[0])
-        fr = synthesize(w, spec, seed=seed, cutoff=cutoff, band=band)
+
+    def compare(j, fr, box):
         cps = count_newton(fr, box)
-        row = {"seed": seed, "newton": cps.newton_count, "failed_cells": cps.failed_cells}
+        row = {"seed": fr.seed, "newton": cps.newton_count, "failed_cells": cps.failed_cells}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             smoothed = count_kacrice_smoothed(fr, box, config.eps_list)
         row.update(
             (f"kacrice_eps={eps}", k) for eps, k in zip(config.eps_list, smoothed)
         )
-        rows.append(row)
-    out = {"rows": rows, "torus": torus_record(spec, wrap_ratio)}
+        return row
+
+    rows, torus, _ = _sweep(config, config.n_list[0], 0x9C, wrap, wall_clock, compare)
+    out = {"rows": rows, "torus": torus}
     for eps in config.eps_list:
         rel = np.array(
             [

@@ -54,9 +54,10 @@ __all__ = [
     "load_realization",
 ]
 
-# Memory budget of the torus-sized transform buffers, counted as a jet of
-# 1 + m + m(m+1)/2 complex arrays on the whole torus; the stored jet covers
-# only the counting window and is smaller.
+# Memory budget of synthesis, counted as a jet of 1 + m + m(m+1)/2 complex
+# arrays on the whole torus, n^m nodes.  That is a bound, not a buffer: each
+# transform buffer spans n nodes along one axis and the band or the window
+# (<= n) along the others, and the stored jet covers only the window.
 _MAX_JET_BYTES = 2 * 2**30
 
 

@@ -14,8 +14,8 @@ from scipy.spatial import cKDTree
 from critfield import critpoints
 from critfield.critpoints import (
     CriticalPointSet,
+    _adjugate,
     _candidate_cells,
-    _det_stack,
     _lattice,
     _quintic_weights,
     count_kacrice_smoothed,
@@ -48,6 +48,7 @@ def _analytic_field(kind: str, spec: GridSpec = SPEC) -> FieldRealization:
     "coscos": X = cos(k x) cos(k y), lattice of extrema and saddles.
     "ramp":   X = x, gradient never vanishes.
     "cubed":  X = sin^3(k x) + cos(k y), a double zero of X_x on x = 0.
+    "stripes": X = cos(k x), lines of critical points; det hess X = 0.
     "flat":   X = 0 identically.
 
     The jet is sampled on the whole torus, prefiltered periodically, and
@@ -75,6 +76,9 @@ def _analytic_field(kind: str, spec: GridSpec = SPEC) -> FieldRealization:
             np.zeros_like(x),
             -K**2 * np.cos(K * y),
         ]
+    elif kind == "stripes":
+        zero = np.zeros_like(x)
+        grid = [np.cos(K * x), -K * np.sin(K * x), zero, -K**2 * np.cos(K * x), zero, zero]
     elif kind == "ramp":
         grid = [x, np.ones_like(x)] + [np.zeros_like(x)] * 4
     else:
@@ -384,6 +388,58 @@ class TestNewtonRetirement:
         assert abs(cps.det_hessian[origin]) < 1e-4 * others.min()
 
 
+class TestAdjugate:
+    """The closed-form adjugate and determinant of Hessian rows in jet order."""
+
+    ENTRY = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(m=st.sampled_from([2, 3]), data=st.data())
+    def test_adjugate_inverts_and_det_matches_lapack(self, m, data):
+        k = data.draw(st.integers(1, 6))
+        size = k * m * (m + 1) // 2
+        rows = np.array(data.draw(st.lists(self.ENTRY, min_size=size, max_size=size)))
+        rows = rows.reshape(-1, k)
+        adj, det = _adjugate(rows, m)
+        hess = hessian_stack(rows, m)
+        # relative to the scale of an m-fold product of entries
+        scale = np.max(np.abs(rows), axis=0) ** m
+        error = np.einsum("ijk,kjl->kil", adj, hess) - det[:, None, None] * np.eye(m)
+        assert np.all(np.abs(error) <= 1e-12 * scale[:, None, None])
+        assert np.all(np.abs(det - np.linalg.det(hess)) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize(
+        "m, rows",
+        [(2, [1, 2, 4]), (2, [0, 0, 0]), (3, [1, 2, 3, 4, 6, 9]), (3, [1, 1, 0, 1, 0, 5])],
+    )
+    def test_rank_deficient_rows_have_zero_det(self, m, rows):
+        rows = np.array(rows, dtype=float)[:, None]
+        adj, det = _adjugate(rows, m)
+        assert det[0] == 0.0
+        np.testing.assert_array_equal(adj[..., 0] @ hessian_stack(rows, m)[0], np.zeros((m, m)))
+
+    def test_singular_hessian_gives_zero_step(self, monkeypatch):
+        # det hess X = 0 at every point of the stripes: each iterate is read
+        # at its cell centre, takes no step and retires once _STALL further
+        # evaluations bring no improvement, with no warning on the way
+        seen, interp = [], critpoints.interpolate
+
+        def spy(field, pts, comps=slice(None)):
+            seen.append(pts.copy())
+            return interp(field, pts, comps)
+
+        monkeypatch.setattr(critpoints, "interpolate", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cps = count_newton(_analytic_field("stripes"), ((-2.0, -2.0), (2.0, 2.0)))
+        assert len(seen) == 1 + critpoints._STALL
+        assert len(seen[0]) > 0
+        for pts in seen[1:]:
+            np.testing.assert_array_equal(pts, seen[0])
+        assert cps.newton_count == 0
+        assert cps.failed_cells == 0
+
+
 @functools.cache
 def _gaussian_field(seed: int, half_width: float = 5.0) -> FieldRealization:
     spec = GridSpec(m=2, half_width=half_width, points_per_unit=16, guard=10.0)
@@ -496,7 +552,7 @@ def _smoothed_reference(field: FieldRealization, box, eps: float, refine: int) -
     gsup = np.max(np.abs(interpolate(field, pts, slice(1, 1 + m))), axis=0)
     fire = gsup <= eps
     hess = hessian_stack(interpolate(field, pts[fire], slice(1 + m, None)), m)
-    return float(np.sum(np.abs(_det_stack(hess))) * (h / refine) ** m / (2.0 * eps) ** m)
+    return float(np.sum(np.abs(np.linalg.det(hess))) * (h / refine) ** m / (2.0 * eps) ** m)
 
 
 @functools.cache

@@ -36,6 +36,13 @@ SMALL = ExperimentConfig(
 )
 
 
+def _stub_points(inner: int):
+    """A Newton count for SMALL's cube [-4, 4)^2: ``inner`` points at the
+    origin and 1000 at (3.5, 0), so Z_3 = inner and Z_4 = inner + 1000."""
+    x = np.array([[0.0, 0.0]] * inner + [[3.5, 0.0]] * 1000)
+    return types.SimpleNamespace(locations=x, newton_count=len(x), failed_cells=0)
+
+
 @pytest.fixture(scope="module")
 def small_record():
     return run_clt(SMALL)
@@ -165,7 +172,8 @@ class TestRunClt:
         clock = itertools.count()
         monkeypatch.setattr(experiments, "time", types.SimpleNamespace(perf_counter=lambda: next(clock)))
         done = []
-        monkeypatch.setattr(experiments, "_count_one", lambda *args: done.append(args) or [10, 12])
+        monkeypatch.setattr(experiments, "synthesize", lambda *args, **kw: done.append(args))
+        monkeypatch.setattr(experiments, "count_newton", lambda fr, box: _stub_points(0))
         with pytest.raises(BudgetError, match="after 3 of 8 realizations"):
             run_clt(SMALL, wall_clock=3.5)
         assert len(done) == 3
@@ -175,13 +183,18 @@ class TestRunClt:
         # paired rows differ by exactly 1000
         seeds = []
 
-        def flaky(w, spec, seed, cutoff, band, n_list):
-            seeds.append(seed)
-            if len(seeds) == 2:
-                raise RuntimeError("7 unresolved cells")
-            return [seed % 100 + 1000 * k for k in range(len(n_list))]
+        def flaky(fr, box):
+            seeds.append(fr.seed)
+            if len(seeds) == 2:  # 7 unresolved cells and no point: over the 5% rule
+                return types.SimpleNamespace(
+                    locations=np.empty((0, 2)), newton_count=0, failed_cells=7
+                )
+            return _stub_points(fr.seed % 100)
 
-        monkeypatch.setattr(experiments, "_count_one", flaky)
+        monkeypatch.setattr(
+            experiments, "synthesize", lambda w, spec, seed, **kw: types.SimpleNamespace(seed=seed)
+        )
+        monkeypatch.setattr(experiments, "count_newton", flaky)
         # one failed replicate of three is over the 5% abort rule
         with pytest.raises(RuntimeError, match="1/3 replicates failed"):
             run_clt(replace(SMALL, realizations=3))
@@ -203,16 +216,20 @@ class TestNestedLevels:
         "m, n_list, seed",
         [(2, (5.0, 10.0, 20.0), 0), (2, (5.0, 10.0, 20.0), 1), (3, (3.0, 5.0), 0)],
     )
-    def test_sub_box_equals_direct_count(self, m, n_list, seed):
-        w = SMALL.density
-        guard, _ = field.wrap_guard(w, m, 8)
-        spec = field.GridSpec(m=m, half_width=n_list[-1], points_per_unit=8, guard=guard)
-        fr = field.synthesize(w, spec, seed)
+    def test_sub_box_equals_direct_count(self, monkeypatch, m, n_list, seed):
+        # run_clt's one field per replicate, counted on the largest cube;
+        # each Z_N must equal a direct count of that field on [-N, N)^m
+        made, synth = [], experiments.synthesize
+
+        def spy(*args, **kw):
+            made.append(synth(*args, **kw))
+            return made[-1]
+
+        monkeypatch.setattr(experiments, "synthesize", spy)
+        record = run_clt(replace(SMALL, m=m, n_list=n_list, realizations=1, master_seed=seed))
+        (fr,) = made
         top = count_newton(fr, ((-n_list[-1],) * m, (n_list[-1],) * m))
-        nested = experiments._count_one(
-            w, spec, seed, field.spectral_cutoff(w, m), field.spectral_band(w, spec), n_list
-        )
-        for n, z in zip(n_list, nested):
+        for n, z in zip(n_list, record.counts[:, 0]):
             direct = count_newton(fr, ((-n,) * m, (n,) * m))
             inside = np.all((top.locations >= -n) & (top.locations < n), axis=1)
             assert z == direct.newton_count == inside.sum()
