@@ -28,7 +28,7 @@ import numpy as np
 
 from . import chaos as chaos_mod
 from . import critpoints, experiments, field, randmat, spectrum
-from .config import BudgetError, ConfigError, RunConfig, parse_config
+from .config import BudgetError, ConfigError, parse_config
 
 __all__ = ["main", "dispatch", "emit_plot_data"]
 
@@ -73,16 +73,17 @@ def _density(block: dict) -> spectrum.SpectralDensity:
     return spectrum.SpectralDensity(family=family, params=params, table=table)
 
 
-def _plan(cfg: RunConfig) -> _Plan:
+def _plan(cfg: dict) -> _Plan:
     """The one builder of every block a subcommand reads, and of the default
-    of each key.  The grid is that of the largest half-width the subcommand
-    runs (crosscheck runs only the smallest)."""
-    sub, exp, ens = cfg.subcommand, cfg.experiment, cfg.ensemble
-    wall_clock = cfg.budget.get("wall_clock")
-    plan = {"subcommand": sub, "seed": cfg.seed,
+    of each key, from ``parse_config``'s mapping; the plan is then checked
+    against the budget.  The grid is that of the largest half-width the
+    subcommand runs (crosscheck runs only the smallest)."""
+    sub, exp, ens, budget = cfg["subcommand"], cfg["experiment"], cfg["ensemble"], cfg["budget"]
+    wall_clock = budget.get("wall_clock")
+    plan = {"subcommand": sub, "seed": cfg["seed"],
             "wall_clock": None if wall_clock is None else float(wall_clock)}
     if sub != "randmat":
-        plan["density"] = w = _density(cfg.density)
+        plan["density"] = w = _density(cfg["density"])
     if sub in ("randmat", "chaos"):
         _require(ens, "ensemble", ("m", "v"))
         m, v = int(ens["m"]), float(ens["v"])
@@ -109,7 +110,7 @@ def _plan(cfg: RunConfig) -> _Plan:
                 eps["eps_list"] = tuple(float(x) for x in exp["eps_list"])
             plan["experiment"] = experiments.ExperimentConfig(
                 density=w, m=m, n_list=n_list, realizations=int(exp["realizations"]),
-                points_per_unit=ppu, master_seed=cfg.seed, e_absdet_s1=e_absdet, **eps,
+                points_per_unit=ppu, master_seed=cfg["seed"], e_absdet_s1=e_absdet, **eps,
             )
         plan["wrap"] = field.wrap_guard(w, m, ppu)
         half_width = (min if sub == "crosscheck" else max)(n_list)
@@ -117,20 +118,18 @@ def _plan(cfg: RunConfig) -> _Plan:
             m=m, half_width=half_width, points_per_unit=ppu, guard=plan["wrap"][0]
         )
         plan["spec"].check_resolution(field.spectral_cutoff(w, m))
+        need = plan["spec"].n_per_side**m
+        if "grid_points" in budget and need > float(budget["grid_points"]):
+            raise BudgetError(f"grid needs {need} points > budget {budget['grid_points']}")
+    samples = plan.get("samples")
+    if samples is not None and samples > float(budget.get("samples", samples)):
+        raise BudgetError(f"MC asks {samples} samples > budget {budget['samples']}")
     return _Plan(m=m, **plan)
 
 
-def _check_budget(budget: dict, plan: _Plan) -> None:
-    if "grid_points" in budget and plan.spec is not None:
-        need = plan.spec.n_per_side**plan.spec.m
-        if need > float(budget["grid_points"]):
-            raise BudgetError(f"grid needs {need} points > budget {budget['grid_points']}")
-    if plan.samples is not None and plan.samples > float(budget.get("samples", plan.samples)):
-        raise BudgetError(f"MC asks {plan.samples} samples > budget {budget['samples']}")
-
-
-def _prepare_out(cfg: RunConfig, args) -> Path:
-    out = args.out or cfg.out or os.environ.get(_OUT_ENV)
+def _prepare_out(cfg: dict, args) -> Path:
+    # --out reaches here as parse_config's override of the "out" key
+    out = cfg.get("out") or os.environ.get(_OUT_ENV)
     if out is None:
         raise ConfigError("no output directory: set 'out', --out, or $" + _OUT_ENV)
     out = Path(out)
@@ -341,12 +340,15 @@ def _plan_lines(plan: _Plan) -> list[str]:
     return lines
 
 
-def dispatch(cfg: RunConfig, args, config_path) -> int:
-    # the whole plan is built, and checked against the budget, before any
-    # output is written, so a run fails exactly where its dry run does
+def dispatch(cfg: dict, args, config_path) -> int:
+    """Run ``parse_config``'s mapping ``cfg`` with the CLI's ``args``
+    (``dry_run``, ``force``); ``config_path`` is copied into the output.
+
+    The whole plan is built, and checked against the budget, before any
+    output is written, so a run fails exactly where its dry run does.
+    """
     try:
         plan = _plan(cfg)
-        _check_budget(cfg.budget, plan)
     except TypeError as exc:  # a list where a number belongs, or the reverse
         raise ConfigError(f"malformed config value: {exc}") from exc
     if args.dry_run:

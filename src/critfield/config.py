@@ -7,12 +7,11 @@ problems are collected and reported in one error rather than one at a time.
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import yaml
 
-__all__ = ["ConfigError", "BudgetError", "RunConfig", "parse_config"]
+__all__ = ["ConfigError", "BudgetError", "parse_config"]
 
 SUBCOMMANDS = ("spectrum", "field", "count", "randmat", "chaos", "clt", "crosscheck")
 
@@ -51,17 +50,6 @@ class BudgetError(RuntimeError):
     """A declared sample/grid/wall-clock budget would be exceeded (exit 3)."""
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    seed: int
-    out: str | None = None
-    density: dict = field(default_factory=dict)
-    ensemble: dict = field(default_factory=dict)
-    experiment: dict = field(default_factory=dict)
-    budget: dict = field(default_factory=dict)
-
-
 def _check_keys(block_name: str, block: dict, problems: list):
     allowed = _SCHEMA[block_name]
     for key in block:
@@ -73,10 +61,14 @@ def _check_keys(block_name: str, block: dict, problems: list):
             problems.append(msg)
 
 
-def parse_config(path, overrides: dict | None = None) -> RunConfig:
-    """Load and validate a YAML run config; overrides win over file values.
+def parse_config(path, overrides: dict | None = None) -> dict:
+    """Load and validate a YAML run config; overrides that are not None win
+    over file values.
 
-    Raises ConfigError listing every violation found, not just the first.
+    Returns the validated mapping: "subcommand", "seed" and "out" (when
+    given) at the top level, and a dict, empty when absent, for each of
+    "density", "ensemble", "experiment" and "budget".  Raises ConfigError
+    listing every violation found, not just the first.
     """
     path = Path(path)
     if not path.exists():
@@ -115,12 +107,4 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
 
     if problems:
         raise ConfigError(f"{path}:\n  " + "\n  ".join(problems))
-    return RunConfig(
-        subcommand=sub,
-        seed=raw["seed"],
-        out=raw.get("out"),
-        density=raw["density"],
-        ensemble=raw["ensemble"],
-        experiment=raw["experiment"],
-        budget=raw["budget"],
-    )
+    return raw

@@ -10,7 +10,6 @@ as eps decreases.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -50,7 +49,6 @@ class CriticalPointSet:
     residuals: np.ndarray  # (k,) |grad X| at each point
     signatures: np.ndarray  # (k,) number of negative Hessian eigenvalues
     det_hessian: np.ndarray  # (k,)
-    box: tuple[tuple[float, ...], tuple[float, ...]]  # (lo, hi), half-open
     failed_cells: int
     degenerate_flags: list[int]  # indices of points with |det| below tolerance
 
@@ -214,7 +212,6 @@ def count_newton(field: FieldRealization, box) -> CriticalPointSet:
         residuals=np.sqrt(np.vecdot(g, g, axis=0)),  # rounds as norm() of one point
         signatures=np.sum(np.linalg.eigvalsh(hessian_stack(upper, m)) < 0.0, axis=1),
         det_hessian=dets,
-        box=(tuple(lo), tuple(hi)),
         failed_cells=failed,
         degenerate_flags=np.flatnonzero(np.abs(dets) <= deg_tol).tolist(),
     )
@@ -294,6 +291,10 @@ def count_kacrice_smoothed(field: FieldRealization, box, eps, refine: int = 6):
     pass: the sub-nodes of the largest eps are read once, and each eps
     thresholds the stored gradient sup-norms.  The box must lie in the
     realization's cube [-N, N]^m.
+
+    An eps below the gradient swing across one sub-node, the Hessian scale
+    times h / refine, warns that cells may be missed; the Hessian scale is
+    read from h00 on the box's nodes and the ring around them.
     """
     m = field.spec.m
     lo, hi = _box_arrays(box, field.spec)
@@ -301,13 +302,6 @@ def count_kacrice_smoothed(field: FieldRealization, box, eps, refine: int = 6):
     ladder = _eps_ladder(eps)
     if refine < 1:
         raise ValueError("refine must be >= 1")
-    resolvable = _hess_scale(field) * h / refine
-    if ladder.min() < resolvable:
-        warnings.warn(
-            f"eps = {ladder.min():.3g} is below the refined-grid resolvability "
-            f"scale ~{resolvable:.3g}; the smoothed count may miss cells",
-            stacklevel=2,
-        )
     origin = field.origin()
     coords = origin[0] + h * np.arange(field.spec.window)  # same on every axis
     # the window nodes whose cells [x - h/2, x + h/2) meet [lo, hi) on each
@@ -323,6 +317,14 @@ def count_kacrice_smoothed(field: FieldRealization, box, eps, refine: int = 6):
     # the 3^m nodes around it (the window holds a ring of nodes around sl)
     ring = tuple(slice(a - 1, b + 1) for a, b in zip(first, stop))
     hmax = np.abs(field.grid[(1 + m,) + ring])
+    # rms(h00) / sqrt(3) is the Hessian scale: var h00 = 3 var h01 (isotropy)
+    resolvable = math.sqrt(np.mean(hmax**2) / 3.0) * h / refine
+    if ladder.min() < resolvable:
+        warnings.warn(
+            f"eps = {ladder.min():.3g} is below the refined-grid resolvability "
+            f"scale ~{resolvable:.3g}; the smoothed count may miss cells",
+            stacklevel=2,
+        )
     for comp in field.grid[2 + m:]:
         np.maximum(hmax, np.abs(comp[ring]), out=hmax)
     for a in range(m):  # each node and its two neighbours along axis a
@@ -340,9 +342,6 @@ def count_kacrice_smoothed(field: FieldRealization, box, eps, refine: int = 6):
     # refine^m sub-nodes per grid cell (midpoint rule anchored at the node)
     offsets = (np.arange(refine) + 0.5) / refine - 0.5
     weights = _quintic_weights(offsets)
-    sub = np.stack(
-        [g.ravel() for g in np.meshgrid(*([offsets] * m), indexing="ij")], axis=1
-    )
     # per chunk of nodes, the sub-nodes in the region of the largest eps:
     # their gradient sup-norms, their nodes and |det hess|
     gsups, owners, absdets = [], [], []
@@ -350,11 +349,14 @@ def count_kacrice_smoothed(field: FieldRealization, box, eps, refine: int = 6):
     # at least one pass, so that a box without supersampled nodes counts 0
     for start in range(0, max(len(nodes), 1), step):
         part = slice(start, start + step)
-        pts = (base[part, None, :] + h * sub[None, :, :]).reshape(-1, m)
-        # column by column: np.all over a last axis of length m is slow
-        inside = functools.reduce(
-            np.logical_and, [(x >= a) & (x < b) for x, a, b in zip(pts.T, lo, hi)]
-        )
+        # a sub-node lies in the box when its coordinate does on every axis:
+        # (nodes, refine) per axis, broadcast to the sub-nodes' "ij" order
+        inside = True
+        for k in range(m):
+            x = base[part, k, None] + h * offsets
+            shape = (-1,) + (1,) * k + (refine,) + (1,) * (m - 1 - k)
+            inside = inside & ((x >= lo[k]) & (x < hi[k])).reshape(shape)
+        inside = inside.reshape(-1)
         grad = _lattice(field.coeffs[1:1 + m], nodes[part], weights)
         gsup = np.maximum.reduce(np.abs(grad, out=grad), axis=0)
         fire = inside & (gsup <= ladder.max())
@@ -389,7 +391,7 @@ def expected_count(
 
 def write_csv(cps: CriticalPointSet, path) -> None:
     """One row per critical point: coordinates, residual, signature, det."""
-    m = len(cps.box[0])
+    m = cps.locations.shape[1]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{i}" for i in range(m)] + ["residual", "signature", "det_hessian"])

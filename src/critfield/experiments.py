@@ -251,7 +251,9 @@ def estimator_crosscheck(
         cps = count_newton(fr, box)
         row = {"seed": fr.seed, "newton": cps.newton_count, "failed_cells": cps.failed_cells}
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            # a finest eps below the resolvability scale is the ladder's
+            # design; any other warning goes through
+            warnings.filterwarnings("ignore", r"eps = .* resolvability", UserWarning)
             smoothed = count_kacrice_smoothed(fr, box, config.eps_list)
         row.update(
             (f"kacrice_eps={eps}", k) for eps, k in zip(config.eps_list, smoothed)

@@ -66,9 +66,9 @@ ensemble:
 class TestParseConfig:
     def test_valid(self, tmp_path):
         cfg = parse_config(_write(tmp_path, "a.yaml", BASE_CLT))
-        assert cfg.subcommand == "clt"
-        assert cfg.seed == 42
-        assert cfg.experiment["realizations"] == 4
+        assert cfg["subcommand"] == "clt"
+        assert cfg["seed"] == 42
+        assert cfg["experiment"]["realizations"] == 4
 
     def test_missing_seed(self, tmp_path):
         text = BASE_CLT.replace("seed: 42\n", "")
@@ -98,7 +98,7 @@ class TestParseConfig:
         cfg = parse_config(
             _write(tmp_path, "a.yaml", BASE_CLT), overrides={"seed": 7, "out": None}
         )
-        assert cfg.seed == 7
+        assert cfg["seed"] == 7
 
     def test_mc_budget_key_rejected(self, tmp_path, capsys):
         text = BASE_CLT + "  mc_budget: 100000\n"

@@ -599,7 +599,10 @@ class TestLatticeStencils:
         half = fr.spec.spacing * max(0.6, 6.0 / refine) * rng.uniform(0.8, 1.2, size=(2, m))
         box = (tuple(np.maximum(root - half[0], -2.0)), tuple(np.minimum(root + half[1], 2.0)))
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            # at refine 1 the resolvability floor (0.11-0.14 over these
+            # windows) is within a factor 2 of eps, and a small box's own
+            # h00 may lift it past eps: that warning alone is allowed
+            warnings.filterwarnings("ignore", r"eps = .* resolvability", UserWarning)
             got = count_kacrice_smoothed(fr, box, 0.2, refine=refine)
             want = _smoothed_reference(fr, box, 0.2, refine)
         assert want > 0
@@ -679,3 +682,16 @@ class TestCsv:
         assert len(rows) == 1 + cps.newton_count
         sigs = sorted(int(r[3]) for r in rows[1:])
         assert sigs == [1, 1, 1, 1, 2]
+
+    def test_empty_set_writes_header(self, tmp_path):
+        # the coordinate columns come from the locations' shape, (0, m)
+        cps = CriticalPointSet(
+            locations=np.empty((0, 3)), residuals=np.empty(0),
+            signatures=np.empty(0, dtype=int), det_hessian=np.empty(0),
+            failed_cells=0, degenerate_flags=[],
+        )
+        path = tmp_path / "pts.csv"
+        write_csv(cps, path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["x0", "x1", "x2", "residual", "signature", "det_hessian"]]

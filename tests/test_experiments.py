@@ -2,12 +2,13 @@ import itertools
 import json
 import math
 import types
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from critfield import experiments, field
+from critfield import critpoints, experiments, field
 from critfield.config import BudgetError
 from critfield.critpoints import count_newton, expected_count
 from critfield.experiments import (
@@ -367,6 +368,51 @@ class TestCrosscheck:
                                ((-3.0, -3.0), (3.0, 3.0)))
             assert (row["newton"], row["failed_cells"]) == (cps.newton_count, cps.failed_cells)
             assert isinstance(row["failed_cells"], int)
+
+    def test_hessian_scale_once_per_field(self, monkeypatch):
+        # Newton's degeneracy tolerance reads it; the smoothed counter takes
+        # its resolvability floor from the h00 it slices anyway
+        seeds, hess_scale = [], critpoints._hess_scale
+
+        def spy(fr):
+            seeds.append(fr.seed)
+            return hess_scale(fr)
+
+        monkeypatch.setattr(critpoints, "_hess_scale", spy)
+        cfg = replace(SMALL, n_list=(3.0,), realizations=2, eps_list=(0.1,))
+        out = estimator_crosscheck(cfg)
+        assert seeds == [row["seed"] for row in out["rows"]]
+
+    @staticmethod
+    def _warning_fields(monkeypatch, warning):
+        """Stub fields and Newton counts, and a smoothed count that warns."""
+        monkeypatch.setattr(experiments, "synthesize",
+                            lambda w, spec, seed, **kw: types.SimpleNamespace(seed=seed))
+        monkeypatch.setattr(experiments, "count_newton", lambda fr, box: _stub_points(0))
+
+        def smoothed(fr, box, eps):
+            warnings.warn(warning, stacklevel=2)
+            return [1000.0] * len(eps)
+
+        monkeypatch.setattr(experiments, "count_kacrice_smoothed", smoothed)
+        return replace(SMALL, n_list=(3.0,), realizations=2)
+
+    def test_numerical_warning_of_smoothed_count_propagates(self, monkeypatch):
+        cfg = self._warning_fields(
+            monkeypatch, RuntimeWarning("overflow encountered in multiply"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                estimator_crosscheck(cfg)
+
+    def test_resolvability_warning_stays_silent(self, monkeypatch):
+        cfg = self._warning_fields(monkeypatch, UserWarning(
+            "eps = 0.0125 is below the refined-grid resolvability scale ~0.0201; "
+            "the smoothed count may miss cells"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = estimator_crosscheck(cfg)
+        assert [row["kacrice_eps=0.0125"] for row in out["rows"]] == [1000.0, 1000.0]
 
     def test_wall_clock_stops_before_the_next_field(self, monkeypatch):
         made = []
