@@ -8,7 +8,7 @@ plan; a run stamps its provenance, torus included, then runs the plan.
 Runners read no config.
 
 Exit codes: 0 success, 2 configuration error, 3 budget exceeded,
-4 numerical failure.
+4 numerical failure or a sweep worker process that died.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import os
 import shutil
 import sys
 import time
+from concurrent.futures import BrokenExecutor
 from importlib import metadata
 from pathlib import Path
 from typing import NamedTuple
@@ -149,6 +150,12 @@ def _stamp(plan: _Plan, out: Path, config_path) -> None:
     stamp = {"version": version, "seed": plan.seed, "subcommand": plan.subcommand}
     if plan.spec is not None:
         stamp["torus"] = field.torus_record(plan.spec, plan.wrap[1])
+    if plan.experiment is not None:
+        # the sweep's workers and the CPU each is pinned to; none at W = 1,
+        # where the sweep runs in-process
+        cpus = experiments._worker_cpus(plan.spec, plan.experiment.realizations)
+        stamp["workers"] = len(cpus)
+        stamp["worker_cpus"] = cpus if len(cpus) > 1 else []
     (out / "provenance.json").write_text(json.dumps(stamp, indent=2))
     shutil.copyfile(config_path, out / "config.yaml")
 
@@ -464,6 +471,9 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except BrokenExecutor as exc:  # before RuntimeError, its base
+        print(f"a worker process died: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (
         spectrum.DivergentIntegralError,
         field.NyquistError,

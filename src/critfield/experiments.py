@@ -8,6 +8,12 @@ V_N = var(Z_N)/(2N)^m, and asymptotic normality of the rescaled fluctuation
 
     zeta_N = (2N)^(-m/2) (Z_N - E[Z_N]).
 
+The replicates of a sweep run on one worker process per CPU of the
+process's affinity set (as many as the replicates and the jet budget allow),
+each worker pinned to its own CPU; with one CPU the sweep runs in-process.
+Every replicate's seed is spawned from the master seed, so the counts do not
+depend on the number of workers.
+
 Records are persisted as JSON plus companion CSVs so every statistic can be
 recomputed from the stored raw counts.
 """
@@ -18,9 +24,11 @@ import csv
 import hashlib
 import json
 import math
+import os
 import time
 import warnings
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +37,9 @@ from scipy import stats
 from .config import BudgetError
 from .critpoints import _eps_ladder, count_kacrice_smoothed, count_newton, expected_count
 from .field import (
+    _MAX_JET_BYTES,
     GridSpec,
+    _jet_bytes,
     spectral_band,
     spectral_cutoff,
     synthesize,
@@ -95,15 +105,48 @@ class ExperimentRecord:
     torus: dict = field(default_factory=dict)  # field.torus_record of the run
 
 
+def _worker_cpus(spec: GridSpec, r: int) -> list[int]:
+    """The CPUs a sweep of ``r`` fields on ``spec`` runs on, one worker
+    each: the first W of the process's affinity set, W = min(CPUs, R, torus
+    jets the jet budget holds).  One CPU means the sweep runs in-process."""
+    cpus = sorted(os.sched_getaffinity(0))
+    return cpus[: min(len(cpus), r, _MAX_JET_BYTES // _jet_bytes(spec.m, spec.n_per_side))]
+
+
+_replicate = None  # a pool worker's replicate function, set by _start_worker
+
+
+def _start_worker(cpus, replicate) -> None:
+    """Pool initializer: pin the worker to the next CPU of the queue
+    ``cpus`` and keep the sweep's replicate function."""
+    global _replicate
+    os.sched_setaffinity(0, {cpus.get()})
+    _replicate = replicate
+
+
+def _run_replicate(j: int):
+    return _replicate(j)
+
+
 def _sweep(
     config: ExperimentConfig, half_width: float, key: int, wrap, wall_clock, per_field
 ):
     """The one replicate loop: replicate j synthesizes one field on the cube
     of ``half_width`` from SeedSequence((master, key)).spawn(R)[j] and hands
-    it to ``per_field(j, field, box)``, box being that cube.  The grid, the
-    cutoff and the band are built once, before any field; ``wrap`` and
-    ``wall_clock`` are as in ``run_clt``.  Returns the per-field results,
-    ``torus_record`` of the grid and the seconds spent.
+    it to ``per_field(j, field, box)``, box being that cube.  ``per_field``
+    is a module-level function, or a partial of one, and returns all its
+    caller keeps: under a pool it runs in a worker.  The grid, the cutoff,
+    the band and the seeds are built once, before any field; ``wrap`` and
+    ``wall_clock`` are as in ``run_clt``.
+
+    The replicates run on ``_worker_cpus``: with one CPU in-process, else on
+    a pool of forked workers, one pinned to each CPU.  Every replicate
+    checks the wall clock before it synthesizes (the monotonic clock is
+    shared by all processes).  The first replicate, in order, to raise ends
+    the sweep with its error; a worker that dies ends it with
+    BrokenProcessPool.  No worker outlives the call.  Returns the per-field
+    results in replicate order, ``torus_record`` of the grid and the
+    seconds spent.
     """
     t0 = time.perf_counter()
     w, m, r = config.density, config.m, config.realizations
@@ -114,15 +157,57 @@ def _sweep(
     )
     band = spectral_band(w, spec)
     box = ((-half_width,) * m, (half_width,) * m)
-    out = []
-    for j, ss in enumerate(np.random.SeedSequence((config.master_seed, key)).spawn(r)):
+    seeds = [
+        int(ss.generate_state(1)[0])
+        for ss in np.random.SeedSequence((config.master_seed, key)).spawn(r)
+    ]
+
+    def replicate(j):
         if wall_clock is not None and time.perf_counter() - t0 > wall_clock:
             raise BudgetError(
                 f"wall-clock budget {wall_clock:g}s spent after {j} of {r} realizations"
             )
-        seed = int(ss.generate_state(1)[0])
-        out.append(per_field(j, synthesize(w, spec, seed=seed, cutoff=cutoff, band=band), box))
+        return per_field(j, synthesize(w, spec, seed=seeds[j], cutoff=cutoff, band=band), box)
+
+    cpus = _worker_cpus(spec, r)
+    if len(cpus) == 1:
+        out = [replicate(j) for j in range(r)]
+    else:
+        # imported here, so a run that makes no pool does not load them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork: the workers inherit the loaded modules and the band, where
+        # spawn would re-import numpy, scipy and critfield in each (about
+        # 1 s a worker); critfield runs no thread of its own at this point
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.SimpleQueue()
+        for cpu in cpus:
+            queue.put(cpu)
+        pool = ProcessPoolExecutor(
+            len(cpus), mp_context=ctx, initializer=_start_worker, initargs=(queue, replicate)
+        )
+        try:
+            out = list(pool.map(_run_replicate, range(r)))
+        finally:
+            pool.shutdown(cancel_futures=True)
+            queue.close()
     return out, torus_record(spec, wrap_ratio), time.perf_counter() - t0
+
+
+def _nested_counts(n_list, j: int, fr, box) -> tuple[list[int] | None, str | None]:
+    """``run_clt``'s per-field work: (Z_N at every N of ``n_list``, None),
+    or (None, flag) for a replicate that fails."""
+    # the half-open sub-cubes [-N, N)^m are nested: Z_N counts the points
+    # of the largest cube's count inside [-N, N)^m
+    try:
+        cps = count_newton(fr, box)
+        if cps.failed_cells > 0.05 * max(cps.newton_count, 1):
+            raise RuntimeError(f"{cps.failed_cells} unresolved cells")
+    except (RuntimeError, FloatingPointError) as exc:
+        return None, f"replicate {j} (seed {fr.seed}) failed ({exc})"
+    x = cps.locations
+    return [int(np.all((x >= -n) & (x < n), axis=1).sum()) for n in n_list], None
 
 
 def run_clt(
@@ -146,23 +231,12 @@ def run_clt(
     many seconds have passed since the call began: BudgetError is raised.
     """
     n_list, r = config.n_list, config.realizations
+    results, torus, wall_time = _sweep(
+        config, n_list[-1], len(n_list) - 1, wrap, wall_clock, partial(_nested_counts, n_list)
+    )
     flags = [] if r >= 30 else ["insufficient: R < 30"]
-
-    def nested(j, fr, box):
-        # the half-open sub-cubes [-N, N)^m are nested: Z_N counts the points
-        # of the largest cube's count inside [-N, N)^m
-        try:
-            cps = count_newton(fr, box)
-            if cps.failed_cells > 0.05 * max(cps.newton_count, 1):
-                raise RuntimeError(f"{cps.failed_cells} unresolved cells")
-        except (RuntimeError, FloatingPointError) as exc:
-            flags.append(f"replicate {j} (seed {fr.seed}) failed ({exc})")
-            return None
-        x = cps.locations
-        return [int(np.all((x >= -n) & (x < n), axis=1).sum()) for n in n_list]
-
-    rows, torus, wall_time = _sweep(config, n_list[-1], len(n_list) - 1, wrap, wall_clock, nested)
-    rows = [z for z in rows if z is not None]
+    flags += [flag for _, flag in results if flag is not None]
+    rows = [z for z, _ in results if z is not None]
     n_fail = r - len(rows)
     if n_fail > 0.05 * r:
         raise RuntimeError(f"{n_fail}/{r} replicates failed")
@@ -231,6 +305,19 @@ def normality_test(zeta: np.ndarray, variance: float) -> dict:
     return {"statistic": float(res.statistic), "p_value": float(res.pvalue), "n": len(zeta)}
 
 
+def _compare_estimators(eps_list, j: int, fr, box) -> dict:
+    """``estimator_crosscheck``'s per-field work: the field's row."""
+    cps = count_newton(fr, box)
+    row = {"seed": fr.seed, "newton": cps.newton_count, "failed_cells": cps.failed_cells}
+    with warnings.catch_warnings():
+        # a finest eps below the resolvability scale is the ladder's
+        # design; any other warning goes through
+        warnings.filterwarnings("ignore", r"eps = .* resolvability", UserWarning)
+        smoothed = count_kacrice_smoothed(fr, box, eps_list)
+    row.update((f"kacrice_eps={eps}", k) for eps, k in zip(eps_list, smoothed))
+    return row
+
+
 def estimator_crosscheck(
     config: ExperimentConfig,
     wrap: tuple[float, float] | None = None,
@@ -247,19 +334,7 @@ def estimator_crosscheck(
     are as in ``run_clt``.
     """
 
-    def compare(j, fr, box):
-        cps = count_newton(fr, box)
-        row = {"seed": fr.seed, "newton": cps.newton_count, "failed_cells": cps.failed_cells}
-        with warnings.catch_warnings():
-            # a finest eps below the resolvability scale is the ladder's
-            # design; any other warning goes through
-            warnings.filterwarnings("ignore", r"eps = .* resolvability", UserWarning)
-            smoothed = count_kacrice_smoothed(fr, box, config.eps_list)
-        row.update(
-            (f"kacrice_eps={eps}", k) for eps, k in zip(config.eps_list, smoothed)
-        )
-        return row
-
+    compare = partial(_compare_estimators, config.eps_list)
     rows, torus, _ = _sweep(config, config.n_list[0], 0x9C, wrap, wall_clock, compare)
     out = {"rows": rows, "torus": torus}
     for eps in config.eps_list:

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -287,6 +288,45 @@ class TestMainExitCodes:
         # the provenance, torus included, is written before the run starts
         torus = json.loads((out / "provenance.json").read_text())["torus"]
         assert torus["n_per_side"] == {"3.0": 108}
+
+    def test_dead_worker_exits_4(self, tmp_path, capsys, monkeypatch, two_cpus):
+        # a worker that dies ends the run with its own message; the pool
+        # notices the death, so the run does not hang
+        parent = os.getpid()
+
+        def die(fr, box):
+            assert os.getpid() != parent
+            os._exit(1)
+
+        monkeypatch.setattr(experiments, "count_newton", die)
+        cfg = _write(tmp_path, "d.yaml", BASE_CLT)
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith("a worker process died: ")
+        assert not (out / "record.json").exists()
+
+    @pytest.mark.parametrize("subcommand", ["clt", "crosscheck"])
+    def test_provenance_names_the_workers(self, tmp_path, pinned, subcommand):
+        # one worker or two: only the provenance's worker keys and the
+        # record's wall time differ
+        text = BASE_CLT.replace("subcommand: clt", f"subcommand: {subcommand}")
+        cfg = _write(tmp_path, "p.yaml", text)
+        outputs = []
+        for n in (1, 2):
+            out = tmp_path / f"o{n}"
+            with pinned(n) as cpus:
+                assert main(["--config", cfg, "--out", str(out)]) == EXIT_OK
+            files = {path.name: path.read_text() for path in out.iterdir()}
+            stamp = json.loads(files.pop("provenance.json"))
+            assert (stamp.pop("workers"), stamp.pop("worker_cpus")) == (
+                n, cpus if n > 1 else [])
+            if "record.json" in files:
+                record = json.loads(files.pop("record.json"))
+                record.pop("wall_time")
+                files["record.json"] = record
+            outputs.append((stamp, files))
+        assert outputs[0] == outputs[1]
 
     def test_nyquist_exit(self, tmp_path, capsys):
         # one point per unit cannot resolve the unit Gaussian spectrum: the

@@ -1,8 +1,12 @@
 import itertools
 import json
 import math
+import os
+import re
+import time
 import types
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
@@ -167,7 +171,7 @@ class TestRunClt:
                 run(cfg, wrap=(8.0, 1e-7))
         assert made == []
 
-    def test_wall_clock_stops_between_realizations(self, monkeypatch):
+    def test_wall_clock_stops_between_realizations(self, monkeypatch, one_cpu):
         # each clock reading is one second after the last: the start, then
         # one reading before each realization
         clock = itertools.count()
@@ -179,7 +183,7 @@ class TestRunClt:
             run_clt(SMALL, wall_clock=3.5)
         assert len(done) == 3
 
-    def test_failed_replicate_dropped_from_every_level(self, monkeypatch):
+    def test_failed_replicate_dropped_from_every_level(self, monkeypatch, one_cpu):
         # a stub count per replicate: level k reads seed % 100 + 1000 k, so
         # paired rows differ by exactly 1000
         seeds = []
@@ -255,7 +259,7 @@ class TestNestedLevels:
             direct = count_newton(fr, ((-top, -top), (top, top))).newton_count
             assert small_record.counts[-1][j] == direct
 
-    def test_one_field_per_replicate(self, monkeypatch):
+    def test_one_field_per_replicate(self, monkeypatch, one_cpu):
         made, synth = [], experiments.synthesize
 
         def spy(w, spec, **kw):
@@ -266,6 +270,124 @@ class TestNestedLevels:
         cfg = replace(SMALL, n_list=(2.0, 3.0, 4.0), realizations=3)
         run_clt(cfg)
         assert made == [4.0] * 3
+
+
+def _seeds(cfg: ExperimentConfig, key: int) -> list[int]:
+    """The replicate seeds of a sweep of ``cfg`` under stream ``key``."""
+    streams = np.random.SeedSequence((cfg.master_seed, key)).spawn(cfg.realizations)
+    return [int(ss.generate_state(1)[0]) for ss in streams]
+
+
+def _stub_fields(monkeypatch):
+    monkeypatch.setattr(
+        experiments, "synthesize", lambda w, spec, seed, **kw: types.SimpleNamespace(seed=seed)
+    )
+
+
+class TestWorkers:
+    """A sweep's replicates run on one pinned worker per CPU of the affinity
+    set; the results do not depend on how many there are."""
+
+    def test_run_clt_same_with_one_and_two_workers(self, pinned):
+        cfg = replace(SMALL, realizations=6, master_seed=5)
+        with pinned(1):
+            one = run_clt(cfg)
+        with pinned(2):
+            two = run_clt(cfg)
+        np.testing.assert_array_equal(one.counts, two.counts)
+        assert (one.failures, one.flags, one.c_m) == (two.failures, two.flags, two.c_m)
+
+    def test_crosscheck_same_with_one_and_two_workers(self, pinned):
+        cfg = replace(SMALL, n_list=(3.0,), realizations=3, points_per_unit=16,
+                      eps_list=(0.1, 0.05))
+        with pinned(1):
+            one = estimator_crosscheck(cfg)
+        with pinned(2):
+            two = estimator_crosscheck(cfg)
+        assert one["rows"] == two["rows"]
+
+    def test_each_worker_pinned_to_its_own_cpu(self, monkeypatch, two_cpus):
+        _stub_fields(monkeypatch)
+
+        def where(j, fr, box):
+            time.sleep(0.1)  # long enough that both workers take replicates
+            return os.getpid(), frozenset(os.sched_getaffinity(0))
+
+        out, _, _ = experiments._sweep(replace(SMALL, realizations=6), 3.0, 0, None, None,
+                                       where)
+        pinned = dict(out)
+        assert os.getpid() not in pinned
+        assert len(pinned) == 2
+        assert all(len(cpus) == 1 for cpus in pinned.values())
+        assert sorted(min(cpus) for cpus in pinned.values()) == two_cpus
+
+    def test_large_torus_runs_one_worker(self, two_cpus):
+        # a jet over half the budget leaves room for one field at a time
+        small = field.GridSpec(m=2, half_width=3.0, points_per_unit=8, guard=7.375)
+        large = field.GridSpec(m=2, half_width=25.0, points_per_unit=64, guard=8.0)
+        assert 2 * field._jet_bytes(2, large.n_per_side) > field._MAX_JET_BYTES
+        assert experiments._worker_cpus(small, 10) == two_cpus
+        assert experiments._worker_cpus(small, 1) == two_cpus[:1]
+        assert experiments._worker_cpus(large, 10) == two_cpus[:1]
+
+    def test_failed_replicate_flag_comes_back_from_its_worker(self, monkeypatch, two_cpus):
+        # as test_failed_replicate_dropped_from_every_level, with the stub
+        # failing by seed since its calls are made in the workers
+        cfg = replace(SMALL, realizations=30)
+        seeds = _seeds(cfg, 1)
+
+        def flaky(fr, box):
+            if fr.seed == seeds[1]:
+                return types.SimpleNamespace(
+                    locations=np.empty((0, 2)), newton_count=0, failed_cells=7
+                )
+            return _stub_points(fr.seed % 100)
+
+        _stub_fields(monkeypatch)
+        monkeypatch.setattr(experiments, "count_newton", flaky)
+        with pytest.raises(RuntimeError, match="1/3 replicates failed"):
+            run_clt(replace(cfg, realizations=3))
+        record = run_clt(cfg)
+        kept = [s % 100 for i, s in enumerate(seeds) if i != 1]
+        for k, z in enumerate(record.counts):
+            np.testing.assert_array_equal(z, np.array(kept) + 1000 * k)
+        assert record.failures == 1
+        assert record.flags == [f"replicate 1 (seed {seeds[1]}) failed (7 unresolved cells)"]
+
+    def test_wall_clock_stops_each_worker_before_its_next_field(
+        self, monkeypatch, tmp_path, two_cpus
+    ):
+        # every field takes 1 s against a 0.5 s budget: the workers start
+        # replicates 0 and 1 and refuse the rest; the file holds one line per
+        # field started, in whichever worker
+        started = tmp_path / "started"
+
+        def slow(w, spec, seed, **kw):
+            with open(started, "a") as fh:
+                fh.write(f"{seed}\n")
+            time.sleep(1.0)
+            return types.SimpleNamespace(seed=seed)
+
+        monkeypatch.setattr(experiments, "synthesize", slow)
+        monkeypatch.setattr(experiments, "count_newton", lambda fr, box: _stub_points(0))
+        with pytest.raises(BudgetError, match="after [12] of 8 realizations") as err:
+            run_clt(SMALL, wall_clock=0.5)
+        j = int(re.search(r"after (\d) of", str(err.value)).group(1))
+        assert sorted(started.read_text().split()) == sorted(map(str, _seeds(SMALL, 1)[:j]))
+
+    def test_dead_worker_ends_the_sweep(self, monkeypatch, two_cpus):
+        seeds, parent = _seeds(SMALL, 1), os.getpid()
+
+        def die(fr, box):
+            assert os.getpid() != parent
+            if fr.seed == seeds[1]:
+                os._exit(1)
+            return _stub_points(0)
+
+        _stub_fields(monkeypatch)
+        monkeypatch.setattr(experiments, "count_newton", die)
+        with pytest.raises(BrokenProcessPool):
+            run_clt(SMALL)
 
 
 class TestVarianceScaling:
@@ -369,7 +491,7 @@ class TestCrosscheck:
             assert (row["newton"], row["failed_cells"]) == (cps.newton_count, cps.failed_cells)
             assert isinstance(row["failed_cells"], int)
 
-    def test_hessian_scale_once_per_field(self, monkeypatch):
+    def test_hessian_scale_once_per_field(self, monkeypatch, one_cpu):
         # Newton's degeneracy tolerance reads it; the smoothed counter takes
         # its resolvability floor from the h00 it slices anyway
         seeds, hess_scale = [], critpoints._hess_scale
@@ -397,7 +519,7 @@ class TestCrosscheck:
         monkeypatch.setattr(experiments, "count_kacrice_smoothed", smoothed)
         return replace(SMALL, n_list=(3.0,), realizations=2)
 
-    def test_numerical_warning_of_smoothed_count_propagates(self, monkeypatch):
+    def test_numerical_warning_of_smoothed_count_propagates(self, monkeypatch, one_cpu):
         cfg = self._warning_fields(
             monkeypatch, RuntimeWarning("overflow encountered in multiply"))
         with warnings.catch_warnings():
@@ -405,7 +527,7 @@ class TestCrosscheck:
             with pytest.raises(RuntimeWarning, match="overflow"):
                 estimator_crosscheck(cfg)
 
-    def test_resolvability_warning_stays_silent(self, monkeypatch):
+    def test_resolvability_warning_stays_silent(self, monkeypatch, one_cpu):
         cfg = self._warning_fields(monkeypatch, UserWarning(
             "eps = 0.0125 is below the refined-grid resolvability scale ~0.0201; "
             "the smoothed count may miss cells"))
@@ -414,7 +536,7 @@ class TestCrosscheck:
             out = estimator_crosscheck(cfg)
         assert [row["kacrice_eps=0.0125"] for row in out["rows"]] == [1000.0, 1000.0]
 
-    def test_wall_clock_stops_before_the_next_field(self, monkeypatch):
+    def test_wall_clock_stops_before_the_next_field(self, monkeypatch, one_cpu):
         made = []
         monkeypatch.setattr(experiments, "synthesize", lambda *args, **kw: made.append(args))
         cfg = replace(SMALL, n_list=(3.0,))
