@@ -34,7 +34,8 @@ def main():
     print("\n=== E|det A| over the shifted ensemble S(m; 1, 1) ===")
     for m in (2, 3, 6):
         exact = expect_absdet_S(m, 1.0)
-        mc = expect_functional_mc(EnsembleParams(m=m, u=1.0, v=1.0), "absdet", 200_000)
+        params = EnsembleParams(m=m, u=1.0, v=1.0)
+        mc = expect_functional_mc(params, ("absdet",), 200_000)["absdet"]
         print(f"  m={m}: exact {exact:.6f}   MC {mc['mean']:.6f} +- {mc['stderr']:.6f}")
     print(f"  (m = 2 in closed form: 4/sqrt(3) = {4.0 / math.sqrt(3.0):.6f})")
 

@@ -157,7 +157,7 @@ def sphere_moment(m: int, exponents) -> float:
     if any(e < 0 for e in a) or len(a) > m:
         raise ValueError("exponents must be nonnegative, at most m of them")
     total = sum(a)
-    num = math.prod(special.factorial2(2 * e - 1, exact=True) for e in a)
+    num = math.prod(math.prod(range(1, 2 * e, 2)) for e in a)  # (2e - 1)!!, (-1)!! = 1
     den = math.prod(m + 2 * j for j in range(total))
     return num / den
 

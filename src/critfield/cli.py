@@ -134,6 +134,8 @@ def _prepare_out(cfg: dict, args) -> Path:
     if out is None:
         raise ConfigError("no output directory: set 'out', --out, or $" + _OUT_ENV)
     out = Path(out)
+    if any(p.exists() and not p.is_dir() for p in (out, *out.parents)):
+        raise ConfigError(f"output path {out} is, or lies under, a file")
     if out.exists() and any(out.iterdir()) and not args.force:
         raise ConfigError(f"output dir {out} is not empty (use --force to overwrite)")
     if out.exists() and args.force:
@@ -224,10 +226,8 @@ def _run_count(plan: _Plan, out: Path) -> None:
 def _run_randmat(plan: _Plan, out: Path) -> None:
     params, n = plan.ensemble, plan.samples
     m, u, v = params.m, params.u, params.v
-    results = {
-        name: randmat.expect_functional_mc(params, name, n, seed=plan.seed)
-        for name in ("absdet", "p_absdet", "q_absdet")
-    }
+    names = ("absdet", "p_absdet", "q_absdet")
+    results = randmat.expect_functional_mc(params, names, n, seed=plan.seed)
     rng = np.random.default_rng(plan.seed + 1)
     eigs = np.linalg.eigvalsh(randmat.sample_matrices(params, 400, rng)).ravel()
     np.savetxt(out / "eigenvalues.csv", eigs, header="eigenvalue", comments="")

@@ -73,7 +73,7 @@ class ExperimentConfig:
     e_absdet_s1: float | None = None
 
     def __post_init__(self):
-        if list(self.n_list) != sorted(self.n_list) or len(self.n_list) == 0:
+        if not self.n_list or list(self.n_list) != sorted(set(self.n_list)):
             raise ValueError("n_list must be nonempty and increasing")
         if self.realizations < 1:
             raise ValueError("realizations must be >= 1")

@@ -59,24 +59,15 @@ def sample_matrices(params: EnsembleParams, n: int, rng: np.random.Generator) ->
     return b
 
 
-def _functional_values(a: np.ndarray, functional: str) -> np.ndarray:
-    tr = np.trace(a, axis1=1, axis2=2)
-    if functional in ("p", "p2", "p_absdet", "pq"):
-        p = tr**2
-    if functional in ("q", "q2", "q_absdet", "pq"):
-        q = np.einsum("nij,nij->n", a, a)
-    if functional in ("absdet", "p_absdet", "q_absdet"):
-        f = np.abs(np.linalg.det(a))
+def _functional_values(a: np.ndarray) -> dict:
+    """Every functional of FUNCTIONALS on the batch a, shape (n, m, m)."""
+    p = np.trace(a, axis1=1, axis2=2) ** 2
+    q = np.einsum("nij,nij->n", a, a)
+    f = np.abs(np.linalg.det(a))
     return {
-        "absdet": lambda: f,
-        "p_absdet": lambda: p * f,
-        "q_absdet": lambda: q * f,
-        "p": lambda: p,
-        "q": lambda: q,
-        "p2": lambda: p**2,
-        "pq": lambda: p * q,
-        "q2": lambda: q**2,
-    }[functional]()
+        "absdet": f, "p_absdet": p * f, "q_absdet": q * f, "p": p, "q": q,
+        "p2": p**2, "pq": p * q, "q2": q**2,
+    }
 
 
 def _check_samples(n_samples: int) -> None:
@@ -87,14 +78,16 @@ def _check_samples(n_samples: int) -> None:
 
 def expect_functional_mc(
     params: EnsembleParams,
-    functional: str,
+    functionals: tuple[str, ...],
     n_samples: int,
     seed: int = 0,
     batch: int = 200_000,
 ) -> dict:
-    """Plain Monte Carlo mean of an invariant functional, with its iid stderr.
+    """Plain Monte Carlo means of invariant functionals, with their iid stderrs.
 
-    n_samples counts each draw twice, so the call averages n = n_samples // 2
+    Returns {name: {"mean", "stderr", "n", "seed"}} in the order of
+    ``functionals``, every name averaged over the same draws.  n_samples
+    counts each draw twice, so the call averages n = n_samples // 2
     independent matrices; the convention is kept from an (A, -A) pairing,
     a no-op for these functionals, which are all even in A, so that a given
     (n_samples, seed) keeps its draws.  The stderr is sd / sqrt(n).
@@ -103,22 +96,23 @@ def expect_functional_mc(
     the work.  At u > 0 each batch draws its identity shifts after its GOE
     block, so the stream, and the estimate, depend on ``batch``.
     """
-    if functional not in FUNCTIONALS:
-        raise ValueError(f"unknown functional {functional!r}")
+    if not set(functionals) <= set(FUNCTIONALS):
+        raise ValueError(f"unknown functional in {functionals!r}")
     _check_samples(n_samples)
     rng = np.random.default_rng(seed)
     count = n_samples // 2
-    sums, sqs = 0.0, 0.0
+    sums = {name: [0.0, 0.0] for name in functionals}  # of values and of squares
     for start in range(0, count, batch):
-        vals = _functional_values(
-            sample_matrices(params, min(batch, count - start), rng), functional
-        )
-        sums += vals.sum()
-        sqs += np.sum(vals**2)
-    mean = sums / count
-    var = max(sqs - count * mean**2, 0.0) / (count - 1)
-    stderr = math.sqrt(var / count)
-    return {"mean": float(mean), "stderr": float(stderr), "n": count, "seed": seed}
+        vals = _functional_values(sample_matrices(params, min(batch, count - start), rng))
+        for name, acc in sums.items():
+            acc[0] += vals[name].sum()
+            acc[1] += np.sum(vals[name] ** 2)
+    out = {}
+    for name, (total, sq) in sums.items():
+        mean = total / count
+        var = max(sq - count * mean**2, 0.0) / (count - 1)
+        out[name] = dict(mean=float(mean), stderr=math.sqrt(var / count), n=count, seed=seed)
+    return out
 
 
 # --- eigenvalue densities -------------------------------------------------

@@ -128,10 +128,7 @@ def test_criterion_02_wick_closed_forms(criterion_report):
     printed_pq = 110.0  # printed reference value for E[pq]
     # at u > 0 the draws depend on the batch size (each batch draws its
     # identity shifts after its GOE block): the gate is pinned to 50 000
-    est = {
-        f: expect_functional_mc(params, f, 1_000_000, seed=2, batch=50_000)
-        for f in targets
-    }
+    est = expect_functional_mc(params, tuple(targets), 1_000_000, seed=2, batch=50_000)
     z = {f: abs(est[f]["mean"] - t) / est[f]["stderr"] for f, t in targets.items()}
     z_printed = abs(est["pq"]["mean"] - printed_pq) / est["pq"]["stderr"]
     ok = max(z.values()) <= 3.0 and z_printed > 10.0

@@ -209,6 +209,10 @@ class TestSphereIntegrals:
         assert sphere_moment(3, (1, 1)) == pytest.approx(1.0 / 15.0)
         assert sphere_moment(3, (2,)) == pytest.approx(1.0 / 5.0)
         assert sphere_moment(2, (2, 1)) == pytest.approx(3.0 / 48.0)
+        # a zero exponent is a factor 1: (-1)!! = 1
+        assert sphere_moment(3, (1, 0)) == pytest.approx(1.0 / 3.0)
+        assert sphere_moment(3, (0,)) == 1.0
+        assert sphere_moment(3, (2, 0, 1)) == sphere_moment(3, (2, 1))
 
     def test_sphere_moment_mc(self):
         rng = np.random.default_rng(8)

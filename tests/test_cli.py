@@ -47,6 +47,8 @@ experiment:
   e_absdet_s1: 2.3094
 """
 
+SPECTRUM = "subcommand: spectrum\nseed: 1\ndensity:\n  family: gaussian\n  params: [1.0]\n"
+
 CHAOS = (
     "subcommand: chaos\nseed: 1\n"
     "density:\n  family: gaussian\n  params: [1.0]\n"
@@ -115,11 +117,7 @@ class TestParseConfig:
 
 class TestMainExitCodes:
     def test_spectrum_success(self, tmp_path):
-        cfg = _write(
-            tmp_path,
-            "s.yaml",
-            "subcommand: spectrum\nseed: 1\ndensity:\n  family: gaussian\n  params: [1.0]\n",
-        )
+        cfg = _write(tmp_path, "s.yaml", SPECTRUM)
         out = tmp_path / "out"
         assert main(["--config", cfg, "--out", str(out)]) == EXIT_OK
         doc = json.loads((out / "spectrum.json").read_text())
@@ -128,11 +126,7 @@ class TestMainExitCodes:
         assert (out / "summary.txt").exists()
 
     def test_refuses_nonempty_out(self, tmp_path):
-        cfg = _write(
-            tmp_path,
-            "s.yaml",
-            "subcommand: spectrum\nseed: 1\ndensity:\n  family: gaussian\n  params: [1.0]\n",
-        )
+        cfg = _write(tmp_path, "s.yaml", SPECTRUM)
         out = tmp_path / "out"
         out.mkdir()
         (out / "junk.txt").write_text("x")
@@ -140,6 +134,20 @@ class TestMainExitCodes:
         assert (out / "junk.txt").exists()
         assert main(["--config", cfg, "--out", str(out), "--force"]) == EXIT_OK
         assert not (out / "junk.txt").exists()
+
+    @pytest.mark.parametrize("force", [[], ["--force"]], ids=["", "force"])
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_out_that_is_a_file_is_a_config_error(self, tmp_path, capsys, force, under):
+        # neither --out afile nor --out afile/sub can be made a directory;
+        # the file is left as it was
+        cfg = _write(tmp_path, "s.yaml", SPECTRUM)
+        afile = tmp_path / "afile"
+        afile.write_text("keep")
+        out = afile / "sub" if under else afile
+        assert main(["--config", cfg, "--out", str(out), *force]) == EXIT_CONFIG
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err == f"config error: output path {out} is, or lies under, a file"
+        assert afile.read_text() == "keep"
 
     def test_dry_run_writes_nothing(self, tmp_path, capsys):
         cfg = _write(tmp_path, "c.yaml", BASE_CLT)
@@ -237,16 +245,34 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("dry_run", [True, False], ids=["dry-run", "run"])
     def test_experiment_block_checked_before_output(self, tmp_path, capsys, subcommand,
                                                     dry_run):
-        # the dry run refuses the block the run refuses, and neither writes
-        text = (BASE_CLT.replace("subcommand: clt", f"subcommand: {subcommand}")
-                .replace("n_list: [3.0]", "n_list: [5.0, 3.0]")
-                .replace("realizations: 4", "realizations: 0"))
-        cfg = _write(tmp_path, "e.yaml", text)
+        # the dry run refuses the block the run refuses, and neither writes;
+        # a repeated level is refused like a decreasing one
+        for n_list in ("[5.0, 3.0]", "[2.0, 2.0]"):
+            text = (BASE_CLT.replace("subcommand: clt", f"subcommand: {subcommand}")
+                    .replace("n_list: [3.0]", f"n_list: {n_list}")
+                    .replace("realizations: 4", "realizations: 0"))
+            cfg = _write(tmp_path, "e.yaml", text)
+            out = tmp_path / "o"
+            argv = ["--config", cfg, "--out", str(out)] + (["--dry-run"] if dry_run else [])
+            assert main(argv) == EXIT_CONFIG
+            assert "n_list must be nonempty and increasing" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_clt_ks_line(self, tmp_path, capsys):
+        # R >= 100 adds the KS test of zeta at the largest N, against
+        # N(0, sample variance), to the summary
+        text = (BASE_CLT.replace("n_list: [3.0]", "n_list: [2.0]")
+                .replace("realizations: 4", "realizations: 100"))
+        cfg = _write(tmp_path, "k.yaml", text)
         out = tmp_path / "o"
-        argv = ["--config", cfg, "--out", str(out)] + (["--dry-run"] if dry_run else [])
-        assert main(argv) == EXIT_CONFIG
-        assert "n_list must be nonempty and increasing" in capsys.readouterr().err
-        assert not out.exists()
+        assert main(["--config", cfg, "--out", str(out)]) == EXIT_OK
+        c_m = json.loads((out / "record.json").read_text())["c_m"]
+        z = np.genfromtxt(out / "samples_N2.csv", delimiter=",", names=True)["Z"]
+        zeta = (z - c_m * 4.0**2) / 4.0
+        ks = experiments.normality_test(zeta, float(np.var(zeta, ddof=1)))
+        line = f"KS at N=2: stat={ks['statistic']:.4f}, p={ks['p_value']:.4g}"
+        assert line in capsys.readouterr().out.splitlines()
+        assert line in (out / "summary.txt").read_text().splitlines()
 
     def test_clt_plan_and_summary_count_replicates(self, tmp_path, capsys):
         text = BASE_CLT.replace("n_list: [3.0]", "n_list: [2.0, 3.0]")
@@ -288,6 +314,16 @@ class TestMainExitCodes:
         # the provenance, torus included, is written before the run starts
         torus = json.loads((out / "provenance.json").read_text())["torus"]
         assert torus["n_per_side"] == {"3.0": 108}
+
+    def test_wall_clock_checked_after_the_run(self, tmp_path, capsys):
+        # every subcommand but clt and crosscheck checks its budget once,
+        # after its outputs are written
+        cfg = _write(tmp_path, "w.yaml", BASE_RANDMAT + "budget:\n  wall_clock: 0\n")
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out)]) == EXIT_BUDGET
+        err = capsys.readouterr().err
+        assert "run exceeded wall-clock budget 0" in err
+        assert (out / "randmat.json").exists() and (out / "summary.txt").exists()
 
     def test_dead_worker_exits_4(self, tmp_path, capsys, monkeypatch, two_cpus):
         # a worker that dies ends the run with its own message; the pool
@@ -375,6 +411,22 @@ class TestMainExitCodes:
         cfg = _write(tmp_path, "r.yaml", text)
         assert main(["--config", cfg, "--dry-run"]) == EXIT_BUDGET
         assert "500000 samples > budget 1000" in capsys.readouterr().err
+
+    def test_randmat_draws_each_batch_once(self, tmp_path, monkeypatch):
+        # 500 000 samples are 250 000 draws: two batches shared by the three
+        # functionals, then the 400 matrices of eigenvalues.csv
+        sizes = []
+        sample = cli.randmat.sample_matrices
+
+        def spy(params, n, rng):
+            sizes.append(n)
+            return sample(params, n, rng)
+
+        monkeypatch.setattr(cli.randmat, "sample_matrices", spy)
+        text = BASE_RANDMAT.replace("samples: 50000", "samples: 500000")
+        cfg = _write(tmp_path, "r.yaml", text)
+        assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert sizes == [200_000, 50_000, 400]
 
     def test_chaos_dry_run_plans_no_monte_carlo(self, tmp_path, capsys):
         cfg = _write(tmp_path, "c.yaml", CHAOS)

@@ -95,27 +95,27 @@ class TestFunctionalMC:
     def test_trace_moments(self):
         # E[(tr A)^2] = m^2 u + 2 m v and E[tr A^2] = m u + m (m + 1) v
         m, u, v = 3, 0.4, 0.6
-        res_p = expect_functional_mc(self.PARAMS, "p", 100_000, seed=3)
+        res = expect_functional_mc(self.PARAMS, ("p", "q"), 100_000, seed=3)
+        res_p, res_q = res["p"], res["q"]
         assert res_p["mean"] == pytest.approx(
             m * m * u + 2 * m * v, abs=4 * res_p["stderr"]
         )
-        res_q = expect_functional_mc(self.PARAMS, "q", 100_000, seed=3)
         assert res_q["mean"] == pytest.approx(
             m * u + m * (m + 1) * v, abs=4 * res_q["stderr"]
         )
 
     def test_deterministic_given_seed(self):
-        a = expect_functional_mc(self.PARAMS, "absdet", 50_000, seed=9)
-        b = expect_functional_mc(self.PARAMS, "absdet", 50_000, seed=9)
-        assert a["mean"] == b["mean"]
+        a = expect_functional_mc(self.PARAMS, ("absdet",), 50_000, seed=9)
+        b = expect_functional_mc(self.PARAMS, ("absdet",), 50_000, seed=9)
+        assert a == b
 
     @pytest.mark.parametrize("functional", ["absdet", "pq"])
     def test_iid_stderr(self, functional):
         # n_samples // 2 independent draws in batches; stderr = sd / sqrt(n)
         n_samples, batch, seed = 60_000, 7_000, 21
         res = expect_functional_mc(
-            self.PARAMS, functional, n_samples, seed=seed, batch=batch
-        )
+            self.PARAMS, (functional,), n_samples, seed=seed, batch=batch
+        )[functional]
         rng = np.random.default_rng(seed)
         count = n_samples // 2
         a = np.concatenate([
@@ -133,20 +133,30 @@ class TestFunctionalMC:
             vals.std(ddof=1) / math.sqrt(count), rel=1e-9
         )
 
+    def test_one_pass_matches_one_name_calls(self):
+        # every name averages the same draws: at u > 0 over five batches, a
+        # joint call returns each one-name call's result bit for bit
+        names = ("q2", "absdet", "pq", "p", "q_absdet", "p_absdet", "q", "p2")
+        kw = {"n_samples": 60_000, "seed": 4, "batch": 7_000}
+        joint = expect_functional_mc(self.PARAMS, names, **kw)
+        assert list(joint) == list(names)
+        for name in names:
+            assert joint[name] == expect_functional_mc(self.PARAMS, (name,), **kw)[name]
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            expect_functional_mc(self.PARAMS, "trace", 50_000)
+            expect_functional_mc(self.PARAMS, ("absdet", "trace"), 50_000)
         with pytest.raises(ValueError):
-            expect_functional_mc(self.PARAMS, "absdet", 100)
+            expect_functional_mc(self.PARAMS, ("absdet",), 100)
 
     def test_homogeneous_rescale_consistency(self):
         # |det| is degree m homogeneous, so doubling v multiplies by 2^(m/2)
         half = expect_functional_mc(
-            EnsembleParams(m=2, u=0.5, v=0.5), "absdet", 400_000, seed=5
-        )
+            EnsembleParams(m=2, u=0.5, v=0.5), ("absdet",), 400_000, seed=5
+        )["absdet"]
         full = expect_functional_mc(
-            EnsembleParams(m=2, u=1.0, v=1.0), "absdet", 400_000, seed=6
-        )
+            EnsembleParams(m=2, u=1.0, v=1.0), ("absdet",), 400_000, seed=6
+        )["absdet"]
         pred = (2.0 * 1.0) ** (2 / 2.0) * half["mean"]  # (2 v)^(k/2), k = 2
         tol = 4 * (2.0 * half["stderr"] + full["stderr"])
         assert full["mean"] == pytest.approx(pred, abs=tol)
@@ -341,8 +351,8 @@ class TestExpectAbsdetS:
     @pytest.mark.parametrize("m", [5, 8])
     def test_against_monte_carlo(self, m):
         res = expect_functional_mc(
-            EnsembleParams(m=m, u=1.0, v=1.0), "absdet", 400_000, seed=30 + m
-        )
+            EnsembleParams(m=m, u=1.0, v=1.0), ("absdet",), 400_000, seed=30 + m
+        )["absdet"]
         assert expect_absdet_S(m, 1.0) == pytest.approx(
             res["mean"], abs=4 * res["stderr"]
         )
@@ -354,8 +364,8 @@ class TestExpectAbsdetS:
 
     def test_dim_three_against_monte_carlo(self):
         res = expect_functional_mc(
-            EnsembleParams(m=3, u=0.5, v=0.5), "absdet", 600_000, seed=12
-        )
+            EnsembleParams(m=3, u=0.5, v=0.5), ("absdet",), 600_000, seed=12
+        )["absdet"]
         assert expect_absdet_S(3, 0.5) == pytest.approx(
             res["mean"], abs=4 * res["stderr"]
         )
