@@ -135,7 +135,7 @@ class TestMainExitCodes:
         assert main(["--config", cfg, "--out", str(out), "--force"]) == EXIT_OK
         assert not (out / "junk.txt").exists()
 
-    @pytest.mark.parametrize("force", [[], ["--force"]], ids=["", "force"])
+    @pytest.mark.parametrize("force", [[], ["--force"]], ids=["no-force", "force"])
     @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
     def test_out_that_is_a_file_is_a_config_error(self, tmp_path, capsys, force, under):
         # neither --out afile nor --out afile/sub can be made a directory;
