@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.spatial import cKDTree
 
-from .field import FieldRealization, hessian_stack, interpolate
+from .field import FieldRealization, hessian_stack
 from .randmat import expect_absdet_S
 from .spectrum import SpectralDensity, spectral_moments
 
@@ -35,10 +35,14 @@ _MAX_ITER = 40
 _STALL = 3
 
 # The smoothed counter's stencil taps around a node along one axis, and the
-# sub-nodes or gathered coefficients per component it holds at once: 1 MB
-# arrays stay in cache, and its sub-node arrays do not grow with the box.
+# sub-nodes or gathered coefficients per component that it and the Newton
+# kernel hold at once: 1 MB arrays stay in cache, and the arrays do not grow
+# with the box.
 _TAPS = np.arange(-3, 4)
 _LATTICE_CHUNK = 2**17
+# The Newton kernel's taps around floor(x) along one axis, the quintic
+# stencil that ``FieldRealization.readable`` assumes.
+_STENCIL = np.arange(-2, 4)
 
 
 @dataclass(frozen=True)
@@ -94,15 +98,17 @@ def _candidate_cells(field: FieldRealization, lo, hi):
     i_hi = np.ceil((hi - origin) / h).astype(int) + 1
     window = tuple(slice(i_lo[k], i_hi[k] + 1) for k in range(m))
 
-    # the min and max over the 2^m corners of every cell, one axis at a time:
-    # each pass pairs the neighbouring slices along one axis
-    lo_c = hi_c = field.grid[(slice(1, 1 + m),) + window]
+    # whether some corner of every cell is <= 0 and some corner >= 0, one
+    # axis at a time: each pass ORs the neighbouring slices along one axis.
+    # A corner at exactly 0 counts as both signs
+    g = field.grid[(slice(1, 1 + m),) + window]
+    neg, pos = g <= 0.0, g >= 0.0
     for k in range(1, 1 + m):
         first = (slice(None),) * k + (slice(None, -1),)
         second = (slice(None),) * k + (slice(1, None),)
-        lo_c = np.minimum(lo_c[first], lo_c[second])
-        hi_c = np.maximum(hi_c[first], hi_c[second])
-    mask = np.all((lo_c <= 0.0) & (hi_c >= 0.0), axis=0)
+        neg = neg[first] | neg[second]
+        pos = pos[first] | pos[second]
+    mask = np.all(neg & pos, axis=0)
     idx = np.argwhere(mask)
     centers = origin + (idx + i_lo + 0.5) * h
     return centers
@@ -128,18 +134,19 @@ def count_newton(field: FieldRealization, box) -> CriticalPointSet:
 
     Newton iterations on grad X start from every sign-variation cell; the
     jet is the quintic-spline interpolant of the spectrally exact derivative
-    arrays.  A step is adj(H) g / det(H) in closed form, and zero where det
-    H = 0 exactly.  Converged roots are deduplicated and classified by
-    Hessian signature.  An iterate stops when it converges, when its spline
-    stencil leaves the counting window (escaped), when its |grad|_inf has not
-    improved on its best for 3 evaluations in a row (retired), or at the
-    40-iteration cap; an iterate that keeps improving, however slowly, runs
-    to the cap.  ``failed_cells`` counts the iterates that stopped short of
+    arrays, read through a node-major copy of their coefficients made once
+    per call (``_quintic_gather``).  A step is adj(H) g / det(H) in closed
+    form, and zero where det H = 0 exactly.  Converged roots are
+    deduplicated and classified by Hessian signature.  An iterate stops when
+    it converges, when its spline stencil leaves the counting window
+    (escaped), when its |grad|_inf has not improved on its best for 3
+    evaluations in a row (retired), or at the 40-iteration cap; an iterate
+    that keeps improving, however slowly, runs to the cap.  ``failed_cells`` counts the iterates that stopped short of
     convergence within 1e-6 gscale of zero, making the count a certified
     lower bound in that (rare) case.  The box must lie in the realization's
     cube [-N, N]^m.
     """
-    m = field.spec.m
+    m, w = field.spec.m, field.spec.window
     lo, hi = _box_arrays(box, field.spec)
     h = field.spec.spacing
     gscale = _grad_scale(field)
@@ -148,6 +155,9 @@ def count_newton(field: FieldRealization, box) -> CriticalPointSet:
     tol = 1e-10 * gscale
 
     cur = _candidate_cells(field, lo, hi)
+    origin = field.origin()
+    # the spline coefficients of jet components 1 and up, one row per node
+    table = _node_major(field.coeffs[1:])
     n_candidates = cur.shape[0]
     active = np.arange(n_candidates)
     converged = np.zeros(n_candidates, dtype=bool)
@@ -163,7 +173,7 @@ def count_newton(field: FieldRealization, box) -> CriticalPointSet:
     for _ in range(_MAX_ITER):
         if active.size == 0:
             break
-        vals = interpolate(field, cur[active], slice(1, None))
+        vals = _quintic_gather(table, (cur[active] - origin) / h, w)
         gsup = np.max(np.abs(vals[:m]), axis=0)
         ok = gsup <= tol
         converged[active[ok]] = True
@@ -217,19 +227,60 @@ def count_newton(field: FieldRealization, box) -> CriticalPointSet:
     )
 
 
-def _quintic_weights(offsets: np.ndarray) -> np.ndarray:
-    """(7, r) quintic B-spline weights beta5(o - t) of the taps t = -3 .. 3
-    at the fractional offsets o in (-1/2, 1/2).
+def _quintic_weights(offsets: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """(t, r) quintic B-spline weights beta5(o - t) of the integer taps t at
+    the offsets o (r,).
 
-    These taps hold the spline's stencil in both floor cases, o < 0 and
-    o >= 0; a tap outside one offset's stencil gets weight zero.  Uses
-    beta5(x) = sum_k (-1)^k C(6, k) (3 - k - |x|)_+^5 / 120 over k = 0, 1, 2
-    (Unser, Aldroubi & Eden, IEEE TSP 1993).
+    The smoothed counter reads the taps -3 .. 3 at offsets in (-1/2, 1/2),
+    which hold the spline's stencil in both floor cases, o < 0 and o >= 0;
+    a tap outside one offset's stencil gets weight zero.  The Newton kernel
+    reads the taps -2 .. 3 at fractional parts in [0, 1).  Uses beta5(x) =
+    sum_k (-1)^k C(6, k) (3 - k - |x|)_+^5 / 120 over k = 0, 1, 2 (Unser,
+    Aldroubi & Eden, IEEE TSP 1993).
     """
-    x = np.abs(offsets[None, :] - _TAPS[:, None])
+    x = np.abs(offsets[None, :] - taps[:, None])
     return sum(
         (-1) ** k * math.comb(6, k) * np.clip(3.0 - k - x, 0.0, None) ** 5 for k in range(3)
     ) / 120.0
+
+
+def _node_major(coeffs: np.ndarray) -> np.ndarray:
+    """The coefficient arrays ``coeffs`` (c, w, ..., w) as one contiguous
+    (w^m, c) table: row i holds the c values of window node i, C order."""
+    return np.ascontiguousarray(coeffs.reshape(len(coeffs), -1).T)
+
+
+def _quintic_gather(table: np.ndarray, x: np.ndarray, w: int) -> np.ndarray:
+    """Quintic-spline values (c, k) of every column of the node-major
+    ``table`` at the index coordinates x (k, m) of a window of w nodes per
+    side.
+
+    The spline at x reads the 6^m nodes floor(x) + _STENCIL: one ``take``
+    of their rows per chunk of points, contracted with the outer product of
+    the per-axis weights as one (1, 6^m) by (6^m, c) product per point, so a
+    point's values do not depend on the other points of the call.  Raises
+    ValueError if a stencil leaves the window, where a flat index would wrap
+    or read the next row without notice.
+    """
+    k, m = x.shape
+    base = np.floor(x)
+    if k and not (base.min() >= -_STENCIL[0] and base.max() < w - _STENCIL[-1]):
+        raise ValueError("a quintic stencil leaves the window")
+    frac = x - base
+    strides = w ** np.arange(m - 1, -1, -1)
+    flat = base.astype(np.intp) @ strides
+    taps = sum(np.ix_(*(_STENCIL * s for s in strides))).ravel()  # in "ij" order
+    out = np.empty((table.shape[1], k))
+    step = _LATTICE_CHUNK // len(taps)
+    for start in range(0, k, step):
+        part = slice(start, start + step)
+        weights = np.ones((len(flat[part]), 1))
+        for a in range(m):  # (n, 6^a) -> (n, 6^(a+1)), in the taps' order
+            axis = _quintic_weights(frac[part, a], _STENCIL).T
+            weights = (weights[:, :, None] * axis[:, None, :]).reshape(len(axis), -1)
+        rows = np.take(table, flat[part, None] + taps, axis=0)
+        out[:, part] = (weights[:, None, :] @ rows)[:, 0].T
+    return out
 
 
 def _lattice(coeffs: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -341,7 +392,7 @@ def count_kacrice_smoothed(field: FieldRealization, box, eps, refine: int = 6):
     gmax, slack = gmax[mask], slack[mask]
     # refine^m sub-nodes per grid cell (midpoint rule anchored at the node)
     offsets = (np.arange(refine) + 0.5) / refine - 0.5
-    weights = _quintic_weights(offsets)
+    weights = _quintic_weights(offsets, _TAPS)
     # per chunk of nodes, the sub-nodes in the region of the largest eps:
     # their gradient sup-norms, their nodes and |det hess|
     gsups, owners, absdets = [], [], []

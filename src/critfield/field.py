@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as sfft
-from scipy import ndimage
 
 from .spectrum import SpectralDensity, moment_Ik, psi_envelope
 
@@ -258,8 +257,8 @@ class FieldRealization:
         """Mask of the points (k, m) whose quintic stencil lies in the window.
 
         The spline at index coordinate x reads the coefficients at
-        floor(x) - 2 .. floor(x) + 3 along each axis (scipy.ndimage's odd-order
-        stencil), so x must lie in [2, w - 3).
+        floor(x) - 2 .. floor(x) + 3 along each axis (the odd-order stencil
+        of scipy.ndimage and of Newton's kernel), so x must lie in [2, w - 3).
         """
         x = (pts - self.origin()) / self.spec.spacing
         return np.all((x >= 2.0) & (x < self.spec.window - 3), axis=1)
@@ -478,20 +477,6 @@ def jet_statistics(fields: list[FieldRealization]) -> dict:
         f"{names[a]}.{names[b]}": (est[a, b], None if se is None else se[a, b])
         for a, b in pairs
     }
-
-
-def interpolate(field_r: FieldRealization, pts: np.ndarray, comps=slice(None)) -> np.ndarray:
-    """Quintic-spline values of the jet components ``comps`` at points (k, m).
-
-    Returns shape (c, k) for c selected components.  Callers keep the points
-    ``readable``: the window is not periodic, so the boundary mode never
-    applies to a readable point.
-    """
-    coords = (pts - field_r.origin()).T / field_r.spec.spacing
-    return np.stack([
-        ndimage.map_coordinates(c, coords, order=5, prefilter=False, mode="nearest")
-        for c in field_r.coeffs[comps]
-    ])
 
 
 # --- binary reproducibility dump -----------------------------------------

@@ -59,15 +59,17 @@ def sample_matrices(params: EnsembleParams, n: int, rng: np.random.Generator) ->
     return b
 
 
-def _functional_values(a: np.ndarray) -> dict:
-    """Every functional of FUNCTIONALS on the batch a, shape (n, m, m)."""
+def _functional_values(a: np.ndarray, absdet: bool) -> dict:
+    """The functionals of FUNCTIONALS on the batch a, shape (n, m, m): the
+    ones with |det| in them only when ``absdet``, since det is most of the
+    cost."""
     p = np.trace(a, axis1=1, axis2=2) ** 2
     q = np.einsum("nij,nij->n", a, a)
-    f = np.abs(np.linalg.det(a))
-    return {
-        "absdet": f, "p_absdet": p * f, "q_absdet": q * f, "p": p, "q": q,
-        "p2": p**2, "pq": p * q, "q2": q**2,
-    }
+    vals = {"p": p, "q": q, "p2": p**2, "pq": p * q, "q2": q**2}
+    if absdet:
+        f = np.abs(np.linalg.det(a))
+        vals.update(absdet=f, p_absdet=p * f, q_absdet=q * f)
+    return vals
 
 
 def _check_samples(n_samples: int) -> None:
@@ -102,8 +104,10 @@ def expect_functional_mc(
     rng = np.random.default_rng(seed)
     count = n_samples // 2
     sums = {name: [0.0, 0.0] for name in functionals}  # of values and of squares
+    absdet = any("absdet" in name for name in functionals)
     for start in range(0, count, batch):
-        vals = _functional_values(sample_matrices(params, min(batch, count - start), rng))
+        a = sample_matrices(params, min(batch, count - start), rng)
+        vals = _functional_values(a, absdet)
         for name, acc in sums.items():
             acc[0] += vals[name].sum()
             acc[1] += np.sum(vals[name] ** 2)

@@ -13,10 +13,14 @@ from scipy.spatial import cKDTree
 
 from critfield import critpoints
 from critfield.critpoints import (
+    _STENCIL,
+    _TAPS,
     CriticalPointSet,
     _adjugate,
     _candidate_cells,
     _lattice,
+    _node_major,
+    _quintic_gather,
     _quintic_weights,
     count_kacrice_smoothed,
     count_newton,
@@ -27,7 +31,7 @@ from critfield.field import (
     FieldRealization,
     GridSpec,
     hessian_stack,
-    interpolate,
+    jet_labels,
     synthesize,
     wrap_guard,
 )
@@ -40,6 +44,17 @@ GAUSS = SpectralDensity(family="gaussian", params=(1.0,))
 # wave number commensurate with the tori: periods 12.8 and 19.2 hold two and
 # three full waves
 K = np.pi / 3.2
+
+
+def _map_coordinates(field: FieldRealization, pts: np.ndarray, comps=slice(None)) -> np.ndarray:
+    """scipy's quintic-spline values (c, k) of the jet components ``comps``
+    at the readable points (k, m): the oracle that critfield's own kernels
+    are checked against."""
+    coords = (pts - field.origin()).T / field.spec.spacing
+    return np.stack([
+        ndimage.map_coordinates(c, coords, order=5, prefilter=False, mode="nearest")
+        for c in field.coeffs[comps]
+    ])
 
 
 def _analytic_field(kind: str, spec: GridSpec = SPEC) -> FieldRealization:
@@ -312,7 +327,7 @@ def _newton_reference(field: FieldRealization, box):
     for _ in range(40):
         if active.size == 0:
             break
-        vals = interpolate(field, cur[active], slice(1, None))
+        vals = _map_coordinates(field, cur[active], slice(1, None))
         ok = np.max(np.abs(vals[:m]), axis=0) <= 1e-10 * gscale
         converged[active[ok]] = True
         active, vals = active[~ok], vals[:, ~ok]
@@ -323,7 +338,7 @@ def _newton_reference(field: FieldRealization, box):
         escaped[active[out]] = True
         active = active[~out]
     stalled = ~converged & ~escaped
-    g_final = interpolate(field, cur[stalled], slice(1, 1 + m))
+    g_final = _map_coordinates(field, cur[stalled], slice(1, 1 + m))
     failed = int(np.sum(np.max(np.abs(g_final), axis=0) <= 1e-6 * gscale))
     idx = np.flatnonzero(converged)
     idx = idx[np.all((cur[idx] >= lo) & (cur[idx] < hi), axis=1)]
@@ -333,7 +348,7 @@ def _newton_reference(field: FieldRealization, box):
         if keep[i]:
             keep[j] = False
     idx = idx[keep]
-    hess = hessian_stack(interpolate(field, cur[idx], slice(1 + m, None)), m)
+    hess = hessian_stack(_map_coordinates(field, cur[idx], slice(1 + m, None)), m)
     return cur[idx], np.sum(np.linalg.eigvalsh(hess) < 0.0, axis=1), failed
 
 
@@ -344,6 +359,142 @@ def _assert_matches_reference(cps: CriticalPointSet, ref) -> None:
     np.testing.assert_array_equal(cps.signatures[order], signatures[ref_order])
     np.testing.assert_allclose(cps.locations[order], locations[ref_order], rtol=0, atol=1e-9)
     assert cps.failed_cells <= failed
+
+
+# the grids of the hand-made sign fields, 73 and 25 nodes per side
+SIGN_SPECS = {2: SPEC, 3: GridSpec(m=3, half_width=2.0, points_per_unit=4, guard=3.0)}
+
+
+def _sign_field(grad: np.ndarray) -> FieldRealization:
+    """A realization whose gradient grid values are ``grad`` (m, w, ..., w);
+    every other grid value and every spline coefficient is 0."""
+    m = len(grad)
+    spec = SIGN_SPECS[m]
+    assert grad.shape == (m,) + (spec.window,) * m
+    jet = np.zeros((len(jet_labels(m)),) + grad.shape[1:], dtype=complex)
+    jet[1:1 + m] = grad
+    return FieldRealization(spec, jet, seed=0, spectral_cutoff=1.0)
+
+
+class TestCandidateCells:
+    """A gradient component exactly 0 at a corner counts as both signs, as
+    lo <= 0 <= hi over the corners does."""
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_zero_corner_counts_as_both_signs(self, m):
+        # the gradient is 1 but at one node, where every component is 0: the
+        # 2^m cells around that node are the candidates.  At a second node
+        # only the first component is 0, and the others stay positive
+        w = SIGN_SPECS[m].window
+        grad = np.ones((m,) + (w,) * m)
+        node = np.full(m, w // 2)
+        grad[(slice(None),) + tuple(node)] = 0.0
+        grad[(0,) + tuple(node - 5)] = 0.0
+        fr = _sign_field(grad)
+        n_half = fr.spec.half_width
+        lo, hi = np.full(m, -n_half), np.full(m, n_half)
+        got = _candidate_cells(fr, lo, hi)
+        h = fr.spec.spacing
+        corners = np.array(list(itertools.product((-0.5, 0.5), repeat=m)))
+        np.testing.assert_allclose(got, fr.origin() + (node + corners) * h, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(got, _corner_candidates(fr, lo, hi))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_matches_corner_reference_with_zeros(self, m, seed):
+        # components drawn from -1, 0 and 1: a third of the corners are 0
+        w = SIGN_SPECS[m].window
+        grad = np.random.default_rng(seed).integers(-1, 2, size=(m,) + (w,) * m).astype(float)
+        fr = _sign_field(grad)
+        lo, hi = np.full(m, -fr.spec.half_width), np.full(m, fr.spec.half_width)
+        got = _candidate_cells(fr, lo, hi)
+        assert len(got) > 0
+        np.testing.assert_array_equal(got, _corner_candidates(fr, lo, hi))
+
+
+class TestQuinticGather:
+    """Newton's node-major kernel against scipy's map_coordinates."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(m=st.sampled_from([2, 3]), data=st.data())
+    def test_matches_map_coordinates(self, m, data):
+        # readable index coordinates, in [2, w - 3): anywhere, exactly on a
+        # node, and one ulp below a node, where the fractional part is 1 - ulp
+        fr = _small_field(m)
+        w = fr.spec.window
+        coord = st.one_of(
+            st.floats(2.0, w - 3.0, exclude_max=True),
+            st.integers(2, w - 4).map(float),
+            st.integers(3, w - 3).map(lambda b: float(np.nextafter(b, 0.0))),
+        )
+        x = np.array(data.draw(st.lists(st.lists(coord, min_size=m, max_size=m),
+                                        min_size=1, max_size=8)))
+        got = _quintic_gather(_node_major(fr.coeffs), x, w)
+        want = np.stack([
+            ndimage.map_coordinates(c, x.T, order=5, prefilter=False, mode="nearest")
+            for c in fr.coeffs
+        ])
+        scale = np.max(np.abs(fr.coeffs.reshape(len(fr.coeffs), -1)), axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_point_values_do_not_depend_on_the_call(self, m):
+        # more points than one chunk holds: each point's values are those of
+        # a call that reads it alone, bit for bit
+        fr = _small_field(m)
+        w = fr.spec.window
+        table = _node_major(fr.coeffs[1:])
+        k = 2 * critpoints._LATTICE_CHUNK // len(_STENCIL) ** m + 3
+        x = np.random.default_rng(m).uniform(2.0, w - 3.0, size=(k, m))
+        got = _quintic_gather(table, x, w)
+        for i in (0, 1, k // 2, k - 1):
+            np.testing.assert_array_equal(got[:, i:i + 1], _quintic_gather(table, x[i:i + 1], w))
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_stencil_must_stay_in_the_window(self, m):
+        # readable points have index coordinates in [2, w - 3) on every axis:
+        # below 2 a flat index would wrap to the end of the table, from
+        # w - 3 on the stencil would read the next row
+        fr = _small_field(m)
+        w, h = fr.spec.window, fr.spec.spacing
+        table = _node_major(fr.coeffs[1:])
+        for axis in range(m):
+            for coord, readable in [
+                (2.0, True), (float(np.nextafter(2.0, 0.0)), False),
+                (float(np.nextafter(w - 3.0, 0.0)), True), (w - 3.0, False),
+            ]:
+                x = np.full((3, m), w / 2.0)
+                x[1, axis] = coord
+                if coord in (2.0, w - 3.0):  # these points are exact in space
+                    assert fr.readable(fr.origin() + h * x).tolist() == [True, readable, True]
+                if readable:
+                    _quintic_gather(table, x, w)
+                else:
+                    with pytest.raises(ValueError, match="leaves the window"):
+                        _quintic_gather(table, x, w)
+
+    def test_node_table_built_once_per_count(self, monkeypatch):
+        # one node-major copy per count_newton call, read by every iteration
+        built, read = [], []
+        node_major, gather = critpoints._node_major, critpoints._quintic_gather
+
+        def spy_table(coeffs):
+            built.append(coeffs.shape)
+            return node_major(coeffs)
+
+        def spy_gather(table, x, w):
+            read.append(id(table))
+            return gather(table, x, w)
+
+        monkeypatch.setattr(critpoints, "_node_major", spy_table)
+        monkeypatch.setattr(critpoints, "_quintic_gather", spy_gather)
+        fr = _small_field(3)
+        box = ((-2.0,) * 3, (2.0,) * 3)
+        assert count_newton(fr, box).newton_count > 0
+        assert built == [(9,) + (fr.spec.window,) * 3]
+        assert len(read) > 1 and len(set(read)) == 1
+        count_newton(fr, box)
+        assert len(built) == 2
 
 
 class TestNewtonRetirement:
@@ -363,7 +514,7 @@ class TestNewtonRetirement:
         fr = synthesize(GAUSS, spec, seed)
         box = ((-half_width,) * m, (half_width,) * m)
         lo, hi = np.array(box)
-        # min and max are exact, so the per-axis passes give the same cells
+        # the per-axis sign masks give the cells of the corner min and max
         np.testing.assert_array_equal(_candidate_cells(fr, lo, hi), _corner_candidates(fr, lo, hi))
         cps = count_newton(fr, box)
         assert cps.newton_count > 0
@@ -422,13 +573,13 @@ class TestAdjugate:
         # det hess X = 0 at every point of the stripes: each iterate is read
         # at its cell centre, takes no step and retires once _STALL further
         # evaluations bring no improvement, with no warning on the way
-        seen, interp = [], critpoints.interpolate
+        seen, gather = [], critpoints._quintic_gather
 
-        def spy(field, pts, comps=slice(None)):
-            seen.append(pts.copy())
-            return interp(field, pts, comps)
+        def spy(table, x, w):
+            seen.append(x.copy())
+            return gather(table, x, w)
 
-        monkeypatch.setattr(critpoints, "interpolate", spy)
+        monkeypatch.setattr(critpoints, "_quintic_gather", spy)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cps = count_newton(_analytic_field("stripes"), ((-2.0, -2.0), (2.0, 2.0)))
@@ -537,7 +688,7 @@ def _global_slack_nodes(field: FieldRealization, box, eps: float):
 
 
 def _smoothed_reference(field: FieldRealization, box, eps: float, refine: int) -> float:
-    """The smoothed count with every sub-node read through ``interpolate``,
+    """The smoothed count with every sub-node read through scipy's spline,
     one point at a time: the pointwise form of count_kacrice_smoothed, with
     the window-wide slack."""
     m, h = field.spec.m, field.spec.spacing
@@ -549,9 +700,9 @@ def _smoothed_reference(field: FieldRealization, box, eps: float, refine: int) -
     sub = np.stack([g.ravel() for g in np.meshgrid(*([offsets] * m), indexing="ij")], axis=1)
     pts = (base[:, None, :] + h * sub[None, :, :]).reshape(-1, m)
     pts = pts[np.all((pts >= lo) & (pts < hi), axis=1)]
-    gsup = np.max(np.abs(interpolate(field, pts, slice(1, 1 + m))), axis=0)
+    gsup = np.max(np.abs(_map_coordinates(field, pts, slice(1, 1 + m))), axis=0)
     fire = gsup <= eps
-    hess = hessian_stack(interpolate(field, pts[fire], slice(1 + m, None)), m)
+    hess = hessian_stack(_map_coordinates(field, pts[fire], slice(1 + m, None)), m)
     return float(np.sum(np.abs(np.linalg.det(hess))) * (h / refine) ** m / (2.0 * eps) ** m)
 
 
@@ -562,7 +713,7 @@ def _small_field(m: int) -> FieldRealization:
 
 
 class TestLatticeStencils:
-    """The smoothed counter's fixed stencils against pointwise ``interpolate``."""
+    """The smoothed counter's fixed stencils against scipy's pointwise spline."""
 
     @pytest.mark.parametrize("refine", [1, 2, 5, 6, 48])
     @pytest.mark.parametrize("m", [2, 3])
@@ -577,13 +728,13 @@ class TestLatticeStencils:
         k = 1 if refine**m > 10_000 else 4
         nodes = np.array(data.draw(st.lists(node, min_size=k, max_size=k)))
         offsets = (np.arange(refine) + 0.5) / refine - 0.5
-        got = _lattice(fr.coeffs[1:], nodes, _quintic_weights(offsets))
+        got = _lattice(fr.coeffs[1:], nodes, _quintic_weights(offsets, _TAPS))
         sub = np.stack([g.ravel() for g in np.meshgrid(*([offsets] * m), indexing="ij")], axis=1)
         pts = (fr.origin() + fr.spec.spacing * (nodes[:, None, :] + sub[None])).reshape(-1, m)
         assert got.shape == (len(fr.jet) - 1, len(pts))
-        # at most 5000 sub-nodes, evenly spread, go through interpolate
+        # at most 5000 sub-nodes, evenly spread, go through map_coordinates
         pick = np.unique(np.linspace(0, len(pts) - 1, 5000).astype(int))
-        want = interpolate(fr, pts[pick], slice(1, None))
+        want = _map_coordinates(fr, pts[pick], slice(1, None))
         scale = np.max(np.abs(want), axis=1, keepdims=True)
         assert np.all(np.abs(got[:, pick] - want) <= 1e-13 * scale)
 

@@ -13,7 +13,6 @@ from critfield.field import (
     GridSpec,
     NyquistError,
     dump_realization,
-    interpolate,
     jet_labels,
     jet_statistics,
     load_realization,
@@ -274,12 +273,21 @@ class TestBand:
         assert np.all(np.abs(a - b) <= 1e-12 * scale)
 
 
+def _spline_values(field_r, coords, mode="nearest") -> np.ndarray:
+    """scipy's quintic-spline values of every jet component at the index
+    coordinates (m, k), from the stored coefficients."""
+    return np.stack([
+        ndimage.map_coordinates(c, coords, order=5, prefilter=False, mode=mode)
+        for c in field_r.coeffs
+    ])
+
+
 class TestOffgrid:
     def test_matches_grid_nodes(self, realization):
+        # the stored coefficients interpolate the stored grid values, every
+        # jet component, the Hessian upper triangle included
         idx = (10, 17)
-        t = realization.origin() + realization.spec.spacing * np.array(idx)
-        # every jet component, the Hessian upper triangle included
-        vals = interpolate(realization, t[None, :])[:, 0]
+        vals = _spline_values(realization, np.array(idx, dtype=float)[:, None])[:, 0]
         np.testing.assert_allclose(vals, realization.grid[(slice(None),) + idx], rtol=1e-9)
 
     def test_stencil_must_stay_in_the_window(self, realization):
@@ -294,12 +302,9 @@ class TestOffgrid:
         # a readable stencil reads no node past the window, so no boundary
         # mode ever applies to it
         coords = (inside - realization.origin()).T / h
-        vals = interpolate(realization, inside)
+        vals = _spline_values(realization, coords)
         for mode in ("mirror", "wrap", "constant"):
-            other = [
-                ndimage.map_coordinates(c, coords, order=5, prefilter=False, mode=mode)
-                for c in realization.coeffs
-            ]
+            other = _spline_values(realization, coords, mode)
             np.testing.assert_allclose(vals, other, rtol=1e-12, atol=0.0)
 
 

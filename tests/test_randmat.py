@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+from critfield import randmat
 from critfield.randmat import (
     EnsembleParams,
     _absdet_shift_moments,
@@ -142,6 +143,24 @@ class TestFunctionalMC:
         assert list(joint) == list(names)
         for name in names:
             assert joint[name] == expect_functional_mc(self.PARAMS, (name,), **kw)[name]
+
+    def test_det_only_for_absdet_names(self, monkeypatch):
+        # |det| is computed once per batch when a name needs it, and never
+        # otherwise; the other names come out the same either way
+        calls, det = [], np.linalg.det
+
+        def spy(a):
+            calls.append(len(a))
+            return det(a)
+
+        monkeypatch.setattr(randmat.np.linalg, "det", spy)
+        kw = {"n_samples": 60_000, "seed": 4, "batch": 7_000}
+        names = ("p", "q", "p2", "pq", "q2")
+        alone = expect_functional_mc(self.PARAMS, names, **kw)
+        assert calls == []
+        joint = expect_functional_mc(self.PARAMS, names + ("q_absdet",), **kw)
+        assert calls == [7_000] * 4 + [2_000]
+        assert all(joint[name] == alone[name] for name in names)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
