@@ -29,7 +29,7 @@ import numpy as np
 
 from . import chaos as chaos_mod
 from . import critpoints, experiments, field, randmat, spectrum
-from .config import BudgetError, ConfigError, parse_config
+from .config import BudgetError, ConfigError, parse_config, whole
 
 __all__ = ["main", "dispatch", "emit_plot_data"]
 
@@ -87,22 +87,22 @@ def _plan(cfg: dict) -> _Plan:
         plan["density"] = w = _density(cfg["density"])
     if sub in ("randmat", "chaos"):
         _require(ens, "ensemble", ("m", "v"))
-        m, v = int(ens["m"]), float(ens["v"])
+        m, v = whole(ens, "m"), float(ens["v"])
         # chaos works over S(m; v, v) and draws nothing: u and samples are ignored
         u = float(ens.get("u", v)) if sub == "randmat" else v
         plan["ensemble"] = randmat.EnsembleParams(m=m, u=u, v=v)
         if sub == "randmat":
-            plan["samples"] = int(ens.get("samples", 500_000))
+            plan["samples"] = whole(ens, "samples", 500_000)
             randmat._check_samples(plan["samples"])
     else:
-        m = int(exp.get("m", 2))
+        m = whole(exp, "m", 2)
     if sub in ("spectrum", "chaos"):
         spectrum._check_dimension(m)
     if sub in ("field", "count", "clt", "crosscheck"):
         if sub in ("clt", "crosscheck"):
             _require(exp, "experiment", ("n_list", "realizations"))
         n_list = tuple(float(x) for x in exp.get("n_list", [5.0]))
-        ppu = int(exp.get("points_per_unit", 8))
+        ppu = whole(exp, "points_per_unit", 8)
         e_absdet = exp.get("e_absdet_s1")
         plan["e_absdet_s1"] = e_absdet = None if e_absdet is None else float(e_absdet)
         if sub in ("clt", "crosscheck"):
@@ -110,7 +110,7 @@ def _plan(cfg: dict) -> _Plan:
             if "eps_list" in exp:
                 eps["eps_list"] = tuple(float(x) for x in exp["eps_list"])
             plan["experiment"] = experiments.ExperimentConfig(
-                density=w, m=m, n_list=n_list, realizations=int(exp["realizations"]),
+                density=w, m=m, n_list=n_list, realizations=whole(exp, "realizations"),
                 points_per_unit=ppu, master_seed=cfg["seed"], e_absdet_s1=e_absdet, **eps,
             )
         plan["wrap"] = field.wrap_guard(w, m, ppu)
@@ -384,12 +384,15 @@ def emit_plot_data(record_dir, kind: str, out_path=None) -> Path:
         raise ValueError(f"unknown plot kind {kind!r}; choose from {PLOT_KINDS}")
     out_path = Path(out_path) if out_path else record_dir / f"plot_{kind}.csv"
 
+    def read(name):  # a file of the run, which a ConfigError names when it is missing
+        if not (record_dir / name).is_file():
+            raise ConfigError(f"{record_dir} has no {name}")
+        return record_dir / name
+
     if kind == "zeta-hist":
-        doc = json.loads((record_dir / "record.json").read_text())
+        doc = json.loads(read("record.json").read_text())
         n_max = doc["n_list"][-1]
-        rows = np.genfromtxt(
-            record_dir / f"samples_N{n_max:g}.csv", delimiter=",", names=True
-        )
+        rows = np.genfromtxt(read(f"samples_N{n_max:g}.csv"), delimiter=",", names=True)
         zeta = np.atleast_1d(rows["zeta_theoretical"])
         counts, edges = np.histogram(zeta, bins="auto", density=True)
         centers = 0.5 * (edges[:-1] + edges[1:])
@@ -398,13 +401,13 @@ def emit_plot_data(record_dir, kind: str, out_path=None) -> Path:
         _write_plot(out_path, ["zeta", "density", "normal_overlay"],
                     zip(centers, counts, overlay))
     elif kind == "variance-plateau":
-        rows = np.genfromtxt(record_dir / "variance.csv", delimiter=",", names=True)
+        rows = np.genfromtxt(read("variance.csv"), delimiter=",", names=True)
         rows = np.atleast_1d(rows)
         _write_plot(out_path, ["N", "V_N", "ci_lo", "ci_hi"],
                     zip(rows["N"], rows["V_N"], rows["ci_lo"], rows["ci_hi"]))
     elif kind == "semicircle":
-        doc = json.loads((record_dir / "randmat.json").read_text())
-        eigs = np.loadtxt(record_dir / "eigenvalues.csv", skiprows=1)
+        doc = json.loads(read("randmat.json").read_text())
+        eigs = np.loadtxt(read("eigenvalues.csv"), skiprows=1)
         # bulk scaling: entries at variance v give a spectrum of width ~ sqrt(m)
         scaled = eigs / np.sqrt(doc["m"])
         counts, edges = np.histogram(scaled, bins=60, density=True)
@@ -413,7 +416,7 @@ def emit_plot_data(record_dir, kind: str, out_path=None) -> Path:
         _write_plot(out_path, ["lam", "histogram_density", "semicircle"],
                     zip(centers, counts, overlay))
     else:  # rho-identity
-        doc = json.loads((record_dir / "randmat.json").read_text())
+        doc = json.loads(read("randmat.json").read_text())
         m, v = doc["m"], doc["v"]
         lam = np.linspace(-2.5 * np.sqrt(v * (m + 1)), 2.5 * np.sqrt(v * (m + 1)), 41)
         rho = randmat.rho_one_point(m + 1, v, lam)

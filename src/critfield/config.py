@@ -11,7 +11,7 @@ from pathlib import Path
 
 import yaml
 
-__all__ = ["ConfigError", "BudgetError", "parse_config"]
+__all__ = ["ConfigError", "BudgetError", "parse_config", "whole"]
 
 SUBCOMMANDS = ("spectrum", "field", "count", "randmat", "chaos", "clt", "crosscheck")
 
@@ -48,6 +48,16 @@ class ConfigError(ValueError):
 
 class BudgetError(RuntimeError):
     """A declared sample/grid/wall-clock budget would be exceeded (exit 3)."""
+
+
+def whole(block: dict, key: str, default=None) -> int:
+    """The integer at ``key`` of a config block, ``default`` when absent: 8
+    and 8.0 read 8.  A fraction, which int() would truncate without notice,
+    a boolean (YAML's true is Python's 1) or a negative is a ConfigError."""
+    value = block.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value < 0 or value % 1:
+        raise ConfigError(f"{key!r} must be a nonnegative whole number, got {value!r}")
+    return int(value)
 
 
 def _check_keys(block_name: str, block: dict, problems: list):
@@ -102,8 +112,11 @@ def parse_config(path, overrides: dict | None = None) -> dict:
         problems.append(f"subcommand {sub!r} requires block(s): {', '.join(missing)}")
     if "seed" not in raw or raw["seed"] is None:
         problems.append("missing required field 'seed' (no wall-clock default)")
-    elif not isinstance(raw["seed"], int) or raw["seed"] < 0:
-        problems.append("'seed' must be a nonnegative integer")
+    else:
+        try:
+            raw["seed"] = whole(raw, "seed")
+        except ConfigError as exc:
+            problems.append(str(exc))
 
     if problems:
         raise ConfigError(f"{path}:\n  " + "\n  ".join(problems))

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.spatial import cKDTree
 
 from .field import FieldRealization, hessian_stack
@@ -40,9 +39,14 @@ _STALL = 3
 # with the box.
 _TAPS = np.arange(-3, 4)
 _LATTICE_CHUNK = 2**17
-# The Newton kernel's taps around floor(x) along one axis, the quintic
-# stencil that ``FieldRealization.readable`` assumes.
+# The Newton kernel's taps around floor(x) along one axis: x in [2, w - 3).
 _STENCIL = np.arange(-2, 4)
+
+
+def _in_window(nodes: np.ndarray, taps: np.ndarray, w: int) -> np.ndarray:
+    """Mask of the integer nodes (k, m) whose stencil, nodes + taps along
+    every axis, lies in a window of w nodes per side."""
+    return np.all((nodes >= -taps[0]) & (nodes < w - taps[-1]), axis=1)
 
 
 @dataclass(frozen=True)
@@ -170,10 +174,11 @@ def count_newton(field: FieldRealization, box) -> CriticalPointSet:
     stale = np.zeros(n_candidates, dtype=int)
     last = np.full(n_candidates, np.inf)
     max_step = 2.0 * h
+    x = (cur - origin) / h  # index coordinates of the active iterates
     for _ in range(_MAX_ITER):
         if active.size == 0:
             break
-        vals = _quintic_gather(table, (cur[active] - origin) / h, w)
+        vals = _quintic_gather(table, x, w)
         gsup = np.max(np.abs(vals[:m]), axis=0)
         ok = gsup <= tol
         converged[active[ok]] = True
@@ -190,9 +195,10 @@ def count_newton(field: FieldRealization, box) -> CriticalPointSet:
         norms = np.linalg.norm(step, axis=1, keepdims=True)
         step = step * (max_step / np.maximum(norms, max_step))  # at most max_step long
         cur[active] = cur[active] - step
-        out = ~field.readable(cur[active])  # the stencil left the window
-        escaped[active[out]] = True
-        active = active[~out]
+        x = (cur[active] - origin) / h
+        inside = _in_window(np.floor(x), _STENCIL, w)  # else the iterate escaped
+        escaped[active[~inside]] = True
+        active, x = active[inside], x[inside]
 
     # Retired iterates and those still active at the cap split two ways.
     # Sign-variation cells are a superset heuristic: the component zero sets
@@ -264,7 +270,7 @@ def _quintic_gather(table: np.ndarray, x: np.ndarray, w: int) -> np.ndarray:
     """
     k, m = x.shape
     base = np.floor(x)
-    if k and not (base.min() >= -_STENCIL[0] and base.max() < w - _STENCIL[-1]):
+    if not _in_window(base, _STENCIL, w).all():
         raise ValueError("a quintic stencil leaves the window")
     frac = x - base
     strides = w ** np.arange(m - 1, -1, -1)
@@ -288,21 +294,23 @@ def _lattice(coeffs: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.n
     ..., w) at the sub-nodes node + offset of the index points ``nodes`` (k,
     m), with the offsets of ``weights`` (7, r) along every axis.
 
-    Each node's 7^m neighbourhood of coefficients, gathered as 7^(m-1) rows
-    along the last axis, is contracted axis by axis with the one weight
-    matrix.  Returns (c, k r^m): each node's r^m sub-nodes together, in
-    meshgrid "ij" order.
+    Each node's 7^m neighbourhood of coefficients, gathered by flat index as
+    7^(m-1) rows along the last axis, is contracted axis by axis with the one
+    weight matrix.  Returns (c, k r^m): each node's r^m sub-nodes together,
+    in meshgrid "ij" order.  Raises ValueError as ``_quintic_gather`` does.
     """
-    m, r, t = nodes.shape[1], weights.shape[1], len(_TAPS)
-    # taps of the leading axes; the nodes run along the axis after them
-    lead = [taps[..., None] for taps in np.ix_(*[_TAPS] * (m - 1))]
-    ix = tuple(taps + nodes[:, a] for a, taps in enumerate(lead)) + (nodes[:, -1] + _TAPS[0],)
+    m, r, t, w = nodes.shape[1], weights.shape[1], len(_TAPS), coeffs.shape[-1]
+    if not _in_window(nodes, _TAPS, w).all():
+        raise ValueError("a lattice stencil leaves the window")
+    # flat indices (t^(m-1), k, t): leading taps, node, last-axis taps
+    strides = w ** np.arange(m - 1, -1, -1)
+    flat = sum(np.ix_(*(_TAPS * s for s in strides))).reshape(-1, 1, t) + (nodes @ strides)[:, None]
     out = np.empty((len(coeffs), len(nodes)) + (r,) * m)
     for c, coeff in enumerate(coeffs):
         # one 2-D product, whatever k: a batch of (1, t) rows would go to
         # another BLAS kernel, and each node's values would then depend on
         # how many nodes share its call
-        v = sliding_window_view(coeff, t, axis=-1)[ix].reshape(-1, t) @ weights
+        v = coeff.reshape(-1)[flat].reshape(-1, t) @ weights
         for a in reversed(range(m - 1)):  # (t^a, t, ...) -> (t^a, r, ...)
             v = np.matmul(weights.T, v.reshape(t**a, t, -1))
         out[c] = np.moveaxis(v.reshape((r,) * (m - 1) + (-1, r)), -2, 0)

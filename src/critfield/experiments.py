@@ -73,8 +73,8 @@ class ExperimentConfig:
     e_absdet_s1: float | None = None
 
     def __post_init__(self):
-        if not self.n_list or list(self.n_list) != sorted(set(self.n_list)):
-            raise ValueError("n_list must be nonempty and increasing")
+        if not self.n_list or list(self.n_list) != sorted(set(self.n_list)) or self.n_list[0] <= 0:
+            raise ValueError("n_list must be nonempty and increasing, with every N > 0")
         if self.realizations < 1:
             raise ValueError("realizations must be >= 1")
         _eps_ladder(self.eps_list)

@@ -253,16 +253,6 @@ class FieldRealization:
         """Coordinates of jet node (0, ..., 0), the first window node."""
         return np.full(self.spec.m, -self.spec.window_radius * self.spec.spacing)
 
-    def readable(self, pts: np.ndarray) -> np.ndarray:
-        """Mask of the points (k, m) whose quintic stencil lies in the window.
-
-        The spline at index coordinate x reads the coefficients at
-        floor(x) - 2 .. floor(x) + 3 along each axis (the odd-order stencil
-        of scipy.ndimage and of Newton's kernel), so x must lie in [2, w - 3).
-        """
-        x = (pts - self.origin()) / self.spec.spacing
-        return np.all((x >= 2.0) & (x < self.spec.window - 3), axis=1)
-
 
 def jet_labels(m: int) -> list[str]:
     """Component names in jet order: X, g0 .. g{m-1}, then h{i}{j} for i <= j."""

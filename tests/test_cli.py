@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +97,26 @@ class TestParseConfig:
         text = "subcommand: randmat\nseed: 1\n"
         with pytest.raises(ConfigError, match="requires block"):
             parse_config(_write(tmp_path, "a.yaml", text))
+
+    def test_seed_is_a_nonnegative_whole_number(self, tmp_path):
+        # 8.0 reads 8; YAML's true is Python's 1, and int() would truncate 1.5
+        cfg = parse_config(_write(tmp_path, "a.yaml", BASE_CLT.replace("seed: 42", "seed: 8.0")))
+        assert cfg["seed"] == 8 and isinstance(cfg["seed"], int)
+        for seed in ("true", "1.5", "-1", "'8'"):
+            text = BASE_CLT.replace("seed: 42", f"seed: {seed}")
+            with pytest.raises(ConfigError, match="'seed' must be a nonnegative whole number"):
+                parse_config(_write(tmp_path, "a.yaml", text))
+
+    def test_whole_floats_plan_as_integers(self, tmp_path, capsys):
+        # m, realizations and points_per_unit of 2.0, 4.0 and 8.0 plan the
+        # run that 2, 4 and 8 plan
+        plans = []
+        for text in (BASE_CLT, BASE_CLT.replace("m: 2", "m: 2.0")
+                     .replace("realizations: 4", "realizations: 4.0")
+                     .replace("points_per_unit: 8", "points_per_unit: 8.0")):
+            assert main(["--config", _write(tmp_path, "a.yaml", text), "--dry-run"]) == EXIT_OK
+            plans.append(capsys.readouterr().out)
+        assert plans[0] == plans[1]
 
     def test_overrides_win(self, tmp_path):
         cfg = parse_config(
@@ -246,8 +267,9 @@ class TestMainExitCodes:
     def test_experiment_block_checked_before_output(self, tmp_path, capsys, subcommand,
                                                     dry_run):
         # the dry run refuses the block the run refuses, and neither writes;
-        # a repeated level is refused like a decreasing one
-        for n_list in ("[5.0, 3.0]", "[2.0, 2.0]"):
+        # a repeated level is refused like a decreasing one, and a level
+        # N <= 0 like both
+        for n_list in ("[5.0, 3.0]", "[2.0, 2.0]", "[0.0, 2.0]", "[-2.0, 2.0]"):
             text = (BASE_CLT.replace("subcommand: clt", f"subcommand: {subcommand}")
                     .replace("n_list: [3.0]", f"n_list: {n_list}")
                     .replace("realizations: 4", "realizations: 0"))
@@ -629,6 +651,26 @@ class TestEndToEnd:
             emit_plot_data(clt_dir, "scatter")
         assert main(["--plot-data", str(clt_dir), "scatter"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("kind", PLOT_KINDS)
+    def test_plot_data_names_a_missing_file(self, clt_dir, randmat_dir, tmp_path, capsys, kind):
+        # the files each kind reads, in order: from an empty directory on,
+        # the first one missing is named, with no traceback and no output
+        src, reads = {
+            "zeta-hist": (clt_dir, ["record.json", "samples_N3.csv"]),
+            "variance-plateau": (clt_dir, ["variance.csv"]),
+            "semicircle": (randmat_dir, ["randmat.json", "eigenvalues.csv"]),
+            "rho-identity": (randmat_dir, ["randmat.json"]),
+        }[kind]
+        run = tmp_path / "run"
+        run.mkdir()
+        for i, name in enumerate(reads):
+            if i:
+                shutil.copy(src / reads[i - 1], run)
+            assert main(["--plot-data", str(run), kind]) == EXIT_CONFIG
+            out, err = capsys.readouterr()
+            assert out == "" and err.splitlines() == [f"config error: {run} has no {name}"]
+            assert sorted(p.name for p in run.iterdir()) == sorted(reads[:i])
+
     def test_plot_data_cli(self, clt_dir, tmp_path):
         dest = tmp_path / "plot.csv"
         code = main(["--plot-data", str(clt_dir), "variance-plateau", "--out", str(dest)])
@@ -731,6 +773,20 @@ _REFUSED = {
     "clt-null-grid-budget": {"subcommand": "clt", "density": {"family": "gaussian"},
                              "experiment": {"n_list": [3.0], "realizations": 2},
                              "budget": {"grid_points": None}},
+    # int() once truncated a fraction and read true as 1: m = 2.9 ran at
+    # m = 2, realizations 2.5 as R = 2 and true as R = 1, points_per_unit
+    # 8.7 at 8
+    "clt-m-fraction": {"subcommand": "clt", "density": {"family": "gaussian"},
+                       "experiment": {"m": 2.9, "n_list": [3.0], "realizations": 2}},
+    "clt-realizations-fraction": {"subcommand": "clt", "density": {"family": "gaussian"},
+                                  "experiment": {"n_list": [3.0], "realizations": 2.5}},
+    "count-ppu-fraction": {"subcommand": "count", "density": {"family": "gaussian"},
+                           "experiment": {"n_list": [3.0], "points_per_unit": 8.7}},
+    "clt-realizations-true": {"subcommand": "clt", "density": {"family": "gaussian"},
+                              "experiment": {"n_list": [3.0], "realizations": True}},
+    "randmat-m-fraction": {"subcommand": "randmat", "ensemble": {"m": 2.5, "v": 1.0}},
+    "randmat-samples-fraction": {"subcommand": "randmat",
+                                 "ensemble": {"m": 2, "v": 1.0, "samples": 20_000.5}},
 }
 
 

@@ -18,6 +18,7 @@ from critfield.critpoints import (
     CriticalPointSet,
     _adjugate,
     _candidate_cells,
+    _in_window,
     _lattice,
     _node_major,
     _quintic_gather,
@@ -334,7 +335,7 @@ def _newton_reference(field: FieldRealization, box):
         step = np.linalg.solve(hessian_stack(vals[m:], m), vals[:m].T[..., None])[..., 0]
         norms = np.linalg.norm(step, axis=1, keepdims=True)
         cur[active] -= np.where(norms > 2 * h, step * (2 * h / norms), step)
-        out = ~field.readable(cur[active])
+        out = ~_in_window(np.floor((cur[active] - field.origin()) / h), _STENCIL, field.spec.window)
         escaped[active[out]] = True
         active = active[~out]
     stalled = ~converged & ~escaped
@@ -454,9 +455,10 @@ class TestQuinticGather:
     def test_stencil_must_stay_in_the_window(self, m):
         # readable points have index coordinates in [2, w - 3) on every axis:
         # below 2 a flat index would wrap to the end of the table, from
-        # w - 3 on the stencil would read the next row
+        # w - 3 on the stencil would read the next row.  Newton's escape
+        # test and the kernel's refusal agree on both edges
         fr = _small_field(m)
-        w, h = fr.spec.window, fr.spec.spacing
+        w = fr.spec.window
         table = _node_major(fr.coeffs[1:])
         for axis in range(m):
             for coord, readable in [
@@ -465,8 +467,7 @@ class TestQuinticGather:
             ]:
                 x = np.full((3, m), w / 2.0)
                 x[1, axis] = coord
-                if coord in (2.0, w - 3.0):  # these points are exact in space
-                    assert fr.readable(fr.origin() + h * x).tolist() == [True, readable, True]
+                assert _in_window(np.floor(x), _STENCIL, w).tolist() == [True, readable, True]
                 if readable:
                     _quintic_gather(table, x, w)
                 else:
@@ -737,6 +738,25 @@ class TestLatticeStencils:
         want = _map_coordinates(fr, pts[pick], slice(1, None))
         scale = np.max(np.abs(want), axis=1, keepdims=True)
         assert np.all(np.abs(got[:, pick] - want) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_stencil_must_stay_in_the_window(self, m):
+        # the 7-tap neighbourhoods of the nodes 3 .. w - 4 lie in the window;
+        # a node at 2 would wrap to the end of a plane, one at w - 3 would
+        # read the next row
+        fr = _small_field(m)
+        w = fr.spec.window
+        weights = _quintic_weights(np.array([-0.25, 0.25]), _TAPS)
+        for axis in range(m):
+            for node, readable in [(3, True), (2, False), (w - 4, True), (w - 3, False)]:
+                nodes = np.full((3, m), w // 2)
+                nodes[1, axis] = node
+                assert _in_window(nodes, _TAPS, w).tolist() == [True, readable, True]
+                if readable:
+                    _lattice(fr.coeffs[1:], nodes, weights)
+                else:
+                    with pytest.raises(ValueError, match="leaves the window"):
+                        _lattice(fr.coeffs[1:], nodes, weights)
 
     @pytest.mark.parametrize("refine", [1, 2, 5, 6, 48])
     @pytest.mark.parametrize("m", [2, 3])

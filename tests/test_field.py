@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from critfield.critpoints import _STENCIL, _in_window
 from critfield.field import (
     _BAND_TOL,
     _COVARIANCE_TOL,
@@ -294,11 +295,11 @@ class TestOffgrid:
         # the window of N = 4 reaches 4 + 4 h; the quintic stencil of a point
         # reads 2 nodes below and 3 above its cell, so the readable points
         # are -4 - 2 h <= t < 4 + 2 h
-        h = realization.spec.spacing
+        h, w = realization.spec.spacing, realization.spec.window
         inside = np.array([(-4.0 - 2.0 * h, 0.0), (4.0 + 1.99 * h, 0.0)])
         outside = np.array([(4.0 + 2.0 * h, 0.0), (0.0, -4.0 - 2.01 * h)])
-        assert realization.readable(inside).all()
-        assert not realization.readable(outside).any()
+        assert _in_window(np.floor((inside - realization.origin()) / h), _STENCIL, w).all()
+        assert not _in_window(np.floor((outside - realization.origin()) / h), _STENCIL, w).any()
         # a readable stencil reads no node past the window, so no boundary
         # mode ever applies to it
         coords = (inside - realization.origin()).T / h
