@@ -384,7 +384,7 @@ def emit_plot_data(record_dir, kind: str, out_path=None) -> Path:
         raise ValueError(f"unknown plot kind {kind!r}; choose from {PLOT_KINDS}")
     out_path = Path(out_path) if out_path else record_dir / f"plot_{kind}.csv"
 
-    def read(name):  # a file of the run, which a ConfigError names when it is missing
+    def read(name):  # the path of a file the kind reads; a missing one is a ConfigError
         if not (record_dir / name).is_file():
             raise ConfigError(f"{record_dir} has no {name}")
         return record_dir / name
