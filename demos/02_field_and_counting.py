@@ -13,7 +13,7 @@ from critfield.critpoints import (
     count_newton,
     expected_count,
 )
-from critfield.field import GridSpec, synthesize, wrap_guard
+from critfield.field import synthesize, torus
 from critfield.spectrum import SpectralDensity
 
 E_ABSDET = 2.30936836  # E|det A| for the unit 2 x 2 symmetric ensemble
@@ -21,9 +21,10 @@ E_ABSDET = 2.30936836  # E|det A| for the unit 2 x 2 symmetric ensemble
 
 def main():
     w = SpectralDensity(family="gaussian", params=(1.0,))
-    guard, _ = wrap_guard(w, 2, 16)  # torus margin where the covariance has decayed
-    spec = GridSpec(m=2, half_width=5.0, points_per_unit=16, guard=guard)
-    fr = synthesize(w, spec, seed=7)
+    # the grid of [-5, 5]^2 with a margin where the covariance has decayed,
+    # and the cutoff and band of the density on it
+    grid = torus(w, 2, 5.0, 16)
+    fr = synthesize(w, grid.spec, seed=7, cutoff=grid.cutoff, band=grid.band)
     box = ((-5.0, -5.0), (5.0, 5.0))
 
     cps = count_newton(fr, box)

@@ -1,8 +1,8 @@
 """Batch front door: subcommand dispatch, persistence, plot-data emission.
 
-``dispatch`` builds the plan of a run (density, grid and wrap guard,
-experiment config, ensemble or dimension), with the checks of the objects
-and functions the run uses (the grid's resolution among them), and checks
+``dispatch`` builds the plan of a run (density, torus, experiment config,
+ensemble or dimension), with the checks of the objects and functions the
+run uses (the grid's resolution among them), and checks
 it against the budget before anything is written.  ``--dry-run`` prints the
 plan; a run stamps its provenance, torus included, then runs the plan.
 Runners read no config.
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import chaos as chaos_mod
 from . import critpoints, experiments, field, randmat, spectrum
-from .config import BudgetError, ConfigError, parse_config, whole
+from .config import BudgetError, ConfigError, number, numbers, parse_config, whole
 
 __all__ = ["main", "dispatch", "emit_plot_data"]
 
@@ -47,8 +47,7 @@ class _Plan(NamedTuple):
     wall_clock: float | None
     m: int
     density: spectrum.SpectralDensity | None = None  # all but randmat
-    spec: field.GridSpec | None = None  # field, count, clt, crosscheck
-    wrap: tuple[float, float] | None = None  # wrap_guard's (guard, psi ratio)
+    torus: field.Torus | None = None  # field, count, clt, crosscheck
     e_absdet_s1: float | None = None  # E|det| anchor of count and clt
     experiment: experiments.ExperimentConfig | None = None  # clt, crosscheck
     ensemble: randmat.EnsembleParams | None = None  # randmat, chaos
@@ -70,7 +69,7 @@ def _density(block: dict) -> spectrum.SpectralDensity:
         if rows.ndim != 2 or rows.shape[1] != 2:
             raise ConfigError("density table must be a list of [r, w(r)] rows")
         table = tuple(rows[:, 0].tolist()), tuple(rows[:, 1].tolist())
-    params = tuple(block.get("params", (1.0,) if family == "gaussian" else ()))
+    params = numbers(block, "params", [1.0] if family == "gaussian" else [])
     return spectrum.SpectralDensity(family=family, params=params, table=table)
 
 
@@ -82,14 +81,14 @@ def _plan(cfg: dict) -> _Plan:
     sub, exp, ens, budget = cfg["subcommand"], cfg["experiment"], cfg["ensemble"], cfg["budget"]
     wall_clock = budget.get("wall_clock")
     plan = {"subcommand": sub, "seed": cfg["seed"],
-            "wall_clock": None if wall_clock is None else float(wall_clock)}
+            "wall_clock": None if wall_clock is None else number(budget, "wall_clock")}
     if sub != "randmat":
         plan["density"] = w = _density(cfg["density"])
     if sub in ("randmat", "chaos"):
         _require(ens, "ensemble", ("m", "v"))
-        m, v = whole(ens, "m"), float(ens["v"])
+        m, v = whole(ens, "m"), number(ens, "v")
         # chaos works over S(m; v, v) and draws nothing: u and samples are ignored
-        u = float(ens.get("u", v)) if sub == "randmat" else v
+        u = number(ens, "u", v) if sub == "randmat" else v
         plan["ensemble"] = randmat.EnsembleParams(m=m, u=u, v=v)
         if sub == "randmat":
             plan["samples"] = whole(ens, "samples", 500_000)
@@ -101,29 +100,27 @@ def _plan(cfg: dict) -> _Plan:
     if sub in ("field", "count", "clt", "crosscheck"):
         if sub in ("clt", "crosscheck"):
             _require(exp, "experiment", ("n_list", "realizations"))
-        n_list = tuple(float(x) for x in exp.get("n_list", [5.0]))
+        n_list = numbers(exp, "n_list", [5.0])
         ppu = whole(exp, "points_per_unit", 8)
         e_absdet = exp.get("e_absdet_s1")
-        plan["e_absdet_s1"] = e_absdet = None if e_absdet is None else float(e_absdet)
+        plan["e_absdet_s1"] = e_absdet = None if e_absdet is None else number(exp, "e_absdet_s1")
+        if sub == "count":
+            critpoints._check_anchor(e_absdet)
         if sub in ("clt", "crosscheck"):
             eps = {}  # the default ladder is ExperimentConfig's
             if "eps_list" in exp:
-                eps["eps_list"] = tuple(float(x) for x in exp["eps_list"])
+                eps["eps_list"] = numbers(exp, "eps_list")
             plan["experiment"] = experiments.ExperimentConfig(
                 density=w, m=m, n_list=n_list, realizations=whole(exp, "realizations"),
                 points_per_unit=ppu, master_seed=cfg["seed"], e_absdet_s1=e_absdet, **eps,
             )
-        plan["wrap"] = field.wrap_guard(w, m, ppu)
         half_width = (min if sub == "crosscheck" else max)(n_list)
-        plan["spec"] = field.GridSpec(
-            m=m, half_width=half_width, points_per_unit=ppu, guard=plan["wrap"][0]
-        )
-        plan["spec"].check_resolution(field.spectral_cutoff(w, m))
-        need = plan["spec"].n_per_side**m
-        if "grid_points" in budget and need > float(budget["grid_points"]):
+        plan["torus"] = field.torus(w, m, half_width, ppu)
+        need = plan["torus"].spec.n_per_side**m
+        if "grid_points" in budget and need > number(budget, "grid_points"):
             raise BudgetError(f"grid needs {need} points > budget {budget['grid_points']}")
     samples = plan.get("samples")
-    if samples is not None and samples > float(budget.get("samples", samples)):
+    if samples is not None and samples > number(budget, "samples", samples):
         raise BudgetError(f"MC asks {samples} samples > budget {budget['samples']}")
     return _Plan(m=m, **plan)
 
@@ -150,12 +147,12 @@ def _stamp(plan: _Plan, out: Path, config_path) -> None:
     except metadata.PackageNotFoundError:
         version = "unknown"
     stamp = {"version": version, "seed": plan.seed, "subcommand": plan.subcommand}
-    if plan.spec is not None:
-        stamp["torus"] = field.torus_record(plan.spec, plan.wrap[1])
+    if plan.torus is not None:
+        stamp["torus"] = plan.torus.record()
     if plan.experiment is not None:
         # the sweep's workers and the CPU each is pinned to; none at W = 1,
         # where the sweep runs in-process
-        cpus = experiments._worker_cpus(plan.spec, plan.experiment.realizations)
+        cpus = experiments._worker_cpus(plan.torus.spec, plan.experiment.realizations)
         stamp["workers"] = len(cpus)
         stamp["worker_cpus"] = cpus if len(cpus) > 1 else []
     (out / "provenance.json").write_text(json.dumps(stamp, indent=2))
@@ -185,8 +182,8 @@ def _run_spectrum(plan: _Plan, out: Path) -> None:
 
 
 def _run_field(plan: _Plan, out: Path) -> None:
-    spec = plan.spec
-    fr = field.synthesize(plan.density, spec, seed=plan.seed)
+    spec, cut, band = plan.torus.spec, plan.torus.cutoff, plan.torus.band
+    fr = field.synthesize(plan.density, spec, seed=plan.seed, cutoff=cut, band=band)
     field.dump_realization(fr, out / "realization.bin")
     stats = field.jet_statistics([fr])
     (out / "jet_statistics.json").write_text(
@@ -203,9 +200,9 @@ def _run_field(plan: _Plan, out: Path) -> None:
 
 
 def _run_count(plan: _Plan, out: Path) -> None:
-    spec = plan.spec
+    spec, cut, band = plan.torus.spec, plan.torus.cutoff, plan.torus.band
     n_half = spec.half_width
-    fr = field.synthesize(plan.density, spec, seed=plan.seed)
+    fr = field.synthesize(plan.density, spec, seed=plan.seed, cutoff=cut, band=band)
     box = ((-n_half,) * spec.m, (n_half,) * spec.m)
     cps = critpoints.count_newton(fr, box)
     critpoints.write_csv(cps, out / "critical_points.csv")
@@ -264,7 +261,7 @@ def _run_chaos(plan: _Plan, out: Path) -> None:
 
 
 def _run_clt(plan: _Plan, out: Path) -> None:
-    record = experiments.run_clt(plan.experiment, wrap=plan.wrap, wall_clock=plan.wall_clock)
+    record = experiments.run_clt(plan.experiment, plan.torus, wall_clock=plan.wall_clock)
     vtab = experiments.variance_scaling(record)
     experiments.save_record(record, out, vtab)
     m, n_max = record.m, record.n_list[-1]
@@ -292,7 +289,7 @@ def _run_clt(plan: _Plan, out: Path) -> None:
 
 def _run_crosscheck(plan: _Plan, out: Path) -> None:
     table = experiments.estimator_crosscheck(
-        plan.experiment, wrap=plan.wrap, wall_clock=plan.wall_clock
+        plan.experiment, plan.torus, wall_clock=plan.wall_clock
     )
     (out / "crosscheck.json").write_text(json.dumps(table, indent=2, default=float))
     lines = [
@@ -318,10 +315,10 @@ def _plan_lines(plan: _Plan) -> list[str]:
     lines = [f"subcommand: {plan.subcommand}", f"seed: {plan.seed}"]
     lines += [f"{k}: {v}" for k, v in (("density", plan.density), ("ensemble", plan.ensemble))
               if v is not None]
-    if plan.spec is None and plan.ensemble is None:
+    if plan.torus is None and plan.ensemble is None:
         lines.append(f"dimension: m = {plan.m}")
-    if plan.spec is not None:
-        spec = plan.spec
+    if plan.torus is not None:
+        spec = plan.torus.spec
         lines.append(
             f"grid: {spec.n_per_side}^{spec.m} points "
             f"({spec.n_per_side**spec.m:,} total per realization)"
@@ -330,7 +327,7 @@ def _plan_lines(plan: _Plan) -> list[str]:
             f"stored window: {spec.window}^{spec.m} nodes, "
             f"{spec.window_bytes:,} bytes of jet ({spec.window_bytes / 2**20:.1f} MiB)"
         )
-        torus = field.torus_record(spec, plan.wrap[1])
+        torus = plan.torus.record()
         lines.append(
             f"wrap guard: {torus['guard']:g} beyond the box, psi ratio "
             f"{torus['wrap_ratio']:.3g} (tolerance {torus['tolerance']:g})"
@@ -338,10 +335,10 @@ def _plan_lines(plan: _Plan) -> list[str]:
     if plan.subcommand == "clt":
         lines.append(
             f"replicates: {plan.experiment.realizations}, each one field at "
-            f"N = {plan.spec.half_width:g} counted at every N"
+            f"N = {spec.half_width:g} counted at every N"
         )
     elif plan.subcommand == "crosscheck":
-        lines.append(f"fields: {plan.experiment.realizations} at N = {plan.spec.half_width:g}")
+        lines.append(f"fields: {plan.experiment.realizations} at N = {spec.half_width:g}")
     if plan.samples is not None:
         lines.append(f"MC samples: {plan.samples:,}")
     return lines

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import yaml
 
-__all__ = ["ConfigError", "BudgetError", "parse_config", "whole"]
+__all__ = ["ConfigError", "BudgetError", "parse_config", "whole", "number", "numbers"]
 
 SUBCOMMANDS = ("spectrum", "field", "count", "randmat", "chaos", "clt", "crosscheck")
 
@@ -50,14 +50,37 @@ class BudgetError(RuntimeError):
     """A declared sample/grid/wall-clock budget would be exceeded (exit 3)."""
 
 
+def _is_number(value) -> bool:
+    # YAML's true is Python's 1, which int() and float() read without notice
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def whole(block: dict, key: str, default=None) -> int:
     """The integer at ``key`` of a config block, ``default`` when absent: 8
     and 8.0 read 8.  A fraction, which int() would truncate without notice,
-    a boolean (YAML's true is Python's 1) or a negative is a ConfigError."""
+    a boolean or a negative is a ConfigError."""
     value = block.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value < 0 or value % 1:
+    if not _is_number(value) or value < 0 or value % 1:
         raise ConfigError(f"{key!r} must be a nonnegative whole number, got {value!r}")
     return int(value)
+
+
+def number(block: dict, key: str, default=None) -> float:
+    """The real number at ``key`` of a config block, ``default`` when absent.
+    A boolean, a string or a null is a ConfigError."""
+    value = block.get(key, default)
+    if not _is_number(value):
+        raise ConfigError(f"{key!r} must be a number, got {value!r}")
+    return float(value)
+
+
+def numbers(block: dict, key: str, default=None) -> tuple[float, ...]:
+    """The list of real numbers at ``key`` of a config block, ``default``
+    when absent, as a tuple; refused as ``number`` refuses."""
+    values = block.get(key, default)
+    if not isinstance(values, list) or not all(map(_is_number, values)):
+        raise ConfigError(f"{key!r} must be a list of numbers, got {values!r}")
+    return tuple(float(x) for x in values)
 
 
 def _check_keys(block_name: str, block: dict, problems: list):
@@ -78,7 +101,8 @@ def parse_config(path, overrides: dict | None = None) -> dict:
     Returns the validated mapping: "subcommand", "seed" and "out" (when
     given) at the top level, and a dict, empty when absent, for each of
     "density", "ensemble", "experiment" and "budget".  Raises ConfigError
-    listing every violation found, not just the first.
+    listing every violation found, not just the first: one on the path's
+    line, several on a line each.
     """
     path = Path(path)
     if not path.exists():
@@ -118,6 +142,8 @@ def parse_config(path, overrides: dict | None = None) -> dict:
         except ConfigError as exc:
             problems.append(str(exc))
 
+    if len(problems) == 1:
+        raise ConfigError(f"{path}: {problems[0]}")
     if problems:
         raise ConfigError(f"{path}:\n  " + "\n  ".join(problems))
     return raw

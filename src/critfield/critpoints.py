@@ -435,12 +435,19 @@ def count_kacrice_smoothed(field: FieldRealization, box, eps, refine: int = 6):
     return counts[0] if np.ndim(eps) == 0 else counts
 
 
+def _check_anchor(e_absdet_s1: float | None) -> None:
+    """Raise ValueError unless an E|det A| anchor is None or positive."""
+    if e_absdet_s1 is not None and not e_absdet_s1 > 0:
+        raise ValueError(f"e_absdet_s1 = {e_absdet_s1:g}: E|det A| must be > 0")
+
+
 def expected_count(
     w: SpectralDensity, m: int, box_volume: float, e_absdet_s1: float | None = None
 ) -> float:
     """Theoretical expected count: (h_m / (2 pi d_m))^(m/2) E|det A| * vol,
     with A drawn from the unit-variance symmetric-matrix ensemble; E|det A|
     is e_absdet_s1 when given, else the exact expect_absdet_S(m, 1)."""
+    _check_anchor(e_absdet_s1)
     moments = spectral_moments(w, m)
     if e_absdet_s1 is None:
         e_absdet_s1 = expect_absdet_S(m, 1.0)

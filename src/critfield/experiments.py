@@ -35,17 +35,10 @@ import numpy as np
 from scipy import stats
 
 from .config import BudgetError
-from .critpoints import _eps_ladder, count_kacrice_smoothed, count_newton, expected_count
-from .field import (
-    _MAX_JET_BYTES,
-    GridSpec,
-    _jet_bytes,
-    spectral_band,
-    spectral_cutoff,
-    synthesize,
-    torus_record,
-    wrap_guard,
+from .critpoints import (
+    _check_anchor, _eps_ladder, count_kacrice_smoothed, count_newton, expected_count,
 )
+from .field import _MAX_JET_BYTES, GridSpec, Torus, _jet_bytes, synthesize, torus
 from .spectrum import SpectralDensity
 
 __all__ = [
@@ -78,6 +71,7 @@ class ExperimentConfig:
         if self.realizations < 1:
             raise ValueError("realizations must be >= 1")
         _eps_ladder(self.eps_list)
+        _check_anchor(self.e_absdet_s1)
 
     def digest(self) -> str:
         """Hex digest of the inputs.  The density enters as density_family,
@@ -102,7 +96,7 @@ class ExperimentRecord:
     c_m: float
     wall_time: float
     flags: list[str] = field(default_factory=list)
-    torus: dict = field(default_factory=dict)  # field.torus_record of the run
+    torus: dict = field(default_factory=dict)  # Torus.record() of the run's torus
 
 
 def _worker_cpus(spec: GridSpec, r: int) -> list[int]:
@@ -128,16 +122,14 @@ def _run_replicate(j: int):
     return _replicate(j)
 
 
-def _sweep(
-    config: ExperimentConfig, half_width: float, key: int, wrap, wall_clock, per_field
-):
-    """The one replicate loop: replicate j synthesizes one field on the cube
-    of ``half_width`` from SeedSequence((master, key)).spawn(R)[j] and hands
-    it to ``per_field(j, field, box)``, box being that cube.  ``per_field``
-    is a module-level function, or a partial of one, and returns all its
-    caller keeps: under a pool it runs in a worker.  The grid, the cutoff,
-    the band and the seeds are built once, before any field; ``wrap`` and
-    ``wall_clock`` are as in ``run_clt``.
+def _sweep(config: ExperimentConfig, grid: Torus, key: int, wall_clock, per_field):
+    """The one replicate loop: replicate j synthesizes one field on ``grid``
+    from SeedSequence((master, key)).spawn(R)[j] and hands it to
+    ``per_field(j, field, box)``, box being the cube of the grid's
+    half-width.  ``per_field`` is a module-level function, or a partial of
+    one, and returns all its caller keeps: under a pool it runs in a
+    worker.  The seeds are drawn once, before any field; ``wall_clock`` is
+    as in ``run_clt``.
 
     The replicates run on ``_worker_cpus``: with one CPU in-process, else on
     a pool of forked workers, one pinned to each CPU.  Every replicate
@@ -145,18 +137,11 @@ def _sweep(
     shared by all processes).  The first replicate, in order, to raise ends
     the sweep with its error; a worker that dies ends it with
     BrokenProcessPool.  No worker outlives the call.  Returns the per-field
-    results in replicate order, ``torus_record`` of the grid and the
-    seconds spent.
+    results in replicate order and the seconds spent.
     """
     t0 = time.perf_counter()
-    w, m, r = config.density, config.m, config.realizations
-    guard, wrap_ratio = wrap or wrap_guard(w, m, config.points_per_unit)
-    cutoff = spectral_cutoff(w, m)
-    spec = GridSpec(
-        m=m, half_width=half_width, points_per_unit=config.points_per_unit, guard=guard
-    )
-    band = spectral_band(w, spec)
-    box = ((-half_width,) * m, (half_width,) * m)
+    w, spec, r = config.density, grid.spec, config.realizations
+    box = ((-spec.half_width,) * spec.m, (spec.half_width,) * spec.m)
     seeds = [
         int(ss.generate_state(1)[0])
         for ss in np.random.SeedSequence((config.master_seed, key)).spawn(r)
@@ -167,7 +152,8 @@ def _sweep(
             raise BudgetError(
                 f"wall-clock budget {wall_clock:g}s spent after {j} of {r} realizations"
             )
-        return per_field(j, synthesize(w, spec, seed=seeds[j], cutoff=cutoff, band=band), box)
+        fr = synthesize(w, spec, seed=seeds[j], cutoff=grid.cutoff, band=grid.band)
+        return per_field(j, fr, box)
 
     cpus = _worker_cpus(spec, r)
     if len(cpus) == 1:
@@ -192,7 +178,7 @@ def _sweep(
         finally:
             pool.shutdown(cancel_futures=True)
             queue.close()
-    return out, torus_record(spec, wrap_ratio), time.perf_counter() - t0
+    return out, time.perf_counter() - t0
 
 
 def _nested_counts(n_list, j: int, fr, box) -> tuple[list[int] | None, str | None]:
@@ -211,9 +197,7 @@ def _nested_counts(n_list, j: int, fr, box) -> tuple[list[int] | None, str | Non
 
 
 def run_clt(
-    config: ExperimentConfig,
-    wrap: tuple[float, float] | None = None,
-    wall_clock: float | None = None,
+    config: ExperimentConfig, grid: Torus | None = None, wall_clock: float | None = None
 ) -> ExperimentRecord:
     """Synthesize and count; deterministic given the master seed.
 
@@ -224,15 +208,18 @@ def run_clt(
     replicate that fails is dropped from every level, counted once in
     failures and named with its seed in a flag; the sweep aborts if more
     than 5% of the replicates fail.
-    c_m is ``expected_count``'s at unit volume.  ``wrap`` is ``wrap_guard``'s
-    (guard, psi ratio) for the config's density and resolution, derived here
-    when None.  The grid is checked against the budget before the first
-    realization.  With ``wall_clock`` set, no realization starts once that
-    many seconds have passed since the call began: BudgetError is raised.
+    c_m is ``expected_count``'s at unit volume.  ``grid`` is ``field.torus``
+    of the config's density and resolution at the largest N, built here
+    when None; building it checks the grid against the budget before the
+    first realization.  With ``wall_clock`` set, no realization starts once
+    that many seconds have passed since the replicate loop began:
+    BudgetError is raised.
     """
     n_list, r = config.n_list, config.realizations
-    results, torus, wall_time = _sweep(
-        config, n_list[-1], len(n_list) - 1, wrap, wall_clock, partial(_nested_counts, n_list)
+    if grid is None:
+        grid = torus(config.density, config.m, n_list[-1], config.points_per_unit)
+    results, wall_time = _sweep(
+        config, grid, len(n_list) - 1, wall_clock, partial(_nested_counts, n_list)
     )
     flags = [] if r >= 30 else ["insufficient: R < 30"]
     flags += [flag for _, flag in results if flag is not None]
@@ -249,7 +236,7 @@ def run_clt(
         c_m=expected_count(config.density, config.m, 1.0, config.e_absdet_s1),
         wall_time=wall_time,
         flags=flags,
-        torus=torus,
+        torus=grid.record(),
     )
 
 
@@ -319,9 +306,7 @@ def _compare_estimators(eps_list, j: int, fr, box) -> dict:
 
 
 def estimator_crosscheck(
-    config: ExperimentConfig,
-    wrap: tuple[float, float] | None = None,
-    wall_clock: float | None = None,
+    config: ExperimentConfig, grid: Torus | None = None, wall_clock: float | None = None
 ) -> dict:
     """Per-realization Newton vs smoothed counting-measure agreement.
 
@@ -330,13 +315,14 @@ def estimator_crosscheck(
     eps and the torus under "torus".  Each row carries the field's seed, its
     Newton count and unresolved Newton cells, and one smoothed count per
     eps; every field keeps its row.  Replicate j draws from
-    SeedSequence((master, 0x9C)).spawn(R)[j].  ``wrap`` and ``wall_clock``
-    are as in ``run_clt``.
+    SeedSequence((master, 0x9C)).spawn(R)[j].  ``grid`` is as in
+    ``run_clt`` but at the smallest N, and ``wall_clock`` as there.
     """
-
+    if grid is None:
+        grid = torus(config.density, config.m, config.n_list[0], config.points_per_unit)
     compare = partial(_compare_estimators, config.eps_list)
-    rows, torus, _ = _sweep(config, config.n_list[0], 0x9C, wrap, wall_clock, compare)
-    out = {"rows": rows, "torus": torus}
+    rows, _ = _sweep(config, grid, 0x9C, wall_clock, compare)
+    out = {"rows": rows, "torus": grid.record()}
     for eps in config.eps_list:
         rel = np.array(
             [

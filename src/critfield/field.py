@@ -32,6 +32,7 @@ import functools
 import math
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.fft as sfft
@@ -45,7 +46,8 @@ __all__ = [
     "wrap_guard",
     "spectral_cutoff",
     "spectral_band",
-    "torus_record",
+    "Torus",
+    "torus",
     "synthesize",
     "jet_labels",
     "jet_statistics",
@@ -211,17 +213,6 @@ def wrap_guard(w: SpectralDensity, m: int, points_per_unit: int) -> tuple[float,
     return (hi + 2 * _REACH_CELLS) * h, r
 
 
-def torus_record(spec: GridSpec, wrap_ratio: float) -> dict:
-    """JSON-ready account of the torus of one run: the guard, the tolerance,
-    the achieved psi ratio and the nodes per side at the half-width."""
-    return {
-        "guard": spec.guard,
-        "tolerance": _COVARIANCE_TOL,
-        "wrap_ratio": wrap_ratio,
-        "n_per_side": {str(spec.half_width): spec.n_per_side},
-    }
-
-
 @dataclass(frozen=True)
 class FieldRealization:
     """One seeded sample of the jet (X, grad X, hess X) on a GridSpec.
@@ -299,8 +290,7 @@ def spectral_band(w: SpectralDensity, spec: GridSpec) -> np.ndarray:
     on the axis, K = isqrt(q*): a frequency outside the block has some
     |k_j| > K, so q >= (K + 1)^2 > q* and its product is below the bound.
     A compact density's band is its support.  It depends on the density
-    and the grid alone, so a sweep computes it once and passes it to every
-    ``synthesize`` call.
+    and the grid alone, so ``torus`` computes it once per run.
     """
     m, n = spec.m, spec.n_per_side
     r = 2.0 * np.pi / spec.period * np.sqrt(np.arange(m * (n // 2) ** 2 + 1))
@@ -315,8 +305,8 @@ def spectral_band(w: SpectralDensity, spec: GridSpec) -> np.ndarray:
 def spectral_cutoff(w: SpectralDensity, m: int) -> float:
     """Radius containing all but _COVARIANCE_TOL of the spectral mass of s_m.
 
-    It depends on the density and m alone, so a sweep computes it once, next
-    to the wrap guard, and passes it to every ``synthesize`` call.
+    It depends on the density and m alone, so ``torus`` computes it once per
+    run.
     """
     total = moment_Ik(w, m - 1)
     rmax = w.support_radius()
@@ -325,6 +315,34 @@ def spectral_cutoff(w: SpectralDensity, m: int) -> float:
     cum = np.cumsum(dens) * (grid[1] - grid[0])
     idx = np.searchsorted(cum, (1.0 - _COVARIANCE_TOL) * total)
     return float(grid[min(idx, len(grid) - 1)])
+
+
+class Torus(NamedTuple):
+    """The torus of one run, built once by ``torus``: the grid, the psi
+    ratio its wrap guard achieves, the synthesis cutoff and the band."""
+
+    spec: GridSpec
+    wrap_ratio: float
+    cutoff: float
+    band: np.ndarray
+
+    def record(self) -> dict:
+        """JSON-ready account of the torus: the guard, the tolerance, the
+        achieved psi ratio and the nodes per side at the half-width."""
+        spec = self.spec
+        return {"guard": spec.guard, "tolerance": _COVARIANCE_TOL, "wrap_ratio": self.wrap_ratio,
+                "n_per_side": {str(spec.half_width): spec.n_per_side}}
+
+
+def torus(w: SpectralDensity, m: int, half_width: float, points_per_unit: int) -> Torus:
+    """The torus on which every field of a run is synthesized: the grid of
+    the cube [-half_width, half_width]^m with ``wrap_guard``'s guard, checked
+    to resolve ``spectral_cutoff``, and its ``spectral_band``."""
+    guard, wrap_ratio = wrap_guard(w, m, points_per_unit)
+    spec = GridSpec(m=m, half_width=half_width, points_per_unit=points_per_unit, guard=guard)
+    cutoff = spectral_cutoff(w, m)
+    spec.check_resolution(cutoff)
+    return Torus(spec, wrap_ratio, cutoff, spectral_band(w, spec))
 
 
 def _transform_window(part, comps, axis: int, factor: dict, n: int, jet: np.ndarray) -> None:

@@ -99,13 +99,25 @@ class TestParseConfig:
             parse_config(_write(tmp_path, "a.yaml", text))
 
     def test_seed_is_a_nonnegative_whole_number(self, tmp_path):
-        # 8.0 reads 8; YAML's true is Python's 1, and int() would truncate 1.5
+        # 8.0 reads 8; true, 1.5, -1 and '8' are refused (see _REFUSED)
         cfg = parse_config(_write(tmp_path, "a.yaml", BASE_CLT.replace("seed: 42", "seed: 8.0")))
         assert cfg["seed"] == 8 and isinstance(cfg["seed"], int)
-        for seed in ("true", "1.5", "-1", "'8'"):
-            text = BASE_CLT.replace("seed: 42", f"seed: {seed}")
-            with pytest.raises(ConfigError, match="'seed' must be a nonnegative whole number"):
-                parse_config(_write(tmp_path, "a.yaml", text))
+
+    def test_one_problem_on_one_line(self, tmp_path):
+        # one problem follows the path on its line; several get a line each
+        path = _write(tmp_path, "a.yaml", BASE_CLT.replace("seed: 42", "seed: true"))
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert str(err.value) == (
+            f"{path}: 'seed' must be a nonnegative whole number, got True"
+        )
+        text = BASE_CLT.replace("seed: 42", "seed: true") + "x: 1\n"
+        path = _write(tmp_path, "b.yaml", text)
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert str(err.value).splitlines() == [
+            f"{path}:", "  unknown key 'x'", "  'seed' must be a nonnegative whole number, got True"
+        ]
 
     def test_whole_floats_plan_as_integers(self, tmp_path, capsys):
         # m, realizations and points_per_unit of 2.0, 4.0 and 8.0 plan the
@@ -485,9 +497,7 @@ class TestMainExitCodes:
                 return fn(*args, **kwargs)
             return counted
 
-        guard = spy("wrap_guard", field.wrap_guard)
-        monkeypatch.setattr(cli.field, "wrap_guard", guard)
-        monkeypatch.setattr(experiments, "wrap_guard", guard)
+        monkeypatch.setattr(field, "wrap_guard", spy("wrap_guard", field.wrap_guard))
         monkeypatch.setattr(spectrum.interpolate, "CubicSpline",
                             spy("spline", spectrum.interpolate.CubicSpline))
         monkeypatch.setattr(experiments, "variance_scaling",
@@ -512,6 +522,26 @@ class TestMainExitCodes:
         assert doc["summary"]["2.0"]["R"] == 2
         once = ("spline", "wrap_guard", "variance_scaling", "provenance.json")
         assert {name: calls[name] for name in once} == dict.fromkeys(once, 1)
+
+    @pytest.mark.parametrize("subcommand", ["field", "count", "clt", "crosscheck"])
+    def test_torus_built_once_per_run(self, tmp_path, monkeypatch, one_cpu, subcommand):
+        # the plan builds the guard, the cutoff and the band once; every
+        # synthesis takes them from the plan's torus
+        calls = collections.Counter()
+
+        def spy(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        names = ("wrap_guard", "spectral_cutoff", "spectral_band")
+        for name in names:
+            monkeypatch.setattr(field, name, spy(name, getattr(field, name)))
+        text = BASE_CLT.replace("subcommand: clt", f"subcommand: {subcommand}")
+        cfg = _write(tmp_path, "c.yaml", text.replace("realizations: 4", "realizations: 2"))
+        assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert calls == dict.fromkeys(names, 1)
 
     def test_numerical_failure_exit(self, tmp_path):
         # a flat user table has no spectral decay: moment quadrature diverges
@@ -787,6 +817,46 @@ _REFUSED = {
     "randmat-m-fraction": {"subcommand": "randmat", "ensemble": {"m": 2.5, "v": 1.0}},
     "randmat-samples-fraction": {"subcommand": "randmat",
                                  "ensemble": {"m": 2, "v": 1.0, "samples": 20_000.5}},
+    # YAML's true is Python's 1: int() read the seed as 1 and float() read
+    # every float key as 1.0, so n_list [true, 2.0] planned N = 1 and 2
+    "clt-seed-true": {"subcommand": "clt", "seed": True, "density": {"family": "gaussian"},
+                      "experiment": {"n_list": [3.0], "realizations": 2}},
+    "clt-seed-fraction": {"subcommand": "clt", "seed": 1.5, "density": {"family": "gaussian"},
+                          "experiment": {"n_list": [3.0], "realizations": 2}},
+    "clt-seed-negative": {"subcommand": "clt", "seed": -1, "density": {"family": "gaussian"},
+                          "experiment": {"n_list": [3.0], "realizations": 2}},
+    "clt-seed-text": {"subcommand": "clt", "seed": "8", "density": {"family": "gaussian"},
+                      "experiment": {"n_list": [3.0], "realizations": 2}},
+    "clt-n-list-true": {"subcommand": "clt", "density": {"family": "gaussian"},
+                        "experiment": {"n_list": [True, 2.0], "realizations": 2}},
+    "clt-n-list-number": {"subcommand": "clt", "density": {"family": "gaussian"},
+                          "experiment": {"n_list": 3.0, "realizations": 2}},
+    "clt-params-true": {"subcommand": "clt", "density": {"family": "gaussian", "params": [True]},
+                        "experiment": {"n_list": [3.0], "realizations": 2}},
+    "clt-eps-true": {"subcommand": "clt", "density": {"family": "gaussian"},
+                     "experiment": {"n_list": [3.0], "realizations": 2, "eps_list": [True]}},
+    "clt-anchor-true": {"subcommand": "clt", "density": {"family": "gaussian"},
+                        "experiment": {"n_list": [3.0], "realizations": 2,
+                                       "e_absdet_s1": True}},
+    "clt-wall-clock-true": {"subcommand": "clt", "density": {"family": "gaussian"},
+                            "experiment": {"n_list": [3.0], "realizations": 2},
+                            "budget": {"wall_clock": True}},
+    "count-grid-budget-true": {"subcommand": "count", "density": {"family": "gaussian"},
+                               "experiment": {"n_list": [3.0]},
+                               "budget": {"grid_points": True}},
+    "randmat-u-true": {"subcommand": "randmat", "ensemble": {"m": 2, "u": True, "v": 1.0}},
+    "randmat-v-true": {"subcommand": "randmat", "ensemble": {"m": 2, "v": True}},
+    "randmat-sample-budget-true": {"subcommand": "randmat", "ensemble": {"m": 2, "v": 1.0},
+                                   "budget": {"samples": True}},
+    # E|det A| > 0: a negative anchor printed C_2(w) = -0.318
+    "clt-anchor-negative": {"subcommand": "clt", "density": {"family": "gaussian"},
+                            "experiment": {"n_list": [3.0], "realizations": 2,
+                                           "e_absdet_s1": -2.0}},
+    "crosscheck-anchor-zero": {"subcommand": "crosscheck", "density": {"family": "gaussian"},
+                               "experiment": {"n_list": [3.0], "realizations": 2,
+                                              "e_absdet_s1": 0.0}},
+    "count-anchor-negative": {"subcommand": "count", "density": {"family": "gaussian"},
+                              "experiment": {"n_list": [3.0], "e_absdet_s1": -2.0}},
 }
 
 

@@ -128,7 +128,6 @@ class TestRunClt:
             calls.append(args)
             return derive(*args)
 
-        monkeypatch.setattr(experiments, "spectral_cutoff", spy)
         monkeypatch.setattr(field, "spectral_cutoff", spy)
         small = replace(SMALL, realizations=3)
         run_clt(small)
@@ -141,7 +140,6 @@ class TestRunClt:
             calls.append(args)
             return derive(*args)
 
-        monkeypatch.setattr(experiments, "spectral_band", spy)
         monkeypatch.setattr(field, "spectral_band", spy)
         small = replace(SMALL, realizations=3)
         run_clt(small)
@@ -167,8 +165,6 @@ class TestRunClt:
         for run in (run_clt, estimator_crosscheck):
             with pytest.raises(ValueError, match="m in \\(2, 3\\)"):
                 run(cfg)
-            with pytest.raises(ValueError, match="only m = 2 and m = 3"):
-                run(cfg, wrap=(8.0, 1e-7))
         assert made == []
 
     def test_wall_clock_stops_between_realizations(self, monkeypatch, one_cpu):
@@ -313,8 +309,8 @@ class TestWorkers:
             time.sleep(0.1)  # long enough that both workers take replicates
             return os.getpid(), frozenset(os.sched_getaffinity(0))
 
-        out, _, _ = experiments._sweep(replace(SMALL, realizations=6), 3.0, 0, None, None,
-                                       where)
+        grid = field.torus(SMALL.density, SMALL.m, 3.0, SMALL.points_per_unit)
+        out, _ = experiments._sweep(replace(SMALL, realizations=6), grid, 0, None, where)
         pinned = dict(out)
         assert os.getpid() not in pinned
         assert len(pinned) == 2

@@ -18,7 +18,9 @@ from critfield.field import (
     jet_statistics,
     load_realization,
     spectral_band,
+    spectral_cutoff,
     synthesize,
+    torus,
     wrap_guard,
 )
 from critfield.spectrum import SpectralDensity, covariance_jet, psi_envelope, spectral_moments
@@ -61,8 +63,9 @@ class TestGridSpec:
         assert GridSpec(m=2, half_width=4.0, points_per_unit=1, guard=9.0).window == 17
 
     def test_dimension_guard(self):
-        with pytest.raises(ValueError):
-            GridSpec(m=4, half_width=4.0, points_per_unit=8, guard=8.0)
+        for m in (1, 4):
+            with pytest.raises(ValueError, match="only m = 2 and m = 3"):
+                GridSpec(m=m, half_width=4.0, points_per_unit=8, guard=8.0)
 
     def test_side_is_even_and_fast(self):
         # 2N + guard = 17.375 units = 139 cells -> 140 = 2^2 5 7
@@ -150,6 +153,24 @@ class TestWrapGuard:
         indicator = SpectralDensity(family="compact-bump", params=(1.0, 0.0))
         with pytest.raises(ValueError, match="decays too slowly.* at g = 29.625,"):
             wrap_guard(indicator, 3, 8)
+
+
+class TestTorus:
+    def test_built_from_the_guard_the_cutoff_and_the_band(self):
+        # the unit Gaussian at m = 2, N = 5, 8 points per unit: guard 7.375,
+        # a 140^2 torus
+        grid = torus(GAUSS, 2, 5.0, 8)
+        guard, ratio = wrap_guard(GAUSS, 2, 8)
+        assert grid.spec == GridSpec(m=2, half_width=5.0, points_per_unit=8, guard=guard)
+        assert (grid.wrap_ratio, grid.cutoff) == (ratio, spectral_cutoff(GAUSS, 2))
+        np.testing.assert_array_equal(grid.band, spectral_band(GAUSS, grid.spec))
+        assert grid.record() == {"guard": 7.375, "tolerance": _COVARIANCE_TOL,
+                                 "wrap_ratio": ratio, "n_per_side": {"5.0": 140}}
+
+    def test_unresolved_cutoff_refused(self):
+        # the Gaussian's cutoff, 5.33, is beyond pi at 1 point per unit
+        with pytest.raises(NyquistError, match="raise points_per_unit"):
+            torus(GAUSS, 2, 5.0, 1)
 
 
 class TestSynthesis:
