@@ -104,8 +104,7 @@ def _plan(cfg: dict) -> _Plan:
         ppu = whole(exp, "points_per_unit", 8)
         e_absdet = exp.get("e_absdet_s1")
         plan["e_absdet_s1"] = e_absdet = None if e_absdet is None else number(exp, "e_absdet_s1")
-        if sub == "count":
-            critpoints._check_anchor(e_absdet)
+        critpoints._check_anchor(e_absdet)
         if sub in ("clt", "crosscheck"):
             eps = {}  # the default ladder is ExperimentConfig's
             if "eps_list" in exp:

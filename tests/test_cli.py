@@ -857,6 +857,8 @@ _REFUSED = {
                                               "e_absdet_s1": 0.0}},
     "count-anchor-negative": {"subcommand": "count", "density": {"family": "gaussian"},
                               "experiment": {"n_list": [3.0], "e_absdet_s1": -2.0}},
+    "field-anchor-negative": {"subcommand": "field", "density": {"family": "gaussian"},
+                              "experiment": {"n_list": [3.0], "e_absdet_s1": -2.0}},
 }
 
 

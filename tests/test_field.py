@@ -167,11 +167,6 @@ class TestTorus:
         assert grid.record() == {"guard": 7.375, "tolerance": _COVARIANCE_TOL,
                                  "wrap_ratio": ratio, "n_per_side": {"5.0": 140}}
 
-    def test_unresolved_cutoff_refused(self):
-        # the Gaussian's cutoff, 5.33, is beyond pi at 1 point per unit
-        with pytest.raises(NyquistError, match="raise points_per_unit"):
-            torus(GAUSS, 2, 5.0, 1)
-
 
 class TestSynthesis:
     def test_deterministic(self, realization):
