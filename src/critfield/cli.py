@@ -17,16 +17,18 @@ import argparse
 import csv
 import json
 import os
+import platform
 import shutil
 import sys
 import time
 from concurrent.futures import BrokenExecutor
-from importlib import metadata
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+import scipy
 
+from . import __version__
 from . import chaos as chaos_mod
 from . import critpoints, experiments, field, randmat, spectrum
 from .config import BudgetError, ConfigError, number, numbers, parse_config, whole
@@ -141,11 +143,10 @@ def _prepare_out(cfg: dict, args) -> Path:
 
 
 def _stamp(plan: _Plan, out: Path, config_path) -> None:
-    try:
-        version = metadata.version("critfield")
-    except metadata.PackageNotFoundError:
-        version = "unknown"
-    stamp = {"version": version, "seed": plan.seed, "subcommand": plan.subcommand}
+    # the Monte Carlo numbers rest on numpy's normal stream and on LAPACK
+    stamp = {"version": __version__, "python": platform.python_version(),
+             "numpy": np.__version__, "scipy": scipy.__version__,
+             "seed": plan.seed, "subcommand": plan.subcommand}
     if plan.torus is not None:
         stamp["torus"] = plan.torus.record()
     if plan.experiment is not None:

@@ -51,8 +51,9 @@ class BudgetError(RuntimeError):
 
 
 def _is_number(value) -> bool:
-    # YAML's true is Python's 1, which int() and float() read without notice
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # YAML's true is Python's 1, which int() and float() read without notice;
+    # .nan passes every `x <= 0` check and is no number either
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and value == value
 
 
 def whole(block: dict, key: str, default=None) -> int:
@@ -67,7 +68,7 @@ def whole(block: dict, key: str, default=None) -> int:
 
 def number(block: dict, key: str, default=None) -> float:
     """The real number at ``key`` of a config block, ``default`` when absent.
-    A boolean, a string or a null is a ConfigError."""
+    A boolean, a string, a null or NaN is a ConfigError."""
     value = block.get(key, default)
     if not _is_number(value):
         raise ConfigError(f"{key!r} must be a number, got {value!r}")

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .field import FieldRealization, hessian_stack
-from .randmat import expect_absdet_S
+from .field import FieldRealization
+from .randmat import _adjugate, expect_absdet_S, hessian_stack
 from .spectrum import SpectralDensity, spectral_moments
 
 __all__ = [
@@ -116,21 +116,6 @@ def _candidate_cells(field: FieldRealization, lo, hi):
     idx = np.argwhere(mask)
     centers = origin + (idx + i_lo + 0.5) * h
     return centers
-
-
-def _adjugate(rows: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Adjugate (m, m, k) and determinant (k,) of the symmetric matrices whose
-    upper triangles are the rows (m(m+1)/2, k) in jet order, m = 2 or 3.
-    The determinant is the first row of the matrix against the first
-    column of the adjugate."""
-    if m == 2:
-        a, b, d = rows
-        return np.array([[d, -b], [-b, a]]), a * d - b * b
-    a, b, c, d, e, f = rows
-    c00, c01, c02 = d * f - e * e, c * e - b * f, b * e - c * d
-    c11, c12, c22 = a * f - c * c, b * c - a * e, a * d - b * b
-    adj = [[c00, c01, c02], [c01, c11, c12], [c02, c12, c22]]
-    return np.array(adj), a * c00 + b * c01 + c * c02
 
 
 def count_newton(field: FieldRealization, box) -> CriticalPointSet:

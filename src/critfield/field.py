@@ -251,15 +251,6 @@ def jet_labels(m: int) -> list[str]:
     return ["X"] + [f"g{i}" for i in range(m)] + [f"h{i}{j}" for i, j in upper]
 
 
-def hessian_stack(upper: np.ndarray, m: int) -> np.ndarray:
-    """Symmetric (k, m, m) matrices from Hessian upper-triangle rows (., k)."""
-    rows, cols = np.triu_indices(m)
-    hess = np.empty((upper.shape[1], m, m))
-    hess[:, rows, cols] = upper.T
-    hess[:, cols, rows] = upper.T
-    return hess
-
-
 def _along(v: np.ndarray, axis: int, m: int) -> np.ndarray:
     """1-D array v shaped to broadcast along one axis of an m-D grid."""
     return v.reshape([-1 if k == axis else 1 for k in range(m)])

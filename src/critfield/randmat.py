@@ -6,8 +6,10 @@ matrices with centered Gaussian entries satisfying
     E[a_ij a_kl] = u d_ij d_kl + v (d_ik d_jl + d_il d_jk),
 
 equivalently a GOE matrix with off-diagonal variance v plus an independent
-N(0, u) multiple of the identity.  This module provides sampling, the exact
-finite-n one-point eigenvalue density, the shifted-determinant identity that
+N(0, u) multiple of the identity.  This module provides sampling, the
+kernels on symmetric matrices stored as upper-triangle rows in jet order
+(the closed-form adjugate that Newton, the smoothed counter and the Monte
+Carlo share), the exact finite-n one-point eigenvalue density, the shifted-determinant identity that
 turns E|det(lam + B)| into a density evaluation, and the large-m predictions
 for the |det|-weighted functionals used by the chaos expansion.
 """
@@ -44,30 +46,94 @@ class EnsembleParams:
     v: float
 
     def __post_init__(self):
-        if self.m < 1 or self.u < 0 or self.v <= 0:
-            raise ValueError("need m >= 1, u >= 0, v > 0")
+        # written so that NaN, which fails every comparison, fails them too
+        if not (self.m >= 1 and 0 <= self.u < math.inf and 0 < self.v < math.inf):
+            raise ValueError(f"need m >= 1, finite u >= 0 and v > 0, got {self}")
+
+
+def _draw(params: EnsembleParams, n: int, rng: np.random.Generator):
+    """The normals of n draws of S(m; u, v): the (n, m, m) GOE block, then,
+    at u > 0, the n identity shifts scaled by sqrt(u) (None at u = 0).
+    Every sampler reads the stream here, so a seed gives each the same draws."""
+    g = rng.standard_normal((n, params.m, params.m))
+    shift = rng.standard_normal(n) * math.sqrt(params.u) if params.u > 0 else None
+    return g, shift
+
+
+def _on_diagonal(m: int) -> np.ndarray:
+    """Which of the m(m+1)/2 upper-triangle rows in jet order are diagonal."""
+    i, j = np.triu_indices(m)
+    return i == j
+
+
+def _upper_rows(params: EnsembleParams, g: np.ndarray, shift) -> np.ndarray:
+    """The upper triangles of ``_draw``'s matrices as contiguous rows
+    (m(m+1)/2, n) in jet order: b_ij = (g_ij + g_ji) sqrt(v / 2), and the
+    shift added to the diagonal rows."""
+    m = params.m
+    flat = g.reshape(len(g), m * m)
+    rows = np.empty((m * (m + 1) // 2, len(g)))
+    for k, (i, j) in enumerate(zip(*np.triu_indices(m))):
+        np.add(flat[:, i * m + j], flat[:, j * m + i], out=rows[k])
+    rows *= math.sqrt(params.v / 2.0)
+    if shift is not None:
+        rows[_on_diagonal(m)] += shift
+    return rows
+
+
+def hessian_stack(upper: np.ndarray, m: int) -> np.ndarray:
+    """Symmetric (k, m, m) matrices from upper-triangle rows (m(m+1)/2, k)
+    in jet order.  One gather of whole rows, returned as a strided view of
+    the (m, m, k) result: LAPACK copies each matrix into its own buffer
+    anyway, and a scatter into a contiguous stack is several times slower."""
+    row = np.empty((m, m), dtype=np.intp)  # the jet row of entry (i, j)
+    i, j = np.triu_indices(m)
+    row[i, j] = row[j, i] = np.arange(len(i))
+    return upper[row].transpose(2, 0, 1)
+
+
+def _adjugate(rows: np.ndarray, m: int) -> tuple[list, np.ndarray]:
+    """Adjugate and determinant (k,) of the symmetric matrices whose upper
+    triangles are the rows (m(m+1)/2, k) in jet order, m = 2 or 3.
+
+    The adjugate is an (m, m) nested list of (k,) rows, which ``np.asarray``
+    (or einsum) stacks to (m, m, k); a caller that needs only the
+    determinant never stacks it.  The determinant is the first row of the
+    matrix against the first column of the adjugate."""
+    if m == 2:
+        a, b, d = rows
+        return [[d, -b], [-b, a]], a * d - b * b
+    a, b, c, d, e, f = rows
+    c00, c01, c02 = d * f - e * e, c * e - b * f, b * e - c * d
+    c11, c12, c22 = a * f - c * c, b * c - a * e, a * d - b * b
+    adj = [[c00, c01, c02], [c01, c11, c12], [c02, c12, c22]]
+    return adj, a * c00 + b * c01 + c * c02
 
 
 def sample_matrices(params: EnsembleParams, n: int, rng: np.random.Generator) -> np.ndarray:
     """n draws, shape (n, m, m): GOE(v) plus an independent N(0, u) * identity."""
     m = params.m
-    g = rng.standard_normal((n, m, m))
+    g, shift = _draw(params, n, rng)
     b = (g + np.swapaxes(g, 1, 2)) * math.sqrt(params.v / 2.0)
-    if params.u > 0:
-        shift = rng.standard_normal(n) * math.sqrt(params.u)
-        b += shift[:, None, None] * np.eye(m)
+    if shift is not None:
+        b.reshape(n, m * m)[:, :: m + 1] += shift[:, None]  # the diagonal
     return b
 
 
-def _functional_values(a: np.ndarray, absdet: bool) -> dict:
-    """The functionals of FUNCTIONALS on the batch a, shape (n, m, m): the
-    ones with |det| in them only when ``absdet``, since det is most of the
-    cost."""
-    p = np.trace(a, axis1=1, axis2=2) ** 2
-    q = np.einsum("nij,nij->n", a, a)
+def _functional_values(rows: np.ndarray, m: int, absdet: bool) -> dict:
+    """The functionals of FUNCTIONALS on the matrices of the upper-triangle
+    rows (m(m+1)/2, n): the ones with |det| in them only when ``absdet``,
+    since det is most of the cost.  |det| is ``_adjugate``'s at m = 2 and 3,
+    LAPACK's at m = 1 and m >= 4."""
+    on = _on_diagonal(m)
+    p = rows[on].sum(axis=0) ** 2
+    q = np.where(on, 1.0, 2.0) @ np.square(rows)  # each off-diagonal entry twice
     vals = {"p": p, "q": q, "p2": p**2, "pq": p * q, "q2": q**2}
     if absdet:
-        f = np.abs(np.linalg.det(a))
+        if m in (2, 3):
+            f = np.abs(_adjugate(rows, m)[1])
+        else:
+            f = np.abs(np.linalg.det(hessian_stack(rows, m)))
         vals.update(absdet=f, p_absdet=p * f, q_absdet=q * f)
     return vals
 
@@ -101,13 +167,15 @@ def expect_functional_mc(
     if not set(functionals) <= set(FUNCTIONALS):
         raise ValueError(f"unknown functional in {functionals!r}")
     _check_samples(n_samples)
+    if batch < 1:
+        raise ValueError(f"batch must be >= 1, got {batch}")
     rng = np.random.default_rng(seed)
     count = n_samples // 2
     sums = {name: [0.0, 0.0] for name in functionals}  # of values and of squares
     absdet = any("absdet" in name for name in functionals)
     for start in range(0, count, batch):
-        a = sample_matrices(params, min(batch, count - start), rng)
-        vals = _functional_values(a, absdet)
+        rows = _upper_rows(params, *_draw(params, min(batch, count - start), rng))
+        vals = _functional_values(rows, params.m, absdet)
         for name, acc in sums.items():
             acc[0] += vals[name].sum()
             acc[1] += np.sum(vals[name] ** 2)

@@ -4,11 +4,13 @@ import io
 import json
 import math
 import os
+import platform
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,7 @@ from critfield.cli import (
     main,
 )
 from critfield.config import ConfigError, parse_config
+import critfield
 from critfield import cli, experiments, field, spectrum
 from critfield.field import load_realization
 
@@ -450,13 +453,13 @@ class TestMainExitCodes:
         # 500 000 samples are 250 000 draws: two batches shared by the three
         # functionals, then the 400 matrices of eigenvalues.csv
         sizes = []
-        sample = cli.randmat.sample_matrices
+        draw = cli.randmat._draw
 
         def spy(params, n, rng):
             sizes.append(n)
-            return sample(params, n, rng)
+            return draw(params, n, rng)
 
-        monkeypatch.setattr(cli.randmat, "sample_matrices", spy)
+        monkeypatch.setattr(cli.randmat, "_draw", spy)
         text = BASE_RANDMAT.replace("samples: 50000", "samples: 500000")
         cfg = _write(tmp_path, "r.yaml", text)
         assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
@@ -559,6 +562,10 @@ class TestMainExitCodes:
         assert main(["--config", cfg, "--out", str(out), "--seed", "7"]) == EXIT_OK
         stamp = json.loads((out / "provenance.json").read_text())
         assert stamp["seed"] == 7
+        # the versions the numbers rest on, read from a checkout as well
+        assert stamp["version"] == critfield.__version__
+        assert stamp["python"] == platform.python_version()
+        assert (stamp["numpy"], stamp["scipy"]) == (np.__version__, scipy.__version__)
 
     def test_no_config_given(self):
         assert main([]) == EXIT_CONFIG
@@ -859,6 +866,18 @@ _REFUSED = {
                               "experiment": {"n_list": [3.0], "e_absdet_s1": -2.0}},
     "field-anchor-negative": {"subcommand": "field", "density": {"family": "gaussian"},
                               "experiment": {"n_list": [3.0], "e_absdet_s1": -2.0}},
+    # NaN fails every comparison: u = nan sampled S(m; 0, v) under the label
+    # u=nan, v = nan gave NaN means, params [nan] printed s_2 = nan and a nan
+    # eps counted nothing; v = inf failed only after provenance.json
+    "randmat-u-nan": {"subcommand": "randmat", "ensemble": {"m": 2, "u": math.nan, "v": 1.0}},
+    "randmat-v-nan": {"subcommand": "randmat", "ensemble": {"m": 2, "v": math.nan}},
+    "spectrum-params-nan": {"subcommand": "spectrum",
+                            "density": {"family": "gaussian", "params": [math.nan]}},
+    "crosscheck-eps-nan": {"subcommand": "crosscheck", "density": {"family": "gaussian"},
+                           "experiment": {"n_list": [3.0], "realizations": 2,
+                                          "eps_list": [0.1, math.nan]}},
+    "chaos-v-inf": {"subcommand": "chaos", "density": {"family": "gaussian"},
+                    "ensemble": {"m": 2, "v": math.inf}},
 }
 
 

@@ -16,7 +16,6 @@ from critfield.critpoints import (
     _STENCIL,
     _TAPS,
     CriticalPointSet,
-    _adjugate,
     _candidate_cells,
     _in_window,
     _lattice,
@@ -31,11 +30,11 @@ from critfield.critpoints import (
 from critfield.field import (
     FieldRealization,
     GridSpec,
-    hessian_stack,
     jet_labels,
     synthesize,
     wrap_guard,
 )
+from critfield.randmat import _adjugate, hessian_stack
 from critfield.spectrum import SpectralDensity
 
 SPEC = GridSpec(m=2, half_width=3.2, points_per_unit=10, guard=6.4)
@@ -568,7 +567,9 @@ class TestAdjugate:
         rows = np.array(rows, dtype=float)[:, None]
         adj, det = _adjugate(rows, m)
         assert det[0] == 0.0
-        np.testing.assert_array_equal(adj[..., 0] @ hessian_stack(rows, m)[0], np.zeros((m, m)))
+        np.testing.assert_array_equal(
+            np.asarray(adj)[..., 0] @ hessian_stack(rows, m)[0], np.zeros((m, m))
+        )
 
     def test_singular_hessian_gives_zero_step(self, monkeypatch):
         # det hess X = 0 at every point of the stripes: each iterate is read

@@ -83,11 +83,27 @@ class TestSampling:
         a = sample_matrices(params, 10, np.random.default_rng(0))
         np.testing.assert_array_equal(a, np.swapaxes(a, 1, 2))
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("u", [0.0, 0.3])
+    def test_stream_pinned(self, m, u):
+        # (g + g^T) sqrt(v / 2) + shift * I, the GOE block of each call
+        # drawn before its shifts: two calls on one generator, bit for bit
+        params, v = EnsembleParams(m=m, u=u, v=0.7), 0.7
+        rng, ref = np.random.default_rng(17), np.random.default_rng(17)
+        for n in (5, 3):
+            g = ref.standard_normal((n, m, m))
+            want = (g + np.swapaxes(g, 1, 2)) * math.sqrt(v / 2.0)
+            if u > 0:
+                want += ref.standard_normal(n)[:, None, None] * math.sqrt(u) * np.eye(m)
+            assert np.array_equal(sample_matrices(params, n, rng), want)
+
     def test_param_validation(self):
-        with pytest.raises(ValueError):
-            EnsembleParams(m=0, u=0.5, v=0.5)
-        with pytest.raises(ValueError):
-            EnsembleParams(m=2, u=0.5, v=0.0)
+        # NaN fails every comparison, so `u > 0` once read u = nan as u = 0
+        bad = [(0, 0.5, 0.5), (2, 0.5, 0.0), (2, -0.1, 0.5), (2, math.nan, 0.5),
+               (2, 0.5, math.nan), (2, math.inf, 0.5), (2, 0.5, math.inf)]
+        for m, u, v in bad:
+            with pytest.raises(ValueError):
+                EnsembleParams(m=m, u=u, v=v)
 
 
 class TestFunctionalMC:
@@ -110,17 +126,24 @@ class TestFunctionalMC:
         b = expect_functional_mc(self.PARAMS, ("absdet",), 50_000, seed=9)
         assert a == b
 
-    @pytest.mark.parametrize("functional", ["absdet", "pq"])
-    def test_iid_stderr(self, functional):
-        # n_samples // 2 independent draws in batches; stderr = sd / sqrt(n)
+    @pytest.mark.parametrize(
+        "m, functional",
+        # ids: the functional, with the dimension where it is not PARAMS's 3
+        [pytest.param(m, name, id=name if m == 3 else f"{name}-m{m}")
+         for m in (2, 3, 4) for name in ("absdet", "pq")],
+    )
+    def test_iid_stderr(self, m, functional):
+        # n_samples // 2 independent draws in batches; stderr = sd / sqrt(n).
+        # The reference is LAPACK and einsum on full matrices, so m = 2, 3
+        # check the closed-form |det| and m = 4 the LAPACK one
         n_samples, batch, seed = 60_000, 7_000, 21
-        res = expect_functional_mc(
-            self.PARAMS, (functional,), n_samples, seed=seed, batch=batch
-        )[functional]
+        params = EnsembleParams(m=m, u=self.PARAMS.u, v=self.PARAMS.v)
+        res = expect_functional_mc(params, (functional,), n_samples, seed=seed, batch=batch)
+        res = res[functional]
         rng = np.random.default_rng(seed)
         count = n_samples // 2
         a = np.concatenate([
-            sample_matrices(self.PARAMS, min(batch, count - start), rng)
+            sample_matrices(params, min(batch, count - start), rng)
             for start in range(0, count, batch)
         ])
         tr = np.trace(a, axis1=1, axis2=2)
@@ -147,13 +170,13 @@ class TestFunctionalMC:
     def test_det_only_for_absdet_names(self, monkeypatch):
         # |det| is computed once per batch when a name needs it, and never
         # otherwise; the other names come out the same either way
-        calls, det = [], np.linalg.det
+        calls, adjugate = [], randmat._adjugate
 
-        def spy(a):
-            calls.append(len(a))
-            return det(a)
+        def spy(rows, m):
+            calls.append(rows.shape[1])
+            return adjugate(rows, m)
 
-        monkeypatch.setattr(randmat.np.linalg, "det", spy)
+        monkeypatch.setattr(randmat, "_adjugate", spy)
         kw = {"n_samples": 60_000, "seed": 4, "batch": 7_000}
         names = ("p", "q", "p2", "pq", "q2")
         alone = expect_functional_mc(self.PARAMS, names, **kw)
@@ -167,6 +190,9 @@ class TestFunctionalMC:
             expect_functional_mc(self.PARAMS, ("absdet", "trace"), 50_000)
         with pytest.raises(ValueError):
             expect_functional_mc(self.PARAMS, ("absdet",), 100)
+        for batch in (0, -5):  # -5 once returned mean 0.0 from no draws
+            with pytest.raises(ValueError, match="batch"):
+                expect_functional_mc(self.PARAMS, ("absdet",), 20_000, batch=batch)
 
     def test_homogeneous_rescale_consistency(self):
         # |det| is degree m homogeneous, so doubling v multiplies by 2^(m/2)
