@@ -46,7 +46,7 @@ class EnsembleParams:
     v: float
 
     def __post_init__(self):
-        # written so that NaN, which fails every comparison, fails them too
+        # each test is one that NaN fails, as NaN fails every comparison
         if not (self.m >= 1 and 0 <= self.u < math.inf and 0 < self.v < math.inf):
             raise ValueError(f"need m >= 1, finite u >= 0 and v > 0, got {self}")
 

@@ -866,9 +866,9 @@ _REFUSED = {
                               "experiment": {"n_list": [3.0], "e_absdet_s1": -2.0}},
     "field-anchor-negative": {"subcommand": "field", "density": {"family": "gaussian"},
                               "experiment": {"n_list": [3.0], "e_absdet_s1": -2.0}},
-    # NaN fails every comparison: u = nan sampled S(m; 0, v) under the label
-    # u=nan, v = nan gave NaN means, params [nan] printed s_2 = nan and a nan
-    # eps counted nothing; v = inf failed only after provenance.json
+    # NaN passes every `x <= 0` check: u = nan would sample S(m; 0, v) under
+    # the label u=nan, v = nan give NaN means, params [nan] print s_2 = nan
+    # and a nan eps count nothing; v = inf would fail after provenance.json
     "randmat-u-nan": {"subcommand": "randmat", "ensemble": {"m": 2, "u": math.nan, "v": 1.0}},
     "randmat-v-nan": {"subcommand": "randmat", "ensemble": {"m": 2, "v": math.nan}},
     "spectrum-params-nan": {"subcommand": "spectrum",

@@ -98,7 +98,7 @@ class TestSampling:
             assert np.array_equal(sample_matrices(params, n, rng), want)
 
     def test_param_validation(self):
-        # NaN fails every comparison, so `u > 0` once read u = nan as u = 0
+        # NaN fails every comparison, so `u < 0` alone lets a NaN u through
         bad = [(0, 0.5, 0.5), (2, 0.5, 0.0), (2, -0.1, 0.5), (2, math.nan, 0.5),
                (2, 0.5, math.nan), (2, math.inf, 0.5), (2, 0.5, math.inf)]
         for m, u, v in bad:
@@ -190,7 +190,7 @@ class TestFunctionalMC:
             expect_functional_mc(self.PARAMS, ("absdet", "trace"), 50_000)
         with pytest.raises(ValueError):
             expect_functional_mc(self.PARAMS, ("absdet",), 100)
-        for batch in (0, -5):  # -5 once returned mean 0.0 from no draws
+        for batch in (0, -5):  # -5 would draw nothing and report mean 0.0
             with pytest.raises(ValueError, match="batch"):
                 expect_functional_mc(self.PARAMS, ("absdet",), 20_000, batch=batch)
 
