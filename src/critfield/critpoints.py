@@ -421,9 +421,10 @@ def count_kacrice_smoothed(field: FieldRealization, box, eps, refine: int = 6):
 
 
 def _check_anchor(e_absdet_s1: float | None) -> None:
-    """Raise ValueError unless an E|det A| anchor is None or positive."""
-    if e_absdet_s1 is not None and not e_absdet_s1 > 0:
-        raise ValueError(f"e_absdet_s1 = {e_absdet_s1:g}: E|det A| must be > 0")
+    """Raise ValueError unless an E|det A| anchor is None, or positive and
+    finite (NaN fails both tests)."""
+    if e_absdet_s1 is not None and not 0 < e_absdet_s1 < math.inf:
+        raise ValueError(f"e_absdet_s1 = {e_absdet_s1:g}: E|det A| must be finite and > 0")
 
 
 def expected_count(

@@ -75,6 +75,8 @@ _COVARIANCE_TOL = 1e-6
 # a lattice frequency is left out of synthesis: its term is below rounding
 # in every jet component.
 _BAND_TOL = 1e-40
+# Squared frequency radii that spectral_band evaluates at once.
+_BAND_CHUNK = 2**16
 
 # Cells the counting path reads beyond the box on each side: one candidate
 # cell plus the quintic spline stencil.
@@ -281,13 +283,26 @@ def spectral_band(w: SpectralDensity, spec: GridSpec) -> np.ndarray:
     on the axis, K = isqrt(q*): a frequency outside the block has some
     |k_j| > K, so q >= (K + 1)^2 > q* and its product is below the bound.
     A compact density's band is its support.  It depends on the density
-    and the grid alone, so ``torus`` computes it once per run.
+    and the grid alone, so ``torus`` computes it once per run.  The q are
+    scanned down from the top in chunks of _BAND_CHUNK, so a fine grid's
+    scan holds one chunk, not all m (n/2)^2 + 1 of them.
     """
     m, n = spec.m, spec.n_per_side
-    r = 2.0 * np.pi / spec.period * np.sqrt(np.arange(m * (n // 2) ** 2 + 1))
-    f = w(r) * (1.0 + r**2) ** 2
-    peak = f[np.arange(n // 2 + 1) ** 2].max()
-    k = math.isqrt(int(np.flatnonzero(f > _BAND_TOL * peak).max(initial=0)))
+    dlam = 2.0 * np.pi / spec.period
+
+    def product(q):
+        r = dlam * np.sqrt(q)
+        return w(r) * (1.0 + r**2) ** 2
+
+    bound = _BAND_TOL * product(np.arange(n // 2 + 1) ** 2).max()
+    q_star = 0
+    for stop in range(m * (n // 2) ** 2 + 1, 0, -_BAND_CHUNK):
+        start = max(stop - _BAND_CHUNK, 0)
+        above = np.flatnonzero(product(np.arange(start, stop)) > bound)
+        if len(above):
+            q_star = start + int(above[-1])
+            break
+    k = math.isqrt(q_star)
     if 2 * k + 1 >= n:
         return np.arange(n)
     return np.r_[0:k + 1, n - k:n]

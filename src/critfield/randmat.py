@@ -34,7 +34,15 @@ __all__ = [
     "asymptotic_targets_semicircle",
 ]
 
-FUNCTIONALS = ("absdet", "p_absdet", "q_absdet", "p", "q", "p2", "pq", "q2")
+# Each functional as the product of its factors: p = (tr A)^2, q = tr A^2
+# and f = |det A|.
+FUNCTIONALS = {"absdet": "f", "p_absdet": "pf", "q_absdet": "qf", "p": "p", "q": "q",
+               "p2": "pp", "pq": "pq", "q2": "qq"}
+
+# Normals drawn at once: a block of _BLOCK_VALUES // m^2 matrices, its
+# upper-triangle rows and its per-draw values stay in cache, so the working
+# set of a sampler does not grow with the number of draws.
+_BLOCK_VALUES = 2**16
 
 
 @dataclass(frozen=True)
@@ -52,12 +60,18 @@ class EnsembleParams:
 
 
 def _draw(params: EnsembleParams, n: int, rng: np.random.Generator):
-    """The normals of n draws of S(m; u, v): the (n, m, m) GOE block, then,
-    at u > 0, the n identity shifts scaled by sqrt(u) (None at u = 0).
-    Every sampler reads the stream here, so a seed gives each the same draws."""
-    g = rng.standard_normal((n, params.m, params.m))
-    shift = rng.standard_normal(n) * math.sqrt(params.u) if params.u > 0 else None
-    return g, shift
+    """Yield the normals of n draws of S(m; u, v) in stream order, in blocks
+    of at most _BLOCK_VALUES // m^2 draws, each with the index of its first
+    draw: the GOE normals (k, m, m), then, at u > 0, the identity shifts
+    (k,) scaled by sqrt(u).  Every sampler reads the stream here, so a seed
+    gives each the same draws, and the blocks split it without changing it."""
+    m = params.m
+    step = max(1, _BLOCK_VALUES // (m * m))
+    for start in range(0, n, step):
+        yield start, rng.standard_normal((min(step, n - start), m, m))
+    if params.u > 0:
+        for start in range(0, n, step):
+            yield start, rng.standard_normal(min(step, n - start)) * math.sqrt(params.u)
 
 
 def _on_diagonal(m: int) -> np.ndarray:
@@ -66,18 +80,16 @@ def _on_diagonal(m: int) -> np.ndarray:
     return i == j
 
 
-def _upper_rows(params: EnsembleParams, g: np.ndarray, shift) -> np.ndarray:
-    """The upper triangles of ``_draw``'s matrices as contiguous rows
-    (m(m+1)/2, n) in jet order: b_ij = (g_ij + g_ji) sqrt(v / 2), and the
-    shift added to the diagonal rows."""
+def _upper_rows(params: EnsembleParams, g: np.ndarray, out=None) -> np.ndarray:
+    """The upper triangles of a block of GOE normals g (k, m, m) as rows
+    (m(m+1)/2, k) in jet order, b_ij = (g_ij + g_ji) sqrt(v / 2), written
+    into ``out`` when it is given."""
     m = params.m
     flat = g.reshape(len(g), m * m)
-    rows = np.empty((m * (m + 1) // 2, len(g)))
+    rows = np.empty((m * (m + 1) // 2, len(g))) if out is None else out
     for k, (i, j) in enumerate(zip(*np.triu_indices(m))):
         np.add(flat[:, i * m + j], flat[:, j * m + i], out=rows[k])
     rows *= math.sqrt(params.v / 2.0)
-    if shift is not None:
-        rows[_on_diagonal(m)] += shift
     return rows
 
 
@@ -113,29 +125,40 @@ def _adjugate(rows: np.ndarray, m: int) -> tuple[list, np.ndarray]:
 def sample_matrices(params: EnsembleParams, n: int, rng: np.random.Generator) -> np.ndarray:
     """n draws, shape (n, m, m): GOE(v) plus an independent N(0, u) * identity."""
     m = params.m
-    g, shift = _draw(params, n, rng)
-    b = (g + np.swapaxes(g, 1, 2)) * math.sqrt(params.v / 2.0)
-    if shift is not None:
-        b.reshape(n, m * m)[:, :: m + 1] += shift[:, None]  # the diagonal
+    b = np.empty((n, m, m))
+    for start, x in _draw(params, n, rng):
+        part = b[start:start + len(x)]
+        if x.ndim == 3:
+            np.multiply(x + np.swapaxes(x, 1, 2), math.sqrt(params.v / 2.0), out=part)
+        else:
+            part.reshape(len(x), m * m)[:, :: m + 1] += x[:, None]  # the diagonal
     return b
 
 
-def _functional_values(rows: np.ndarray, m: int, absdet: bool) -> dict:
-    """The functionals of FUNCTIONALS on the matrices of the upper-triangle
-    rows (m(m+1)/2, n): the ones with |det| in them only when ``absdet``,
-    since det is most of the cost.  |det| is ``_adjugate``'s at m = 2 and 3,
-    LAPACK's at m = 1 and m >= 4."""
+def _functional_values(rows: np.ndarray, m: int, names) -> dict:
+    """Per-draw values of the functionals ``names`` on the matrices of the
+    upper-triangle rows (m(m+1)/2, k), each factor computed only when a
+    name needs it, since det is most of the cost.  |det| is
+    ``_adjugate``'s at m = 2 and 3, LAPACK's at m = 1 and m >= 4."""
+    need = set("".join(FUNCTIONALS[name] for name in names))
     on = _on_diagonal(m)
-    p = rows[on].sum(axis=0) ** 2
-    q = np.where(on, 1.0, 2.0) @ np.square(rows)  # each off-diagonal entry twice
-    vals = {"p": p, "q": q, "p2": p**2, "pq": p * q, "q2": q**2}
-    if absdet:
+    factor = {}
+    if "p" in need:
+        factor["p"] = rows[on].sum(axis=0) ** 2
+    if "q" in need:
+        # each off-diagonal entry twice, summed row by row rather than by a
+        # BLAS product, whose rounding depends on where a draw falls in it
+        factor["q"] = (np.where(on, 1.0, 2.0)[:, None] * np.square(rows)).sum(axis=0)
+    if "f" in need:
         if m in (2, 3):
-            f = np.abs(_adjugate(rows, m)[1])
+            factor["f"] = np.abs(_adjugate(rows, m)[1])
         else:
-            f = np.abs(np.linalg.det(hessian_stack(rows, m)))
-        vals.update(absdet=f, p_absdet=p * f, q_absdet=q * f)
-    return vals
+            factor["f"] = np.abs(np.linalg.det(hessian_stack(rows, m)))
+    out = {}
+    for name in names:
+        first, *second = FUNCTIONALS[name]
+        out[name] = factor[first] * factor[second[0]] if second else factor[first]
+    return out
 
 
 def _check_samples(n_samples: int) -> None:
@@ -160,9 +183,13 @@ def expect_functional_mc(
     a no-op for these functionals, which are all even in A, so that a given
     (n_samples, seed) keeps its draws.  The stderr is sd / sqrt(n).
 
-    ``batch`` bounds the matrices drawn at once.  At u = 0 it only splits
-    the work.  At u > 0 each batch draws its identity shifts after its GOE
-    block, so the stream, and the estimate, depend on ``batch``.
+    ``batch`` bounds the matrices of one stream segment.  At u = 0 it only
+    splits the work.  At u > 0 each batch draws its identity shifts after
+    its GOE normals, so the stream, and the estimate, depend on ``batch``.
+    Either way ``_draw`` hands the stream over in blocks of
+    _BLOCK_VALUES // m^2 draws, and the values are summed block by block:
+    at u = 0 nothing batch-sized is kept, and at u > 0 only the batch's
+    upper-triangle rows, which wait for the shifts.
     """
     if not set(functionals) <= set(FUNCTIONALS):
         raise ValueError(f"unknown functional in {functionals!r}")
@@ -170,15 +197,28 @@ def expect_functional_mc(
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
     rng = np.random.default_rng(seed)
-    count = n_samples // 2
+    m, count = params.m, n_samples // 2
     sums = {name: [0.0, 0.0] for name in functionals}  # of values and of squares
-    absdet = any("absdet" in name for name in functionals)
-    for start in range(0, count, batch):
-        rows = _upper_rows(params, *_draw(params, min(batch, count - start), rng))
-        vals = _functional_values(rows, params.m, absdet)
+
+    def add(rows):
+        vals = _functional_values(rows, m, sums)
         for name, acc in sums.items():
             acc[0] += vals[name].sum()
             acc[1] += np.sum(vals[name] ** 2)
+
+    on = _on_diagonal(m)
+    for start in range(0, count, batch):
+        n = min(batch, count - start)
+        rows = np.empty((len(on), n)) if params.u > 0 else None
+        for lo, x in _draw(params, n, rng):
+            if x.ndim == 3 and rows is None:
+                add(_upper_rows(params, x))
+            elif x.ndim == 3:
+                _upper_rows(params, x, rows[:, lo:lo + len(x)])
+            else:
+                part = rows[:, lo:lo + len(x)]
+                part[on] += x
+                add(part)
     out = {}
     for name, (total, sq) in sums.items():
         mean = total / count

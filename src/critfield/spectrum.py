@@ -59,6 +59,9 @@ class SpectralDensity:
     def __post_init__(self):
         if self.family not in ("gaussian", "compact-bump", "user-table"):
             raise ValueError(f"unknown density family {self.family!r}")
+        # an infinite parameter passes every sign test and fails in quadrature
+        if not all(math.isfinite(x) for x in self.params):
+            raise ValueError(f"density params must be finite, got {self.params}")
         if self.family == "gaussian":
             if len(self.params) != 1:
                 raise ValueError("gaussian density needs params [sigma]")

@@ -451,13 +451,22 @@ class TestMainExitCodes:
 
     def test_randmat_draws_each_batch_once(self, tmp_path, monkeypatch):
         # 500 000 samples are 250 000 draws: two batches shared by the three
-        # functionals, then the 400 matrices of eigenvalues.csv
-        sizes = []
-        draw = cli.randmat._draw
+        # functionals, then the 400 matrices of eigenvalues.csv.  Each batch
+        # streams in blocks: its GOE normals once over, in order, then
+        # (u = 1) its shifts once over, in order
+        sizes, draw = [], cli.randmat._draw
 
         def spy(params, n, rng):
             sizes.append(n)
-            return draw(params, n, rng)
+            blocks = list(draw(params, n, rng))
+            kinds = [x.ndim for _, x in blocks]
+            assert kinds == sorted(kinds, reverse=True)  # normals, then shifts
+            for ndim in (3, 1):
+                tiles = [(lo, len(x)) for lo, x in blocks if x.ndim == ndim]
+                assert [lo for lo, _ in tiles] == [sum(k for _, k in tiles[:i])
+                                                   for i in range(len(tiles))]
+                assert sum(k for _, k in tiles) == n
+            yield from blocks
 
         monkeypatch.setattr(cli.randmat, "_draw", spy)
         text = BASE_RANDMAT.replace("samples: 50000", "samples: 500000")
@@ -878,6 +887,28 @@ _REFUSED = {
                                           "eps_list": [0.1, math.nan]}},
     "chaos-v-inf": {"subcommand": "chaos", "density": {"family": "gaussian"},
                     "ensemble": {"m": 2, "v": math.inf}},
+    # an infinite anchor printed expected E[Z] = inf; an infinite density
+    # parameter passed every sign test and failed in quadrature (exit 4),
+    # spectrum's after writing provenance.json
+    "count-anchor-inf": {"subcommand": "count", "density": {"family": "gaussian"},
+                         "experiment": {"n_list": [3.0], "e_absdet_s1": math.inf}},
+    "clt-anchor-inf": {"subcommand": "clt", "density": {"family": "gaussian"},
+                       "experiment": {"n_list": [3.0], "realizations": 2,
+                                      "e_absdet_s1": math.inf}},
+    "crosscheck-anchor-inf": {"subcommand": "crosscheck", "density": {"family": "gaussian"},
+                              "experiment": {"n_list": [3.0], "realizations": 2,
+                                             "e_absdet_s1": math.inf}},
+    "field-anchor-inf": {"subcommand": "field", "density": {"family": "gaussian"},
+                         "experiment": {"n_list": [3.0], "e_absdet_s1": math.inf}},
+    "spectrum-params-inf": {"subcommand": "spectrum",
+                            "density": {"family": "gaussian", "params": [math.inf]}},
+    "count-bump-radius-inf": {"subcommand": "count",
+                              "density": {"family": "compact-bump", "params": [math.inf, 4.0]},
+                              "experiment": {"n_list": [3.0]}},
+    "count-table-value-inf": {"subcommand": "count",
+                              "density": {"family": "user-table",
+                                          "table": [[0.0, 1.0], [1.0, math.inf], [2.0, 0.0]]},
+                              "experiment": {"n_list": [3.0]}},
 }
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,6 +185,53 @@ class TestFunctionalMC:
         joint = expect_functional_mc(self.PARAMS, names + ("q_absdet",), **kw)
         assert calls == [7_000] * 4 + [2_000]
         assert all(joint[name] == alone[name] for name in names)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("u", [0.0, 0.3])
+    def test_stream_pinned(self, monkeypatch, m, u):
+        # the blocks split the stream without changing it: with blocks of
+        # 1000 // m^2 draws, neither the batch of 1 700 nor the 5 125 draws a
+        # multiple of one, every block's rows and values are those of
+        # sample_matrices on the same generator, batch by batch, bit for bit
+        monkeypatch.setattr(randmat, "_BLOCK_VALUES", 1_000)
+        seen, values = [], randmat._functional_values
+
+        def spy(rows, m, names):
+            out = values(rows, m, names)
+            seen.append((rows.copy(), out))
+            return out
+
+        monkeypatch.setattr(randmat, "_functional_values", spy)
+        params, names = EnsembleParams(m=m, u=u, v=0.7), ("absdet", "p_absdet", "q", "pq")
+        expect_functional_mc(params, names, 10_250, seed=8, batch=1_700)
+        assert len(seen) > 5_125 // 1_700 + 1
+        rng, i, j = np.random.default_rng(8), *np.triu_indices(m)
+        a = np.concatenate([sample_matrices(params, n, rng) for n in (1_700,) * 3 + (25,)])
+        rows = np.concatenate([r for r, _ in seen], axis=1)
+        assert np.array_equal(rows, a[:, i, j].T)
+        want = values(rows, m, names)
+        for name in names:
+            got = np.concatenate([out[name] for _, out in seen])
+            assert np.array_equal(got, want[name])
+        # and they are the functionals of the full matrices
+        tr, f = np.trace(a, axis1=1, axis2=2), np.abs(np.linalg.det(a))
+        q = np.einsum("nij,nij->n", a, a)
+        np.testing.assert_allclose(want["absdet"], f, rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(want["p_absdet"], tr**2 * f, rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(want["pq"], tr**2 * q, rtol=1e-12)
+
+    @pytest.mark.parametrize("m, u, n_samples", [(3, 1.0, 500_000), (6, 0.0, 200_000)])
+    def test_working_set_bounded_by_block(self, m, u, n_samples):
+        # a 200 000-draw batch is 9.6 MB of rows at m = 3 and 58 MB of
+        # normals at m = 6; only the rows at u > 0 are kept whole
+        params = EnsembleParams(m=m, u=u, v=1.0)
+        tracemalloc.start()
+        try:
+            expect_functional_mc(params, ("absdet", "p_absdet", "q_absdet"), n_samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6, peak
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

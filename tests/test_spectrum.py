@@ -50,6 +50,20 @@ class TestMoments:
         mom = spectral_moments(w, 2)
         assert mom.d == pytest.approx(1.0, rel=1e-6)
 
+    @pytest.mark.parametrize("family, params, table", [
+        ("gaussian", (math.inf,), None),
+        ("gaussian", (math.nan,), None),
+        ("compact-bump", (math.inf, 4.0), None),
+        ("compact-bump", (1.0, math.inf), None),
+        ("user-table", (), ((0.0, 1.0, 2.0), (1.0, math.inf, 0.0))),
+        ("user-table", (), ((0.0, 1.0, math.inf), (1.0, 0.5, 0.0))),
+    ], ids=["gaussian-inf", "gaussian-nan", "bump-radius-inf", "bump-power-inf",
+            "table-value-inf", "table-radius-inf"])
+    def test_nonfinite_input_refused(self, family, params, table):
+        # an infinite sigma or radius passes every sign test
+        with pytest.raises(ValueError, match="finite"):
+            SpectralDensity(family=family, params=params, table=table)
+
     def test_divergent_tail_rejected(self):
         r = np.linspace(0.0, 10.0, 101)
         w = SpectralDensity(
