@@ -41,6 +41,13 @@ _TAPS = np.arange(-3, 4)
 _LATTICE_CHUNK = 2**17
 # The Newton kernel's taps around floor(x) along one axis: x in [2, w - 3).
 _STENCIL = np.arange(-2, 4)
+# Newton copies the window's coefficients into a node-major table (one pass
+# over w^m nodes) only when the candidates' stencils, 6^m nodes each, add up
+# to at least 1 / _TABLE_SHARE of the window; fewer stencils read the
+# coefficient planes in place.  The two break even near a tenth at m = 2
+# and 3 (one CPU): below it the copy costs more than it saves, and above
+# it the strided reads cost more, up to twice the time at m = 3.
+_TABLE_SHARE = 10
 
 
 def _in_window(nodes: np.ndarray, taps: np.ndarray, w: int) -> np.ndarray:
@@ -123,9 +130,10 @@ def count_newton(field: FieldRealization, box) -> CriticalPointSet:
 
     Newton iterations on grad X start from every sign-variation cell; the
     jet is the quintic-spline interpolant of the spectrally exact derivative
-    arrays, read through a node-major copy of their coefficients made once
-    per call (``_quintic_gather``).  A step is adj(H) g / det(H) in closed
-    form, and zero where det H = 0 exactly.  Converged roots are
+    arrays (``_quintic_gather``), read through a node-major copy of their
+    coefficients made once per call when the candidates' stencils reach a
+    tenth of the window, and in place otherwise.  A step is adj(H) g /
+    det(H) in closed form, and zero where det H = 0 exactly.  Converged roots are
     deduplicated and classified by Hessian signature.  An iterate stops when
     it converges, when its spline stencil leaves the counting window
     (escaped), when its |grad|_inf has not improved on its best for 3
@@ -145,9 +153,11 @@ def count_newton(field: FieldRealization, box) -> CriticalPointSet:
 
     cur = _candidate_cells(field, lo, hi)
     origin = field.origin()
-    # the spline coefficients of jet components 1 and up, one row per node
-    table = _node_major(field.coeffs[1:])
     n_candidates = cur.shape[0]
+    coeffs = field.coeffs[1:]  # the spline coefficients of jet components 1 and up
+    stencil = _flat_stencil(w, m)
+    reach = n_candidates * len(stencil[1]) * _TABLE_SHARE >= w**m
+    table = _node_major(coeffs) if reach else None
     active = np.arange(n_candidates)
     converged = np.zeros(n_candidates, dtype=bool)
     escaped = np.zeros(n_candidates, dtype=bool)
@@ -163,7 +173,7 @@ def count_newton(field: FieldRealization, box) -> CriticalPointSet:
     for _ in range(_MAX_ITER):
         if active.size == 0:
             break
-        vals = _quintic_gather(table, x, w)
+        vals = _quintic_gather(coeffs, x, stencil, table)
         gsup = np.max(np.abs(vals[:m]), axis=0)
         ok = gsup <= tol
         converged[active[ok]] = True
@@ -177,7 +187,7 @@ def count_newton(field: FieldRealization, box) -> CriticalPointSet:
         adj, det = _adjugate(vals[m:], m)
         step = np.einsum("ijk,jk->ik", adj, vals[:m])
         step = np.divide(step, det, out=np.zeros_like(step), where=det != 0.0).T
-        norms = np.linalg.norm(step, axis=1, keepdims=True)
+        norms = np.sqrt(np.add.reduce(step * step, axis=1, keepdims=True))
         step = step * (max_step / np.maximum(norms, max_step))  # at most max_step long
         cur[active] = cur[active] - step
         x = (cur[active] - origin) / h
@@ -241,35 +251,52 @@ def _node_major(coeffs: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(coeffs.reshape(len(coeffs), -1).T)
 
 
-def _quintic_gather(table: np.ndarray, x: np.ndarray, w: int) -> np.ndarray:
-    """Quintic-spline values (c, k) of every column of the node-major
-    ``table`` at the index coordinates x (k, m) of a window of w nodes per
-    side.
+def _flat_stencil(w: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat-index strides (m,) of a C-order window of w nodes per side,
+    and the flat offsets (6^m,) of the Newton stencil's taps, "ij" order."""
+    strides = w ** np.arange(m - 1, -1, -1)
+    return strides, sum(np.ix_(*(_STENCIL * s for s in strides))).ravel()
 
-    The spline at x reads the 6^m nodes floor(x) + _STENCIL: one ``take``
-    of their rows per chunk of points, contracted with the outer product of
-    the per-axis weights as one (1, 6^m) by (6^m, c) product per point, so a
-    point's values do not depend on the other points of the call.  Raises
-    ValueError if a stencil leaves the window, where a flat index would wrap
-    or read the next row without notice.
+
+def _quintic_gather(coeffs: np.ndarray, x: np.ndarray, stencil, table=None) -> np.ndarray:
+    """Quintic-spline values (c, k) of the coefficient arrays ``coeffs`` (c,
+    w, ..., w) at the index coordinates x (k, m) of their window.
+
+    The spline at x reads the 6^m nodes floor(x) + _STENCIL, at the flat
+    offsets of ``stencil`` = ``_flat_stencil(w, m)``.  Per chunk of points
+    their values are gathered as one (points, 6^m, c) array: rows of the
+    node-major ``table`` of coeffs when it is given, else each plane of
+    coeffs read in place through a flat view (``np.take`` would copy a
+    strided plane of the complex jet).  That array is contracted with the
+    outer product of the per-axis weights as one (1, 6^m) by (6^m, c)
+    product per point, so a point's values depend neither on the other
+    points of the call nor on the source.  Raises ValueError if a stencil
+    leaves the window, where a flat index would wrap or read the next row
+    without notice.
     """
     k, m = x.shape
     base = np.floor(x)
-    if not _in_window(base, _STENCIL, w).all():
+    if not _in_window(base, _STENCIL, coeffs.shape[-1]).all():
         raise ValueError("a quintic stencil leaves the window")
     frac = x - base
-    strides = w ** np.arange(m - 1, -1, -1)
+    strides, taps = stencil
     flat = base.astype(np.intp) @ strides
-    taps = sum(np.ix_(*(_STENCIL * s for s in strides))).ravel()  # in "ij" order
-    out = np.empty((table.shape[1], k))
+    planes = coeffs.reshape(len(coeffs), -1)  # views of the planes of a jet
+    out = np.empty((len(coeffs), k))
     step = _LATTICE_CHUNK // len(taps)
     for start in range(0, k, step):
         part = slice(start, start + step)
-        weights = np.ones((len(flat[part]), 1))
+        n = len(flat[part])
+        # every axis's weights from one call: (6, n, m)
+        axes = _quintic_weights(frac[part].ravel(), _STENCIL).reshape(-1, n, m)
+        weights = np.ones((n, 1))
         for a in range(m):  # (n, 6^a) -> (n, 6^(a+1)), in the taps' order
-            axis = _quintic_weights(frac[part, a], _STENCIL).T
-            weights = (weights[:, :, None] * axis[:, None, :]).reshape(len(axis), -1)
-        rows = np.take(table, flat[part, None] + taps, axis=0)
+            weights = (weights[:, :, None] * axes[:, None, :, a].T).reshape(n, -1)
+        idx = flat[part, None] + taps
+        if table is None:
+            rows = np.stack([plane[idx] for plane in planes], axis=-1)
+        else:
+            rows = np.take(table, idx, axis=0)
         out[:, part] = (weights[:, None, :] @ rows)[:, 0].T
     return out
 

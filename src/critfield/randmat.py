@@ -60,18 +60,20 @@ class EnsembleParams:
 
 
 def _draw(params: EnsembleParams, n: int, rng: np.random.Generator):
-    """Yield the normals of n draws of S(m; u, v) in stream order, in blocks
-    of at most _BLOCK_VALUES // m^2 draws, each with the index of its first
-    draw: the GOE normals (k, m, m), then, at u > 0, the identity shifts
-    (k,) scaled by sqrt(u).  Every sampler reads the stream here, so a seed
-    gives each the same draws, and the blocks split it without changing it."""
+    """Yield n draws of S(m; u, v) in blocks of at most _BLOCK_VALUES // m^2
+    draws, each as (index of its first draw, GOE normals (k, m, m), identity
+    shifts (k,) scaled by sqrt(u), or None at u = 0).  The GOE normals come
+    from ``rng`` in order, and the shifts from one child generator that
+    ``rng.spawn`` makes per call, so the blocks split the draws without
+    changing them.  Every sampler reads the draws here, so a seed gives each
+    the same ones."""
     m = params.m
     step = max(1, _BLOCK_VALUES // (m * m))
+    shifts = rng.spawn(1)[0] if params.u > 0 else None
     for start in range(0, n, step):
-        yield start, rng.standard_normal((min(step, n - start), m, m))
-    if params.u > 0:
-        for start in range(0, n, step):
-            yield start, rng.standard_normal(min(step, n - start)) * math.sqrt(params.u)
+        k = min(step, n - start)
+        shift = None if shifts is None else shifts.standard_normal(k) * math.sqrt(params.u)
+        yield start, rng.standard_normal((k, m, m)), shift
 
 
 def _on_diagonal(m: int) -> np.ndarray:
@@ -80,13 +82,12 @@ def _on_diagonal(m: int) -> np.ndarray:
     return i == j
 
 
-def _upper_rows(params: EnsembleParams, g: np.ndarray, out=None) -> np.ndarray:
+def _upper_rows(params: EnsembleParams, g: np.ndarray) -> np.ndarray:
     """The upper triangles of a block of GOE normals g (k, m, m) as rows
-    (m(m+1)/2, k) in jet order, b_ij = (g_ij + g_ji) sqrt(v / 2), written
-    into ``out`` when it is given."""
+    (m(m+1)/2, k) in jet order, b_ij = (g_ij + g_ji) sqrt(v / 2)."""
     m = params.m
     flat = g.reshape(len(g), m * m)
-    rows = np.empty((m * (m + 1) // 2, len(g))) if out is None else out
+    rows = np.empty((m * (m + 1) // 2, len(g)))
     for k, (i, j) in enumerate(zip(*np.triu_indices(m))):
         np.add(flat[:, i * m + j], flat[:, j * m + i], out=rows[k])
     rows *= math.sqrt(params.v / 2.0)
@@ -126,12 +127,11 @@ def sample_matrices(params: EnsembleParams, n: int, rng: np.random.Generator) ->
     """n draws, shape (n, m, m): GOE(v) plus an independent N(0, u) * identity."""
     m = params.m
     b = np.empty((n, m, m))
-    for start, x in _draw(params, n, rng):
-        part = b[start:start + len(x)]
-        if x.ndim == 3:
-            np.multiply(x + np.swapaxes(x, 1, 2), math.sqrt(params.v / 2.0), out=part)
-        else:
-            part.reshape(len(x), m * m)[:, :: m + 1] += x[:, None]  # the diagonal
+    for start, g, shift in _draw(params, n, rng):
+        part = b[start:start + len(g)]
+        np.multiply(g + np.swapaxes(g, 1, 2), math.sqrt(params.v / 2.0), out=part)
+        if shift is not None:
+            part.reshape(len(g), m * m)[:, :: m + 1] += shift[:, None]  # the diagonal
     return b
 
 
@@ -172,7 +172,6 @@ def expect_functional_mc(
     functionals: tuple[str, ...],
     n_samples: int,
     seed: int = 0,
-    batch: int = 200_000,
 ) -> dict:
     """Plain Monte Carlo means of invariant functionals, with their iid stderrs.
 
@@ -183,42 +182,27 @@ def expect_functional_mc(
     a no-op for these functionals, which are all even in A, so that a given
     (n_samples, seed) keeps its draws.  The stderr is sd / sqrt(n).
 
-    ``batch`` bounds the matrices of one stream segment.  At u = 0 it only
-    splits the work.  At u > 0 each batch draws its identity shifts after
-    its GOE normals, so the stream, and the estimate, depend on ``batch``.
-    Either way ``_draw`` hands the stream over in blocks of
-    _BLOCK_VALUES // m^2 draws, and the values are summed block by block:
-    at u = 0 nothing batch-sized is kept, and at u > 0 only the batch's
-    upper-triangle rows, which wait for the shifts.
+    The draws are ``sample_matrices``' for the seed, taken from ``_draw``
+    in blocks of _BLOCK_VALUES // m^2: each block's upper-triangle rows take
+    their shifts and are summed at once, so the working set is one block.
     """
+    if not functionals:
+        raise ValueError("need at least one functional")
     if not set(functionals) <= set(FUNCTIONALS):
         raise ValueError(f"unknown functional in {functionals!r}")
     _check_samples(n_samples)
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
     rng = np.random.default_rng(seed)
     m, count = params.m, n_samples // 2
+    on = _on_diagonal(m)
     sums = {name: [0.0, 0.0] for name in functionals}  # of values and of squares
-
-    def add(rows):
-        vals = _functional_values(rows, m, sums)
+    for _, g, shift in _draw(params, count, rng):
+        rows = _upper_rows(params, g)
+        if shift is not None:
+            rows[on] += shift
+        vals = _functional_values(rows, m, functionals)
         for name, acc in sums.items():
             acc[0] += vals[name].sum()
             acc[1] += np.sum(vals[name] ** 2)
-
-    on = _on_diagonal(m)
-    for start in range(0, count, batch):
-        n = min(batch, count - start)
-        rows = np.empty((len(on), n)) if params.u > 0 else None
-        for lo, x in _draw(params, n, rng):
-            if x.ndim == 3 and rows is None:
-                add(_upper_rows(params, x))
-            elif x.ndim == 3:
-                _upper_rows(params, x, rows[:, lo:lo + len(x)])
-            else:
-                part = rows[:, lo:lo + len(x)]
-                part[on] += x
-                add(part)
     out = {}
     for name, (total, sq) in sums.items():
         mean = total / count

@@ -450,29 +450,26 @@ class TestMainExitCodes:
         assert "500000 samples > budget 1000" in capsys.readouterr().err
 
     def test_randmat_draws_each_batch_once(self, tmp_path, monkeypatch):
-        # 500 000 samples are 250 000 draws: two batches shared by the three
-        # functionals, then the 400 matrices of eigenvalues.csv.  Each batch
-        # streams in blocks: its GOE normals once over, in order, then
-        # (u = 1) its shifts once over, in order
+        # 500 000 samples are 250 000 draws: one stream shared by the three
+        # functionals, then the 400 matrices of eigenvalues.csv.  Each streams
+        # in blocks that tile it in order, every block with its own shifts
+        # (u = 1)
         sizes, draw = [], cli.randmat._draw
 
         def spy(params, n, rng):
             sizes.append(n)
             blocks = list(draw(params, n, rng))
-            kinds = [x.ndim for _, x in blocks]
-            assert kinds == sorted(kinds, reverse=True)  # normals, then shifts
-            for ndim in (3, 1):
-                tiles = [(lo, len(x)) for lo, x in blocks if x.ndim == ndim]
-                assert [lo for lo, _ in tiles] == [sum(k for _, k in tiles[:i])
-                                                   for i in range(len(tiles))]
-                assert sum(k for _, k in tiles) == n
+            assert [lo for lo, _, _ in blocks] == [sum(len(g) for _, g, _ in blocks[:i])
+                                                   for i in range(len(blocks))]
+            assert sum(len(g) for _, g, _ in blocks) == n
+            assert all(shift.shape == (len(g),) for _, g, shift in blocks)
             yield from blocks
 
         monkeypatch.setattr(cli.randmat, "_draw", spy)
         text = BASE_RANDMAT.replace("samples: 50000", "samples: 500000")
         cfg = _write(tmp_path, "r.yaml", text)
         assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
-        assert sizes == [200_000, 50_000, 400]
+        assert sizes == [250_000, 400]
 
     def test_chaos_dry_run_plans_no_monte_carlo(self, tmp_path, capsys):
         cfg = _write(tmp_path, "c.yaml", CHAOS)

@@ -17,6 +17,7 @@ from critfield.critpoints import (
     _TAPS,
     CriticalPointSet,
     _candidate_cells,
+    _flat_stencil,
     _in_window,
     _lattice,
     _node_major,
@@ -429,7 +430,10 @@ class TestQuinticGather:
         )
         x = np.array(data.draw(st.lists(st.lists(coord, min_size=m, max_size=m),
                                         min_size=1, max_size=8)))
-        got = _quintic_gather(_node_major(fr.coeffs), x, w)
+        stencil = _flat_stencil(w, m)
+        got = _quintic_gather(fr.coeffs, x, stencil, _node_major(fr.coeffs))
+        # the planes read in place give the table's values, bit for bit
+        np.testing.assert_array_equal(_quintic_gather(fr.coeffs, x, stencil), got)
         want = np.stack([
             ndimage.map_coordinates(c, x.T, order=5, prefilter=False, mode="nearest")
             for c in fr.coeffs
@@ -440,15 +444,17 @@ class TestQuinticGather:
     @pytest.mark.parametrize("m", [2, 3])
     def test_point_values_do_not_depend_on_the_call(self, m):
         # more points than one chunk holds: each point's values are those of
-        # a call that reads it alone, bit for bit
+        # a call that reads it alone, from the table or in place, bit for bit
         fr = _small_field(m)
-        w = fr.spec.window
-        table = _node_major(fr.coeffs[1:])
+        w, coeffs = fr.spec.window, fr.coeffs[1:]
+        stencil, table = _flat_stencil(w, m), _node_major(coeffs)
         k = 2 * critpoints._LATTICE_CHUNK // len(_STENCIL) ** m + 3
         x = np.random.default_rng(m).uniform(2.0, w - 3.0, size=(k, m))
-        got = _quintic_gather(table, x, w)
+        got = _quintic_gather(coeffs, x, stencil, table)
         for i in (0, 1, k // 2, k - 1):
-            np.testing.assert_array_equal(got[:, i:i + 1], _quintic_gather(table, x[i:i + 1], w))
+            for source in (table, None):
+                one = _quintic_gather(coeffs, x[i:i + 1], stencil, source)
+                np.testing.assert_array_equal(got[:, i:i + 1], one)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_stencil_must_stay_in_the_window(self, m):
@@ -457,8 +463,8 @@ class TestQuinticGather:
         # w - 3 on the stencil would read the next row.  Newton's escape
         # test and the kernel's refusal agree on both edges
         fr = _small_field(m)
-        w = fr.spec.window
-        table = _node_major(fr.coeffs[1:])
+        w, coeffs = fr.spec.window, fr.coeffs[1:]
+        stencil = _flat_stencil(w, m)
         for axis in range(m):
             for coord, readable in [
                 (2.0, True), (float(np.nextafter(2.0, 0.0)), False),
@@ -468,13 +474,15 @@ class TestQuinticGather:
                 x[1, axis] = coord
                 assert _in_window(np.floor(x), _STENCIL, w).tolist() == [True, readable, True]
                 if readable:
-                    _quintic_gather(table, x, w)
+                    _quintic_gather(coeffs, x, stencil)
                 else:
                     with pytest.raises(ValueError, match="leaves the window"):
-                        _quintic_gather(table, x, w)
+                        _quintic_gather(coeffs, x, stencil)
 
     def test_node_table_built_once_per_count(self, monkeypatch):
-        # one node-major copy per count_newton call, read by every iteration
+        # one node-major copy per count_newton call, read by every iteration,
+        # when the candidates' stencils reach a tenth of the window (about
+        # 0.4 of it here)
         built, read = [], []
         node_major, gather = critpoints._node_major, critpoints._quintic_gather
 
@@ -482,9 +490,9 @@ class TestQuinticGather:
             built.append(coeffs.shape)
             return node_major(coeffs)
 
-        def spy_gather(table, x, w):
+        def spy_gather(coeffs, x, stencil, table=None):
             read.append(id(table))
-            return gather(table, x, w)
+            return gather(coeffs, x, stencil, table)
 
         monkeypatch.setattr(critpoints, "_node_major", spy_table)
         monkeypatch.setattr(critpoints, "_quintic_gather", spy_gather)
@@ -495,6 +503,34 @@ class TestQuinticGather:
         assert len(read) > 1 and len(set(read)) == 1
         count_newton(fr, box)
         assert len(built) == 2
+
+    @pytest.mark.parametrize("m, half_width, ppu", [(2, 5.0, 64), (2, 5.0, 8), (3, 2.0, 8)])
+    def test_table_only_where_it_pays(self, monkeypatch, m, half_width, ppu):
+        # the candidates' stencils reach 0.008 of the window at ppu 64 and
+        # about 0.4 at ppu 8: the first reads the planes in place, the others
+        # build the table, and forcing the other source counts the same
+        # points bit for bit
+        spec = GridSpec(m=m, half_width=half_width, points_per_unit=ppu,
+                        guard=wrap_guard(GAUSS, m, ppu)[0])
+        fr = synthesize(GAUSS, spec, 3)
+        box = ((-half_width,) * m, (half_width,) * m)
+        built, node_major = [], critpoints._node_major
+
+        def spy(coeffs):
+            built.append(coeffs.shape)
+            return node_major(coeffs)
+
+        monkeypatch.setattr(critpoints, "_node_major", spy)
+        cps = count_newton(fr, box)
+        assert len(built) == (ppu != 64)
+        monkeypatch.setattr(critpoints, "_TABLE_SHARE", 1e9 if ppu == 64 else 0.0)
+        other = count_newton(fr, box)
+        assert len(built) == 1
+        assert cps.newton_count > 0
+        for field in ("locations", "residuals", "signatures", "det_hessian"):
+            np.testing.assert_array_equal(getattr(cps, field), getattr(other, field))
+        assert (cps.failed_cells, cps.degenerate_flags) == (other.failed_cells,
+                                                            other.degenerate_flags)
 
 
 class TestNewtonRetirement:
@@ -577,9 +613,9 @@ class TestAdjugate:
         # evaluations bring no improvement, with no warning on the way
         seen, gather = [], critpoints._quintic_gather
 
-        def spy(table, x, w):
+        def spy(coeffs, x, *args):
             seen.append(x.copy())
-            return gather(table, x, w)
+            return gather(coeffs, x, *args)
 
         monkeypatch.setattr(critpoints, "_quintic_gather", spy)
         with warnings.catch_warnings():

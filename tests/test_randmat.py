@@ -87,16 +87,28 @@ class TestSampling:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("u", [0.0, 0.3])
     def test_stream_pinned(self, m, u):
-        # (g + g^T) sqrt(v / 2) + shift * I, the GOE block of each call
-        # drawn before its shifts: two calls on one generator, bit for bit
+        # (g + g^T) sqrt(v / 2) + shift * I, the GOE normals from the
+        # generator and the shifts from one child it spawns per call: two
+        # calls on one generator, bit for bit
         params, v = EnsembleParams(m=m, u=u, v=0.7), 0.7
         rng, ref = np.random.default_rng(17), np.random.default_rng(17)
         for n in (5, 3):
             g = ref.standard_normal((n, m, m))
             want = (g + np.swapaxes(g, 1, 2)) * math.sqrt(v / 2.0)
             if u > 0:
-                want += ref.standard_normal(n)[:, None, None] * math.sqrt(u) * np.eye(m)
+                shift = ref.spawn(1)[0].standard_normal(n)
+                want += shift[:, None, None] * math.sqrt(u) * np.eye(m)
             assert np.array_equal(sample_matrices(params, n, rng), want)
+
+    @pytest.mark.parametrize("u", [0.0, 0.3])
+    def test_draws_do_not_depend_on_the_block(self, monkeypatch, u):
+        # blocks of 1000 // m^2 and of 7000 // m^2 draws, neither dividing
+        # the 1 234 draws, give the same matrices, bit for bit
+        params, draws = EnsembleParams(m=3, u=u, v=0.7), []
+        for values in (1_000, 7_000):
+            monkeypatch.setattr(randmat, "_BLOCK_VALUES", values)
+            draws.append(sample_matrices(params, 1_234, np.random.default_rng(5)))
+        assert np.array_equal(*draws)
 
     def test_param_validation(self):
         # NaN fails every comparison, so `u < 0` alone lets a NaN u through
@@ -134,19 +146,14 @@ class TestFunctionalMC:
          for m in (2, 3, 4) for name in ("absdet", "pq")],
     )
     def test_iid_stderr(self, m, functional):
-        # n_samples // 2 independent draws in batches; stderr = sd / sqrt(n).
-        # The reference is LAPACK and einsum on full matrices, so m = 2, 3
-        # check the closed-form |det| and m = 4 the LAPACK one
-        n_samples, batch, seed = 60_000, 7_000, 21
+        # n_samples // 2 independent draws; stderr = sd / sqrt(n).  The
+        # reference is LAPACK and einsum on full matrices, so m = 2, 3 check
+        # the closed-form |det| and m = 4 the LAPACK one
+        n_samples, seed = 60_000, 21
         params = EnsembleParams(m=m, u=self.PARAMS.u, v=self.PARAMS.v)
-        res = expect_functional_mc(params, (functional,), n_samples, seed=seed, batch=batch)
-        res = res[functional]
-        rng = np.random.default_rng(seed)
+        res = expect_functional_mc(params, (functional,), n_samples, seed=seed)[functional]
         count = n_samples // 2
-        a = np.concatenate([
-            sample_matrices(params, min(batch, count - start), rng)
-            for start in range(0, count, batch)
-        ])
+        a = sample_matrices(params, count, np.random.default_rng(seed))
         tr = np.trace(a, axis1=1, axis2=2)
         vals = {
             "absdet": np.abs(np.linalg.det(a)),
@@ -159,18 +166,19 @@ class TestFunctionalMC:
         )
 
     def test_one_pass_matches_one_name_calls(self):
-        # every name averages the same draws: at u > 0 over five batches, a
+        # every name averages the same draws: at u > 0 over five blocks, a
         # joint call returns each one-name call's result bit for bit
         names = ("q2", "absdet", "pq", "p", "q_absdet", "p_absdet", "q", "p2")
-        kw = {"n_samples": 60_000, "seed": 4, "batch": 7_000}
+        kw = {"n_samples": 60_000, "seed": 4}
         joint = expect_functional_mc(self.PARAMS, names, **kw)
         assert list(joint) == list(names)
         for name in names:
             assert joint[name] == expect_functional_mc(self.PARAMS, (name,), **kw)[name]
 
     def test_det_only_for_absdet_names(self, monkeypatch):
-        # |det| is computed once per batch when a name needs it, and never
-        # otherwise; the other names come out the same either way
+        # |det| is computed once per block of 2^16 // 9 draws when a name
+        # needs it, and never otherwise; the other names come out the same
+        # either way
         calls, adjugate = [], randmat._adjugate
 
         def spy(rows, m):
@@ -178,21 +186,21 @@ class TestFunctionalMC:
             return adjugate(rows, m)
 
         monkeypatch.setattr(randmat, "_adjugate", spy)
-        kw = {"n_samples": 60_000, "seed": 4, "batch": 7_000}
+        kw = {"n_samples": 60_000, "seed": 4}
         names = ("p", "q", "p2", "pq", "q2")
         alone = expect_functional_mc(self.PARAMS, names, **kw)
         assert calls == []
         joint = expect_functional_mc(self.PARAMS, names + ("q_absdet",), **kw)
-        assert calls == [7_000] * 4 + [2_000]
+        assert calls == [7_281] * 4 + [876]
         assert all(joint[name] == alone[name] for name in names)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("u", [0.0, 0.3])
     def test_stream_pinned(self, monkeypatch, m, u):
-        # the blocks split the stream without changing it: with blocks of
-        # 1000 // m^2 draws, neither the batch of 1 700 nor the 5 125 draws a
-        # multiple of one, every block's rows and values are those of
-        # sample_matrices on the same generator, batch by batch, bit for bit
+        # the blocks split the draws without changing them: with blocks of
+        # 1000 // m^2 draws, the 5 125 draws not a multiple of one, every
+        # block's rows and values are those of one sample_matrices call on
+        # the same generator, bit for bit
         monkeypatch.setattr(randmat, "_BLOCK_VALUES", 1_000)
         seen, values = [], randmat._functional_values
 
@@ -203,10 +211,10 @@ class TestFunctionalMC:
 
         monkeypatch.setattr(randmat, "_functional_values", spy)
         params, names = EnsembleParams(m=m, u=u, v=0.7), ("absdet", "p_absdet", "q", "pq")
-        expect_functional_mc(params, names, 10_250, seed=8, batch=1_700)
-        assert len(seen) > 5_125 // 1_700 + 1
-        rng, i, j = np.random.default_rng(8), *np.triu_indices(m)
-        a = np.concatenate([sample_matrices(params, n, rng) for n in (1_700,) * 3 + (25,)])
+        expect_functional_mc(params, names, 10_250, seed=8)
+        assert len(seen) == -(-5_125 // (1_000 // m**2))
+        i, j = np.triu_indices(m)
+        a = sample_matrices(params, 5_125, np.random.default_rng(8))
         rows = np.concatenate([r for r, _ in seen], axis=1)
         assert np.array_equal(rows, a[:, i, j].T)
         want = values(rows, m, names)
@@ -220,10 +228,13 @@ class TestFunctionalMC:
         np.testing.assert_allclose(want["p_absdet"], tr**2 * f, rtol=1e-12, atol=1e-300)
         np.testing.assert_allclose(want["pq"], tr**2 * q, rtol=1e-12)
 
-    @pytest.mark.parametrize("m, u, n_samples", [(3, 1.0, 500_000), (6, 0.0, 200_000)])
+    @pytest.mark.parametrize(
+        "m, u, n_samples", [(3, 1.0, 500_000), (6, 0.0, 200_000), (8, 1.0, 400_000)]
+    )
     def test_working_set_bounded_by_block(self, m, u, n_samples):
-        # a 200 000-draw batch is 9.6 MB of rows at m = 3 and 58 MB of
-        # normals at m = 6; only the rows at u > 0 are kept whole
+        # one block of draws is held at a time, at u = 0 and u > 0 alike:
+        # 200 000 draws would be 9.6 MB of rows at m = 3 and 58 MB of
+        # normals at m = 6
         params = EnsembleParams(m=m, u=u, v=1.0)
         tracemalloc.start()
         try:
@@ -231,16 +242,16 @@ class TestFunctionalMC:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16e6, peak
+        assert peak <= 4e6, peak
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
             expect_functional_mc(self.PARAMS, ("absdet", "trace"), 50_000)
         with pytest.raises(ValueError):
             expect_functional_mc(self.PARAMS, ("absdet",), 100)
-        for batch in (0, -5):  # -5 would draw nothing and report mean 0.0
-            with pytest.raises(ValueError, match="batch"):
-                expect_functional_mc(self.PARAMS, ("absdet",), 20_000, batch=batch)
+        # no name would draw the matrices for nothing and return {}
+        with pytest.raises(ValueError, match="at least one functional"):
+            expect_functional_mc(self.PARAMS, (), 2_000_000)
 
     def test_homogeneous_rescale_consistency(self):
         # |det| is degree m homogeneous, so doubling v multiplies by 2^(m/2)
