@@ -66,7 +66,9 @@ def _draw(params: EnsembleParams, n: int, rng: np.random.Generator):
     from ``rng`` in order, and the shifts from one child generator that
     ``rng.spawn`` makes per call, so the blocks split the draws without
     changing them.  Every sampler reads the draws here, so a seed gives each
-    the same ones."""
+    the same ones.  The spawn count lives in the seed sequence: restoring
+    ``rng.bit_generator.state`` rewinds the normals but not the shifts,
+    while a copy of the generator draws both again."""
     m = params.m
     step = max(1, _BLOCK_VALUES // (m * m))
     shifts = rng.spawn(1)[0] if params.u > 0 else None
