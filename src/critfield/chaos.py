@@ -16,7 +16,7 @@ import numpy as np
 from scipy import linalg, special
 
 from .randmat import _absdet_shift_moments
-from .spectrum import SpectralDensity, _radial_moment, spectral_moments
+from .spectrum import SpectralDensity, SpectralMoments, _radial_moment, spectral_moments
 
 __all__ = [
     "Chaos2Geometry",
@@ -201,14 +201,15 @@ def msum_inner_products(w: SpectralDensity, m: int) -> dict:
     }
 
 
-def g_inner_products(w: SpectralDensity, m: int) -> np.ndarray:
-    """Symmetric 4 x 4 matrix of <G_i, G_j> for
+def g_inner_products(w: SpectralDensity, mom: SpectralMoments) -> np.ndarray:
+    """Symmetric 4 x 4 matrix of <G_i, G_j> in dimension mom.m for
 
         G0 = sqrt(2)/d_m S0,  G1 = sqrt(2)/(3 h_m) S1,
-        G2 = sqrt(2)/h_m S2,  G3 = G2 / 3.
+        G2 = sqrt(2)/h_m S2,  G3 = G2 / 3,
+
+    with d_m and h_m from w's spectral moments ``mom``.
     """
-    mom = spectral_moments(w, m)
-    s = msum_inner_products(w, m)
+    s = msum_inner_products(w, mom.m)
     scale = np.array(
         [
             math.sqrt(2.0) / mom.d,
@@ -235,7 +236,7 @@ def v2_infinity(w: SpectralDensity, m: int, geometry: Chaos2Geometry) -> float:
     positive for any admissible density.
     """
     mom = spectral_moments(w, m)
-    g = g_inner_products(w, m)
+    g = g_inner_products(w, mom)
     kappa = 3.0 * mom.h * (geometry.x + geometry.y)
     z = geometry.z
     norm2 = (

@@ -7,11 +7,13 @@ matrices with centered Gaussian entries satisfying
 
 equivalently a GOE matrix with off-diagonal variance v plus an independent
 N(0, u) multiple of the identity.  This module provides sampling, the
-kernels on symmetric matrices stored as upper-triangle rows in jet order
-(the closed-form adjugate that Newton, the smoothed counter and the Monte
-Carlo share), the exact finite-n one-point eigenvalue density, the shifted-determinant identity that
-turns E|det(lam + B)| into a density evaluation, and the large-m predictions
-for the |det|-weighted functionals used by the chaos expansion.
+Monte Carlo of eigenvalue functionals on the ensemble's tridiagonal model,
+the kernels on symmetric matrices stored as upper-triangle rows in jet
+order (the closed-form adjugate that Newton and the smoothed counter
+share), the exact finite-n one-point eigenvalue density, the
+shifted-determinant identity that turns E|det(lam + B)| into a density
+evaluation, and the large-m predictions for the |det|-weighted functionals
+used by the chaos expansion.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ __all__ = [
 FUNCTIONALS = {"absdet": "f", "p_absdet": "pf", "q_absdet": "qf", "p": "p", "q": "q",
                "p2": "pp", "pq": "pq", "q2": "qq"}
 
-# Normals drawn at once: a block of _BLOCK_VALUES // m^2 matrices, its
-# upper-triangle rows and its per-draw values stay in cache, so the working
-# set of a sampler does not grow with the number of draws.
+# Values drawn at once: sample_matrices draws _BLOCK_VALUES // m^2 matrices
+# and the Monte Carlo _BLOCK_VALUES // 2m tridiagonal draws at a time, so
+# the working set of a sampler does not grow with the number of draws.
 _BLOCK_VALUES = 2**16
 
 
@@ -57,43 +59,6 @@ class EnsembleParams:
         # each test is one that NaN fails, as NaN fails every comparison
         if not (self.m >= 1 and 0 <= self.u < math.inf and 0 < self.v < math.inf):
             raise ValueError(f"need m >= 1, finite u >= 0 and v > 0, got {self}")
-
-
-def _draw(params: EnsembleParams, n: int, rng: np.random.Generator):
-    """Yield n draws of S(m; u, v) in blocks of at most _BLOCK_VALUES // m^2
-    draws, each as (index of its first draw, GOE normals (k, m, m), identity
-    shifts (k,) scaled by sqrt(u), or None at u = 0).  The GOE normals come
-    from ``rng`` in order, and the shifts from one child generator that
-    ``rng.spawn`` makes per call, so the blocks split the draws without
-    changing them.  Every sampler reads the draws here, so a seed gives each
-    the same ones.  The spawn count lives in the seed sequence: restoring
-    ``rng.bit_generator.state`` rewinds the normals but not the shifts,
-    while a copy of the generator draws both again."""
-    m = params.m
-    step = max(1, _BLOCK_VALUES // (m * m))
-    shifts = rng.spawn(1)[0] if params.u > 0 else None
-    for start in range(0, n, step):
-        k = min(step, n - start)
-        shift = None if shifts is None else shifts.standard_normal(k) * math.sqrt(params.u)
-        yield start, rng.standard_normal((k, m, m)), shift
-
-
-def _on_diagonal(m: int) -> np.ndarray:
-    """Which of the m(m+1)/2 upper-triangle rows in jet order are diagonal."""
-    i, j = np.triu_indices(m)
-    return i == j
-
-
-def _upper_rows(params: EnsembleParams, g: np.ndarray) -> np.ndarray:
-    """The upper triangles of a block of GOE normals g (k, m, m) as rows
-    (m(m+1)/2, k) in jet order, b_ij = (g_ij + g_ji) sqrt(v / 2)."""
-    m = params.m
-    flat = g.reshape(len(g), m * m)
-    rows = np.empty((m * (m + 1) // 2, len(g)))
-    for k, (i, j) in enumerate(zip(*np.triu_indices(m))):
-        np.add(flat[:, i * m + j], flat[:, j * m + i], out=rows[k])
-    rows *= math.sqrt(params.v / 2.0)
-    return rows
 
 
 def hessian_stack(upper: np.ndarray, m: int) -> np.ndarray:
@@ -126,36 +91,83 @@ def _adjugate(rows: np.ndarray, m: int) -> tuple[list, np.ndarray]:
 
 
 def sample_matrices(params: EnsembleParams, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n draws, shape (n, m, m): GOE(v) plus an independent N(0, u) * identity."""
+    """n draws, shape (n, m, m): GOE(v) plus an independent N(0, u) * identity.
+
+    The GOE normals come from ``rng`` in order, in blocks of
+    _BLOCK_VALUES // m^2 matrices, and at u > 0 the shifts from one child
+    generator that ``rng.spawn`` makes per call, so the blocks split the
+    draws without changing them.  The spawn count lives in the seed
+    sequence: restoring ``rng.bit_generator.state`` rewinds the normals but
+    not the shifts, while a copy of the generator draws both again."""
     m = params.m
+    step = max(1, _BLOCK_VALUES // (m * m))
+    shifts = rng.spawn(1)[0] if params.u > 0 else None
     b = np.empty((n, m, m))
-    for start, g, shift in _draw(params, n, rng):
+    for start in range(0, n, step):
+        g = rng.standard_normal((min(step, n - start), m, m))
         part = b[start:start + len(g)]
         np.multiply(g + np.swapaxes(g, 1, 2), math.sqrt(params.v / 2.0), out=part)
-        if shift is not None:
+        if shifts is not None:
+            shift = shifts.standard_normal(len(g)) * math.sqrt(params.u)
             part.reshape(len(g), m * m)[:, :: m + 1] += shift[:, None]  # the diagonal
     return b
 
 
-def _functional_values(rows: np.ndarray, m: int, names) -> dict:
-    """Per-draw values of the functionals ``names`` on the matrices of the
-    upper-triangle rows (m(m+1)/2, k), each factor computed only when a
-    name needs it, since det is most of the cost.  |det| is
-    ``_adjugate``'s at m = 2 and 3, LAPACK's at m = 1 and m >= 4."""
+def _tridiagonal(params: EnsembleParams, n: int, rng: np.random.Generator):
+    """Yield n draws of the tridiagonal model of S(m; u, v) in blocks of at
+    most _BLOCK_VALUES // 2m draws, each as (diagonal (m, k), squared
+    off-diagonal (m - 1, k)).
+
+    Householder reflections take GOE(m, v) to a symmetric tridiagonal
+    matrix with the same eigenvalues, a_i ~ N(0, 2 v) on the diagonal and
+    b_i^2 ~ v chi^2_(m-i), i = 1 .. m - 1, off it, all independent
+    (Dumitriu & Edelman, J. Math. Phys. 43, 2002, beta = 1); the N(0, u)
+    shift adds to every a_i.  Each entry and the shift have their own child
+    generator from one ``rng.spawn(2 m)`` call, in that order, so a seed
+    fixes the draws however the blocks split them."""
+    m, v = params.m, params.v
+    *entries, shifts = rng.spawn(2 * m)
+    step = max(1, _BLOCK_VALUES // (2 * m))
+    for start in range(0, n, step):
+        k = min(step, n - start)
+        diag, off = np.empty((m, k)), np.empty((m - 1, k))
+        for row, stream in zip(diag, entries):
+            stream.standard_normal(out=row)
+        diag *= math.sqrt(2.0 * v)
+        if params.u > 0:
+            diag += shifts.standard_normal(k) * math.sqrt(params.u)
+        for df, row, stream in zip(range(m - 1, 0, -1), off, entries[m:]):
+            if df == 1:  # numpy's gamma sampler takes 4x as long at shape 1/2
+                np.square(stream.standard_normal(out=row), out=row)
+            else:
+                stream.standard_gamma(df / 2.0, out=row)
+                row *= 2.0
+        off *= v
+        yield diag, off
+
+
+def _tridiagonal_det(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Determinant (k,) of the symmetric tridiagonal matrices with diagonal
+    rows diag (m, k) and squared off-diagonal rows off (m - 1, k), by the
+    recurrence f_i = a_i f_(i-1) - b_(i-1)^2 f_(i-2) with f_0 = 1."""
+    prev, det = 1.0, diag[0]
+    for a, b2 in zip(diag[1:], off):
+        prev, det = det, a * det - b2 * prev
+    return det
+
+
+def _functional_values(diag: np.ndarray, off: np.ndarray, names) -> dict:
+    """Per-draw values of the functionals ``names`` on the tridiagonal
+    matrices of one block, each factor computed only when a name needs it,
+    since det is most of the cost."""
     need = set("".join(FUNCTIONALS[name] for name in names))
-    on = _on_diagonal(m)
     factor = {}
     if "p" in need:
-        factor["p"] = rows[on].sum(axis=0) ** 2
+        factor["p"] = diag.sum(axis=0) ** 2
     if "q" in need:
-        # each off-diagonal entry twice, summed row by row rather than by a
-        # BLAS product, whose rounding depends on where a draw falls in it
-        factor["q"] = (np.where(on, 1.0, 2.0)[:, None] * np.square(rows)).sum(axis=0)
+        factor["q"] = np.square(diag).sum(axis=0) + 2.0 * off.sum(axis=0)
     if "f" in need:
-        if m in (2, 3):
-            factor["f"] = np.abs(_adjugate(rows, m)[1])
-        else:
-            factor["f"] = np.abs(np.linalg.det(hessian_stack(rows, m)))
+        factor["f"] = np.abs(_tridiagonal_det(diag, off))
     out = {}
     for name in names:
         first, *second = FUNCTIONALS[name]
@@ -182,26 +194,22 @@ def expect_functional_mc(
     counts each draw twice, so the call averages n = n_samples // 2
     independent matrices; the convention is kept from an (A, -A) pairing,
     a no-op for these functionals, which are all even in A, so that a given
-    (n_samples, seed) keeps its draws.  The stderr is sd / sqrt(n).
+    n_samples keeps its draw count.  The stderr is sd / sqrt(n).
 
-    The draws are ``sample_matrices``' for the seed, taken from ``_draw``
-    in blocks of _BLOCK_VALUES // m^2: each block's upper-triangle rows take
-    their shifts and are summed at once, so the working set is one block.
+    Every functional depends only on the eigenvalues, so the draws are those
+    of the tridiagonal model, which has the eigenvalue law of S(m; u, v):
+    2m variates per draw, taken from ``_tridiagonal`` block by block, so the
+    working set is one block.
     """
     if not functionals:
         raise ValueError("need at least one functional")
     if not set(functionals) <= set(FUNCTIONALS):
         raise ValueError(f"unknown functional in {functionals!r}")
     _check_samples(n_samples)
-    rng = np.random.default_rng(seed)
-    m, count = params.m, n_samples // 2
-    on = _on_diagonal(m)
+    count = n_samples // 2
     sums = {name: [0.0, 0.0] for name in functionals}  # of values and of squares
-    for _, g, shift in _draw(params, count, rng):
-        rows = _upper_rows(params, g)
-        if shift is not None:
-            rows[on] += shift
-        vals = _functional_values(rows, m, functionals)
+    for diag, off in _tridiagonal(params, count, np.random.default_rng(seed)):
+        vals = _functional_values(diag, off, functionals)
         for name, acc in sums.items():
             acc[0] += vals[name].sum()
             acc[1] += np.sum(vals[name] ** 2)

@@ -340,7 +340,7 @@ def _time_domain_pair_integrals(w: SpectralDensity, m: int) -> np.ndarray:
 
 def test_criterion_08_parseval_bridge(criterion_report):
     time_domain = _time_domain_pair_integrals(GAUSS, 2)
-    freq_domain = g_inner_products(GAUSS, 2)
+    freq_domain = g_inner_products(GAUSS, spectral_moments(GAUSS, 2))
     rel = float(np.max(np.abs(time_domain - freq_domain) / np.abs(freq_domain)))
     ok = rel <= 1e-3
     criterion_report(

@@ -18,7 +18,7 @@ from critfield.chaos import (
     v2_infinity,
 )
 from critfield.randmat import EnsembleParams, sample_matrices
-from critfield.spectrum import DivergentIntegralError, SpectralDensity
+from critfield.spectrum import DivergentIntegralError, SpectralDensity, spectral_moments
 
 GAUSS = SpectralDensity(family="gaussian", params=(1.0,))
 
@@ -269,7 +269,7 @@ class TestMsumGeometry:
 
     def test_g_matrix_structure(self):
         for m in (2, 3):
-            g = g_inner_products(GAUSS, m)
+            g = g_inner_products(GAUSS, spectral_moments(GAUSS, m))
             np.testing.assert_allclose(g, g.T, rtol=1e-12)
             assert np.all(np.linalg.eigvalsh(g) > -1e-10)
             # G3 = G2 / 3 exactly

@@ -450,26 +450,29 @@ class TestMainExitCodes:
         assert "500000 samples > budget 1000" in capsys.readouterr().err
 
     def test_randmat_draws_each_batch_once(self, tmp_path, monkeypatch):
-        # 500 000 samples are 250 000 draws: one stream shared by the three
-        # functionals, then the 400 matrices of eigenvalues.csv.  Each streams
-        # in blocks that tile it in order, every block with its own shifts
-        # (u = 1)
-        sizes, draw = [], cli.randmat._draw
+        # 500 000 samples are 250 000 draws: one tridiagonal stream shared
+        # by the three functionals, in blocks of 2^16 // 2m draws (m = 2)
+        # that tile it, then one sample_matrices call for the 400 matrices
+        # of eigenvalues.csv
+        calls, stream, sample = [], cli.randmat._tridiagonal, cli.randmat.sample_matrices
 
-        def spy(params, n, rng):
-            sizes.append(n)
-            blocks = list(draw(params, n, rng))
-            assert [lo for lo, _, _ in blocks] == [sum(len(g) for _, g, _ in blocks[:i])
-                                                   for i in range(len(blocks))]
-            assert sum(len(g) for _, g, _ in blocks) == n
-            assert all(shift.shape == (len(g),) for _, g, shift in blocks)
+        def stream_spy(params, n, rng):
+            blocks = list(stream(params, n, rng))
+            calls.append(("stream", n, [diag.shape[1] for diag, _ in blocks]))
+            assert all(diag.shape == (2, len(diag[0])) and off.shape == (1, len(diag[0]))
+                       for diag, off in blocks)
             yield from blocks
 
-        monkeypatch.setattr(cli.randmat, "_draw", spy)
+        def sample_spy(params, n, rng):
+            calls.append(("matrices", n))
+            return sample(params, n, rng)
+
+        monkeypatch.setattr(cli.randmat, "_tridiagonal", stream_spy)
+        monkeypatch.setattr(cli.randmat, "sample_matrices", sample_spy)
         text = BASE_RANDMAT.replace("samples: 50000", "samples: 500000")
         cfg = _write(tmp_path, "r.yaml", text)
         assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
-        assert sizes == [250_000, 400]
+        assert calls == [("stream", 250_000, [16_384] * 15 + [4_240]), ("matrices", 400)]
 
     def test_chaos_dry_run_plans_no_monte_carlo(self, tmp_path, capsys):
         cfg = _write(tmp_path, "c.yaml", CHAOS)

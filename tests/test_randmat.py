@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 import tracemalloc
 
 import numpy as np
@@ -60,6 +61,36 @@ def _weyl_marginal(n: int, v: float, x: float) -> float:
         return integrate.quad(f, -lim, y, points=pts, **opts)[0]
 
     return 2.0 * integrate.quad(inner, -lim, lim, points=[x], **opts)[0]
+
+
+# --- reference: the tridiagonal model's stream, built from its spawn layout
+
+
+def _tridiagonal_stream(params: EnsembleParams, n: int, seed: int):
+    """The n draws of expect_functional_mc for a seed as (diagonal (m, n),
+    squared off-diagonal (m - 1, n)): children 0 .. m-1 of one spawn of 2m
+    give the N(0, 2v) diagonal, children m .. 2m-2 the v chi^2 with m - 1
+    .. 1 degrees of freedom (chi^2_1 as a squared normal) and the last one
+    the N(0, u) shift."""
+    m, u, v = params.m, params.u, params.v
+    kids = np.random.default_rng(seed).spawn(2 * m)
+    diag = np.stack([kid.standard_normal(n) for kid in kids[:m]]) * math.sqrt(2.0 * v)
+    if u > 0:
+        diag += kids[-1].standard_normal(n) * math.sqrt(u)
+    off = [kid.standard_normal(n) ** 2 if df == 1 else kid.chisquare(df, n)
+           for df, kid in zip(range(m - 1, 0, -1), kids[m:])]
+    return diag, np.array(off).reshape(m - 1, n) * v
+
+
+def _dense_tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """The (n, m, m) symmetric tridiagonal matrices with diagonal rows diag
+    (m, n) and off-diagonal entries sqrt(off) (m - 1, n)."""
+    m, n = diag.shape
+    a = np.zeros((n, m, m))
+    i = np.arange(m)
+    a[:, i, i] = diag.T
+    a[:, i[:-1], i[1:]] = a[:, i[1:], i[:-1]] = np.sqrt(off).T
+    return a
 
 
 class TestSampling:
@@ -147,13 +178,13 @@ class TestFunctionalMC:
     )
     def test_iid_stderr(self, m, functional):
         # n_samples // 2 independent draws; stderr = sd / sqrt(n).  The
-        # reference is LAPACK and einsum on full matrices, so m = 2, 3 check
-        # the closed-form |det| and m = 4 the LAPACK one
+        # reference is LAPACK and einsum on the dense tridiagonal matrices
+        # of the same stream, so the recurrence and the row sums are checked
         n_samples, seed = 60_000, 21
         params = EnsembleParams(m=m, u=self.PARAMS.u, v=self.PARAMS.v)
         res = expect_functional_mc(params, (functional,), n_samples, seed=seed)[functional]
         count = n_samples // 2
-        a = sample_matrices(params, count, np.random.default_rng(seed))
+        a = _dense_tridiagonal(*_tridiagonal_stream(params, count, seed))
         tr = np.trace(a, axis1=1, axis2=2)
         vals = {
             "absdet": np.abs(np.linalg.det(a)),
@@ -176,57 +207,109 @@ class TestFunctionalMC:
             assert joint[name] == expect_functional_mc(self.PARAMS, (name,), **kw)[name]
 
     def test_det_only_for_absdet_names(self, monkeypatch):
-        # |det| is computed once per block of 2^16 // 9 draws when a name
-        # needs it, and never otherwise; the other names come out the same
-        # either way
-        calls, adjugate = [], randmat._adjugate
+        # the |det| recurrence runs once per block of 2^16 // 6 draws when a
+        # name needs it, and never otherwise; the other names come out the
+        # same either way
+        calls, det = [], randmat._tridiagonal_det
 
-        def spy(rows, m):
-            calls.append(rows.shape[1])
-            return adjugate(rows, m)
+        def spy(diag, off):
+            calls.append(diag.shape[1])
+            return det(diag, off)
 
-        monkeypatch.setattr(randmat, "_adjugate", spy)
+        monkeypatch.setattr(randmat, "_tridiagonal_det", spy)
         kw = {"n_samples": 60_000, "seed": 4}
         names = ("p", "q", "p2", "pq", "q2")
         alone = expect_functional_mc(self.PARAMS, names, **kw)
         assert calls == []
         joint = expect_functional_mc(self.PARAMS, names + ("q_absdet",), **kw)
-        assert calls == [7_281] * 4 + [876]
+        assert calls == [10_922] * 2 + [8_156]
         assert all(joint[name] == alone[name] for name in names)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("u", [0.0, 0.3])
     def test_stream_pinned(self, monkeypatch, m, u):
         # the blocks split the draws without changing them: with blocks of
-        # 1000 // m^2 draws, the 5 125 draws not a multiple of one, every
-        # block's rows and values are those of one sample_matrices call on
-        # the same generator, bit for bit
+        # 1000 // 2m draws, the 5 125 draws not a multiple of one, every
+        # block's entries and values are those of the spawn layout drawn at
+        # once, bit for bit
         monkeypatch.setattr(randmat, "_BLOCK_VALUES", 1_000)
         seen, values = [], randmat._functional_values
 
-        def spy(rows, m, names):
-            out = values(rows, m, names)
-            seen.append((rows.copy(), out))
+        def spy(diag, off, names):
+            out = values(diag, off, names)
+            seen.append((diag.copy(), off.copy(), out))
             return out
 
         monkeypatch.setattr(randmat, "_functional_values", spy)
         params, names = EnsembleParams(m=m, u=u, v=0.7), ("absdet", "p_absdet", "q", "pq")
         expect_functional_mc(params, names, 10_250, seed=8)
-        assert len(seen) == -(-5_125 // (1_000 // m**2))
-        i, j = np.triu_indices(m)
-        a = sample_matrices(params, 5_125, np.random.default_rng(8))
-        rows = np.concatenate([r for r, _ in seen], axis=1)
-        assert np.array_equal(rows, a[:, i, j].T)
-        want = values(rows, m, names)
+        assert len(seen) == -(-5_125 // (1_000 // (2 * m)))
+        diag, off = _tridiagonal_stream(params, 5_125, 8)
+        assert np.array_equal(np.concatenate([d for d, _, _ in seen], axis=1), diag)
+        assert np.array_equal(np.concatenate([o for _, o, _ in seen], axis=1), off)
+        want = values(diag, off, names)
         for name in names:
-            got = np.concatenate([out[name] for _, out in seen])
+            got = np.concatenate([out[name] for _, _, out in seen])
             assert np.array_equal(got, want[name])
-        # and they are the functionals of the full matrices
-        tr, f = np.trace(a, axis1=1, axis2=2), np.abs(np.linalg.det(a))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_values_of_the_dense_tridiagonal(self, m):
+        # one block's values against LAPACK and einsum on its dense
+        # tridiagonal matrices, at rtol 1e-12.  LAPACK's LU rounds on the
+        # scale of Hadamard's bound prod_i |row_i|, which a near-singular
+        # draw's |det| lies far below (m = 4 has a draw where LAPACK is off
+        # by 4e-12 relative), so |det| is held to 1e-12 of that bound
+        # against LAPACK, and to 1e-12 of itself against the exact
+        # determinant of the block's floats
+        params, names = EnsembleParams(m=m, u=0.3, v=0.7), tuple(randmat.FUNCTIONALS)
+        diag, off = next(randmat._tridiagonal(params, 5_000, np.random.default_rng(m)))
+        got = randmat._functional_values(diag, off, names)
+        a = _dense_tridiagonal(diag, off)
+        det, p = np.linalg.det(a), np.trace(a, axis1=1, axis2=2) ** 2
         q = np.einsum("nij,nij->n", a, a)
-        np.testing.assert_allclose(want["absdet"], f, rtol=1e-12, atol=1e-300)
-        np.testing.assert_allclose(want["p_absdet"], tr**2 * f, rtol=1e-12, atol=1e-300)
-        np.testing.assert_allclose(want["pq"], tr**2 * q, rtol=1e-12)
+        hadamard = np.prod(np.linalg.norm(a, axis=2), axis=1)
+        assert np.all(np.abs(got["absdet"] - np.abs(det)) <= 1e-12 * hadamard)
+        exact = []
+        for col, col_off in zip(diag.T.tolist(), off.T.tolist()):
+            prev, cur = Fraction(1), Fraction(col[0])
+            for x, y in zip(col[1:], col_off):
+                prev, cur = cur, Fraction(x) * cur - Fraction(y) * prev
+            exact.append(abs(float(cur)))
+        np.testing.assert_allclose(got["absdet"], exact, rtol=1e-12, atol=0.0)
+        f = got["absdet"]
+        want = {"p_absdet": p * f, "q_absdet": q * f, "p": p, "q": q,
+                "p2": p * p, "pq": p * q, "q2": q * q}
+        for name, value in want.items():
+            np.testing.assert_allclose(got[name], value, rtol=1e-12)
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_law_matches_full_matrices(self, m):
+        # the tridiagonal model has the eigenvalue law of S(m; u, v): all 8
+        # functionals agree with sample_matrices draws within 4 combined
+        # stderrs
+        params, names, count = EnsembleParams(m=m, u=0.4, v=0.6), tuple(randmat.FUNCTIONALS), 100_000
+        tri = expect_functional_mc(params, names, 2 * count, seed=40 + m)
+        a = sample_matrices(params, count, np.random.default_rng(50 + m))
+        f, p = np.abs(np.linalg.det(a)), np.trace(a, axis1=1, axis2=2) ** 2
+        q = np.einsum("nij,nij->n", a, a)
+        full = {"absdet": f, "p_absdet": p * f, "q_absdet": q * f, "p": p, "q": q,
+                "p2": p * p, "pq": p * q, "q2": q * q}
+        for name in names:
+            se = full[name].std(ddof=1) / math.sqrt(count)
+            tol = 4 * math.hypot(se, tri[name]["stderr"])
+            assert tri[name]["mean"] == pytest.approx(full[name].mean(), abs=tol), name
+
+    @pytest.mark.parametrize("m", [1, 3, 4, 10])
+    def test_no_lapack_or_adjugate(self, monkeypatch, m):
+        # one path for every m: neither LAPACK nor the closed-form adjugate
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Monte Carlo called a dense determinant")
+
+        monkeypatch.setattr(np.linalg, "det", refuse)
+        monkeypatch.setattr(randmat, "_adjugate", refuse)
+        res = expect_functional_mc(EnsembleParams(m=m, u=0.5, v=1.0),
+                                   tuple(randmat.FUNCTIONALS), 20_000, seed=m)
+        assert all(math.isfinite(r["mean"]) and r["n"] == 10_000 for r in res.values())
 
     @pytest.mark.parametrize(
         "m, u, n_samples", [(3, 1.0, 500_000), (6, 0.0, 200_000), (8, 1.0, 400_000)]
