@@ -143,7 +143,7 @@ def _prepare_out(cfg: dict, args) -> Path:
 
 
 def _stamp(plan: _Plan, out: Path, config_path) -> None:
-    # the Monte Carlo numbers rest on numpy's normal stream and on LAPACK
+    # the Monte Carlo numbers rest on numpy's normal and gamma streams and LAPACK
     stamp = {"version": __version__, "python": platform.python_version(),
              "numpy": np.__version__, "scipy": scipy.__version__,
              "seed": plan.seed, "subcommand": plan.subcommand}
