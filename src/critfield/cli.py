@@ -202,7 +202,8 @@ def _run_field(plan: _Plan, out: Path) -> None:
 def _run_count(plan: _Plan, out: Path) -> None:
     spec, cut, band = plan.torus.spec, plan.torus.cutoff, plan.torus.band
     n_half = spec.half_width
-    fr = field.synthesize(plan.density, spec, seed=plan.seed, cutoff=cut, band=band)
+    # Newton reads the 1-jet alone
+    fr = field.synthesize(plan.density, spec, seed=plan.seed, cutoff=cut, band=band, order=1)
     box = ((-n_half,) * spec.m, (n_half,) * spec.m)
     cps = critpoints.count_newton(fr, box)
     critpoints.write_csv(cps, out / "critical_points.csv")

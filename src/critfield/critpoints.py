@@ -41,13 +41,32 @@ _TAPS = np.arange(-3, 4)
 _LATTICE_CHUNK = 2**17
 # The Newton kernel's taps around floor(x) along one axis: x in [2, w - 3).
 _STENCIL = np.arange(-2, 4)
-# Newton copies the window's coefficients into a node-major table (one pass
-# over w^m nodes) only when the candidates' stencils, 6^m nodes each, add up
-# to at least 1 / _TABLE_SHARE of the window; fewer stencils read the
-# coefficient planes in place.  The two break even near a tenth at m = 2
-# and 3 (one CPU): below it the copy costs more than it saves, and above
-# it the strided reads cost more, up to twice the time at m = 3.
-_TABLE_SHARE = 10
+# The quintic B-spline weights beta5(u - t) of those taps t at the fractional
+# part u in [0, 1) are quintics in u, 120 beta5(u - t) = (1 - u)^5,
+# (2 - u)^5 - 6 (1 - u)^5, ..., u^5; row k holds their coefficients of u^k.
+_QUINTIC = np.array([
+    [1, 26, 66, 26, 1, 0],
+    [-5, -50, 0, 50, 5, 0],
+    [10, 20, -60, 20, 10, 0],
+    [-10, 20, 0, -20, 10, 0],
+    [5, -20, 30, -20, 5, 0],
+    [-1, 5, -10, 10, -5, 1],
+])
+# [1, u, ..., u^5] times this (6, 12) matrix gives the six weights and their
+# six derivatives in u
+_STENCIL_WEIGHTS = np.hstack([
+    _QUINTIC, np.vstack([_QUINTIC[1:] * np.arange(1, 6)[:, None], np.zeros(6)])
+]) / 120.0
+# the (row, column) of each upper-triangle entry, in jet order
+_UPPER = {m: np.triu_indices(m) for m in (2, 3)}
+# Newton copies the gradient's m coefficient planes into a node-major table
+# (one pass over w^m nodes) only when the candidates' stencils, 6^m nodes
+# each, add up to at least 1 / _TABLE_SHARE of the window; fewer stencils
+# read the planes in place.  The two break even near a fifth at m = 2 and 3
+# (one CPU, time with the table / in place): m = 2 reads 1.31, 1.11, 1.07,
+# 0.95 and 0.98 at shares 0.008, 0.05, 0.10, 0.19 and 0.45; m = 3 reads
+# 1.16, 1.04, 0.94 and 0.73 at 0.08, 0.17, 0.28 and 0.65.
+_TABLE_SHARE = 5
 
 
 def _in_window(nodes: np.ndarray, taps: np.ndarray, w: int) -> np.ndarray:
@@ -94,8 +113,16 @@ def _grad_scale(field: FieldRealization) -> float:
 
 
 def _hess_scale(field: FieldRealization) -> float:
-    # jet component 1 + m is the Hessian entry (0, 0)
-    return float(np.sqrt(np.mean(field.grid[1 + field.spec.m] ** 2) / 3.0))
+    """rms(h00) / sqrt(3), read from the 1-jet at every second window node
+    along the axes after the first: h00 at a node i that holds a spline
+    stencil along axis 0 is the derivative of the g0 spline there,
+    (10 (c[i+1] - c[i-1]) + c[i+2] - c[i-2]) / (24 h) in its coefficients c
+    (``_STENCIL_WEIGHTS`` at a fractional part of 0)."""
+    m, w = field.spec.m, field.spec.window
+    c = field.coeffs[(1, slice(None)) + (slice(None, None, 2),) * (m - 1)]
+    h00 = 10.0 * (c[3:w - 1] - c[1:w - 3])
+    h00 += c[4:] - c[:w - 4]
+    return math.sqrt(np.vdot(h00, h00) / (3.0 * h00.size)) / (24.0 * field.spec.spacing)
 
 
 def _candidate_cells(field: FieldRealization, lo, hi):
@@ -128,20 +155,23 @@ def _candidate_cells(field: FieldRealization, lo, hi):
 def count_newton(field: FieldRealization, box) -> CriticalPointSet:
     """Newton count of critical points in the half-open box [lo, hi)^m.
 
-    Newton iterations on grad X start from every sign-variation cell; the
-    jet is the quintic-spline interpolant of the spectrally exact derivative
-    arrays (``_quintic_gather``), read through a node-major copy of their
-    coefficients made once per call when the candidates' stencils reach a
-    tenth of the window, and in place otherwise.  A step is adj(H) g /
-    det(H) in closed form, and zero where det H = 0 exactly.  Converged roots are
-    deduplicated and classified by Hessian signature.  An iterate stops when
-    it converges, when its spline stencil leaves the counting window
-    (escaped), when its |grad|_inf has not improved on its best for 3
-    evaluations in a row (retired), or at the 40-iteration cap; an iterate
-    that keeps improving, however slowly, runs to the cap.  ``failed_cells`` counts the iterates that stopped short of
-    convergence within 1e-6 gscale of zero, making the count a certified
-    lower bound in that (rare) case.  The box must lie in the realization's
-    cube [-N, N]^m.
+    Newton iterations on grad X start from every sign-variation cell.  They
+    read the 1-jet alone: the quintic-spline interpolant of the spectrally
+    exact gradient arrays and its derivative (``_quintic_jet``), the exact
+    Jacobian of the function solved, symmetrized into the Hessian rows
+    that the step and the classification take.  The coefficients are read
+    through a node-major copy made once per call when the candidates'
+    stencils reach a fifth of the window, and in place otherwise.  A step
+    is adj(H) g / det(H) in closed form, and zero where det H = 0 exactly.
+    Converged roots are deduplicated and classified by Hessian signature.
+    An iterate stops when it converges, when its spline stencil leaves the
+    counting window (escaped), when its |grad|_inf has not improved on its
+    best for 3 evaluations in a row (retired), or at the 40-iteration cap;
+    an iterate that keeps improving, however slowly, runs to the cap.
+    ``failed_cells`` counts the iterates that stopped short of convergence
+    within 1e-6 gscale of zero, making the count a certified lower bound in
+    that (rare) case.  The box must lie in the realization's cube
+    [-N, N]^m.
     """
     m, w = field.spec.m, field.spec.window
     lo, hi = _box_arrays(box, field.spec)
@@ -154,16 +184,16 @@ def count_newton(field: FieldRealization, box) -> CriticalPointSet:
     cur = _candidate_cells(field, lo, hi)
     origin = field.origin()
     n_candidates = cur.shape[0]
-    coeffs = field.coeffs[1:]  # the spline coefficients of jet components 1 and up
+    coeffs = field.coeffs[1:1 + m]  # the spline coefficients of the gradient
     stencil = _flat_stencil(w, m)
     reach = n_candidates * len(stencil[1]) * _TABLE_SHARE >= w**m
     table = _node_major(coeffs) if reach else None
     active = np.arange(n_candidates)
     converged = np.zeros(n_candidates, dtype=bool)
     escaped = np.zeros(n_candidates, dtype=bool)
-    # gradient and Hessian upper triangle (jet components 1 and up) at the
-    # iterate where each candidate converged
-    at_root = np.empty((field.jet.shape[0] - 1, n_candidates))
+    # gradient and Hessian upper triangle (in jet order) at the iterate
+    # where each candidate converged
+    at_root = np.empty((m + m * (m + 1) // 2, n_candidates))
     # |grad|_inf: the best so far, the evaluations since it, the latest
     best = np.full(n_candidates, np.inf)
     stale = np.zeros(n_candidates, dtype=int)
@@ -173,19 +203,21 @@ def count_newton(field: FieldRealization, box) -> CriticalPointSet:
     for _ in range(_MAX_ITER):
         if active.size == 0:
             break
-        vals = _quintic_gather(coeffs, x, stencil, table)
-        gsup = np.max(np.abs(vals[:m]), axis=0)
+        grad, derivs = _quintic_jet(coeffs, x, stencil, table)
+        upper = _hessian_rows(derivs, h)
+        gsup = np.max(np.abs(grad), axis=0)
         ok = gsup <= tol
         converged[active[ok]] = True
-        at_root[:, active[ok]] = vals[:, ok]
+        at_root[:m, active[ok]] = grad[:, ok]
+        at_root[m:, active[ok]] = upper[:, ok]
         last[active] = gsup
         stale[active] = np.where(gsup < best[active], 0, stale[active] + 1)
         best[active] = np.minimum(best[active], gsup)
         going = ~ok & (stale[active] < _STALL)
-        active, vals = active[going], vals[:, going]
+        active, grad, upper = active[going], grad[:, going], upper[:, going]
         # a singular Hessian gives a zero step: the iterate stalls and retires
-        adj, det = _adjugate(vals[m:], m)
-        step = np.einsum("ijk,jk->ik", adj, vals[:m])
+        adj, det = _adjugate(upper, m)
+        step = np.einsum("ijk,jk->ik", adj, grad)
         step = np.divide(step, det, out=np.zeros_like(step), where=det != 0.0).T
         norms = np.sqrt(np.add.reduce(step * step, axis=1, keepdims=True))
         step = step * (max_step / np.maximum(norms, max_step))  # at most max_step long
@@ -258,21 +290,26 @@ def _flat_stencil(w: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return strides, sum(np.ix_(*(_STENCIL * s for s in strides))).ravel()
 
 
-def _quintic_gather(coeffs: np.ndarray, x: np.ndarray, stencil, table=None) -> np.ndarray:
-    """Quintic-spline values (c, k) of the coefficient arrays ``coeffs`` (c,
-    w, ..., w) at the index coordinates x (k, m) of their window.
+def _quintic_jet(coeffs: np.ndarray, x: np.ndarray, stencil, table=None):
+    """Quintic-spline values (c, k) and first derivatives (m, c, k) of the
+    coefficient arrays ``coeffs`` (c, w, ..., w) at the index coordinates x
+    (k, m) of their window; derivative [a, i] is that of array i along axis
+    a, per unit of index.
 
     The spline at x reads the 6^m nodes floor(x) + _STENCIL, at the flat
     offsets of ``stencil`` = ``_flat_stencil(w, m)``.  Per chunk of points
     their values are gathered as one (points, 6^m, c) array: rows of the
     node-major ``table`` of coeffs when it is given, else each plane of
     coeffs read in place through a flat view (``np.take`` would copy a
-    strided plane of the complex jet).  That array is contracted with the
-    outer product of the per-axis weights as one (1, 6^m) by (6^m, c)
-    product per point, so a point's values depend neither on the other
-    points of the call nor on the source.  Raises ValueError if a stencil
-    leaves the window, where a flat index would wrap or read the next row
-    without notice.
+    strided plane of the complex jet).  Every axis has a value and a
+    derivative weight row (``_STENCIL_WEIGHTS``), and the array is
+    contracted one axis at a time, with both rows of each: (2, 6) by (6,
+    6^(m-1-a) c) products per point and product so far, 2^m products in
+    all, of which the value and the m first derivatives are kept.  Each
+    point's values come from products of its own, so they depend neither
+    on the other points of the call nor on the source.  Raises ValueError
+    if a stencil leaves the window, where a flat index would wrap or read
+    the next row without notice.
     """
     k, m = x.shape
     base = np.floor(x)
@@ -282,23 +319,37 @@ def _quintic_gather(coeffs: np.ndarray, x: np.ndarray, stencil, table=None) -> n
     strides, taps = stencil
     flat = base.astype(np.intp) @ strides
     planes = coeffs.reshape(len(coeffs), -1)  # views of the planes of a jet
-    out = np.empty((len(coeffs), k))
+    values, derivs = np.empty((len(coeffs), k)), np.empty((m, len(coeffs), k))
+    # the product of the value rows is product 0; the one with the
+    # derivative row on axis a alone is product 2^(m - 1 - a)
+    pick = 2 ** np.arange(m - 1, -1, -1)
     step = _LATTICE_CHUNK // len(taps)
     for start in range(0, k, step):
         part = slice(start, start + step)
         n = len(flat[part])
-        # every axis's weights from one call: (6, n, m)
-        axes = _quintic_weights(frac[part].ravel(), _STENCIL).reshape(-1, n, m)
-        weights = np.ones((n, 1))
-        for a in range(m):  # (n, 6^a) -> (n, 6^(a+1)), in the taps' order
-            weights = (weights[:, :, None] * axes[:, None, :, a].T).reshape(n, -1)
+        # (n, m, 2, 6): per point and axis, the value and derivative rows
+        axes = np.vander(frac[part].ravel(), len(_STENCIL_WEIGHTS), increasing=True) @ _STENCIL_WEIGHTS
+        axes = axes.reshape(n, m, 2, len(_STENCIL))
         idx = flat[part, None] + taps
         if table is None:
             rows = np.stack([plane[idx] for plane in planes], axis=-1)
         else:
             rows = np.take(table, idx, axis=0)
-        out[:, part] = (weights[:, None, :] @ rows)[:, 0].T
-    return out
+        out = rows
+        for a in range(m):  # (n, 2^a, 6, ...) -> (n, 2^a, 2, ...)
+            out = axes[:, a, None] @ out.reshape(n, 2**a, len(_STENCIL), -1)
+        out = out.reshape(n, 2**m, -1)
+        values[:, part] = out[:, 0].T
+        derivs[:, :, part] = out[:, pick].transpose(1, 2, 0)
+    return values, derivs
+
+
+def _hessian_rows(derivs: np.ndarray, h: float) -> np.ndarray:
+    """Upper-triangle rows (m(m+1)/2, k), in jet order, of the symmetrized
+    Jacobian of the gradient whose derivatives per unit of index are
+    ``derivs`` (m, m, k), on a grid of spacing h."""
+    i, j = _UPPER[len(derivs)]
+    return (derivs[i, j] + derivs[j, i]) * (0.5 / h)
 
 
 def _lattice(coeffs: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -309,7 +360,7 @@ def _lattice(coeffs: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.n
     Each node's 7^m neighbourhood of coefficients, gathered by flat index as
     7^(m-1) rows along the last axis, is contracted axis by axis with the one
     weight matrix.  Returns (c, k r^m): each node's r^m sub-nodes together,
-    in meshgrid "ij" order.  Raises ValueError as ``_quintic_gather`` does.
+    in meshgrid "ij" order.  Raises ValueError as ``_quintic_jet`` does.
     """
     m, r, t, w = nodes.shape[1], weights.shape[1], len(_TAPS), coeffs.shape[-1]
     if not _in_window(nodes, _TAPS, w).all():
@@ -365,9 +416,15 @@ def count_kacrice_smoothed(field: FieldRealization, box, eps, refine: int = 6):
 
     An eps below the gradient swing across one sub-node, the Hessian scale
     times h / refine, warns that cells may be missed; the Hessian scale is
-    read from h00 on the box's nodes and the ring around them.
+    read from h00 on the box's nodes and the ring around them.  The count
+    reads hess X, so a 1-jet raises ValueError before any work.
     """
     m = field.spec.m
+    if field.order < 2:
+        raise ValueError(
+            "the smoothed count reads the Hessian, and this jet holds only X and "
+            "grad X; synthesize the 2-jet (order=2)"
+        )
     lo, hi = _box_arrays(box, field.spec)
     h = field.spec.spacing
     ladder = _eps_ladder(eps)

@@ -25,6 +25,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import time
 import warnings
 from dataclasses import dataclass, field, fields
@@ -97,6 +98,9 @@ class ExperimentRecord:
     wall_time: float
     flags: list[str] = field(default_factory=list)
     torus: dict = field(default_factory=dict)  # Torus.record() of the run's torus
+    # peak resident MB after the sweep: {"process": ..., "largest_worker":
+    # ... or None when the sweep ran in-process}
+    peak_rss_mb: dict = field(default_factory=dict)
 
 
 def _worker_cpus(spec: GridSpec, r: int) -> list[int]:
@@ -122,11 +126,18 @@ def _run_replicate(j: int):
     return _replicate(j)
 
 
-def _sweep(config: ExperimentConfig, grid: Torus, key: int, wall_clock, per_field):
-    """The one replicate loop: replicate j synthesizes one field on ``grid``
-    from SeedSequence((master, key)).spawn(R)[j] and hands it to
-    ``per_field(j, field, box)``, box being the cube of the grid's
-    half-width.  ``per_field`` is a module-level function, or a partial of
+def _peak_rss_mb(who) -> float:
+    """Peak resident set of ``resource.RUSAGE_SELF`` or, for
+    ``RUSAGE_CHILDREN``, of the largest child waited for, in MB (Linux
+    reports kB)."""
+    return resource.getrusage(who).ru_maxrss / 1024.0
+
+
+def _sweep(config: ExperimentConfig, grid: Torus, key: int, wall_clock, per_field, order: int):
+    """The one replicate loop: replicate j synthesizes the jet of ``order``
+    of one field on ``grid`` from SeedSequence((master, key)).spawn(R)[j]
+    and hands it to ``per_field(j, field, box)``, box being the cube of the
+    grid's half-width.  ``per_field`` is a module-level function, or a partial of
     one, and returns all its caller keeps: under a pool it runs in a
     worker.  The seeds are drawn once, before any field; ``wall_clock`` is
     as in ``run_clt``.
@@ -137,7 +148,9 @@ def _sweep(config: ExperimentConfig, grid: Torus, key: int, wall_clock, per_fiel
     shared by all processes).  The first replicate, in order, to raise ends
     the sweep with its error; a worker that dies ends it with
     BrokenProcessPool.  No worker outlives the call.  Returns the per-field
-    results in replicate order and the seconds spent.
+    results in replicate order, the seconds spent and the peak resident MB
+    of this process and of its largest worker, read once the pool has shut
+    down (None in-process).
     """
     t0 = time.perf_counter()
     w, spec, r = config.density, grid.spec, config.realizations
@@ -152,10 +165,11 @@ def _sweep(config: ExperimentConfig, grid: Torus, key: int, wall_clock, per_fiel
             raise BudgetError(
                 f"wall-clock budget {wall_clock:g}s spent after {j} of {r} realizations"
             )
-        fr = synthesize(w, spec, seed=seeds[j], cutoff=grid.cutoff, band=grid.band)
+        fr = synthesize(w, spec, seed=seeds[j], cutoff=grid.cutoff, band=grid.band, order=order)
         return per_field(j, fr, box)
 
     cpus = _worker_cpus(spec, r)
+    worker_rss = None
     if len(cpus) == 1:
         out = [replicate(j) for j in range(r)]
     else:
@@ -178,7 +192,9 @@ def _sweep(config: ExperimentConfig, grid: Torus, key: int, wall_clock, per_fiel
         finally:
             pool.shutdown(cancel_futures=True)
             queue.close()
-    return out, time.perf_counter() - t0
+        worker_rss = _peak_rss_mb(resource.RUSAGE_CHILDREN)
+    rss = {"process": _peak_rss_mb(resource.RUSAGE_SELF), "largest_worker": worker_rss}
+    return out, time.perf_counter() - t0, rss
 
 
 def _nested_counts(n_list, j: int, fr, box) -> tuple[list[int] | None, str | None]:
@@ -201,8 +217,9 @@ def run_clt(
 ) -> ExperimentRecord:
     """Synthesize and count; deterministic given the master seed.
 
-    Each replicate is one field on the grid of the largest N, counted once;
-    Z_N at every level is read off its point set, so the levels are paired.
+    Each replicate is one field on the grid of the largest N, synthesized
+    as its 1-jet (Newton reads no more) and counted once; Z_N at every
+    level is read off its point set, so the levels are paired.
     Replicate j draws from SeedSequence((master, len(n_list) - 1)).spawn(R)[j],
     so every level's counts depend on the largest N and on len(n_list).  A
     replicate that fails is dropped from every level, counted once in
@@ -218,8 +235,8 @@ def run_clt(
     n_list, r = config.n_list, config.realizations
     if grid is None:
         grid = torus(config.density, config.m, n_list[-1], config.points_per_unit)
-    results, wall_time = _sweep(
-        config, grid, len(n_list) - 1, wall_clock, partial(_nested_counts, n_list)
+    results, wall_time, rss = _sweep(
+        config, grid, len(n_list) - 1, wall_clock, partial(_nested_counts, n_list), order=1
     )
     flags = [] if r >= 30 else ["insufficient: R < 30"]
     flags += [flag for _, flag in results if flag is not None]
@@ -237,6 +254,7 @@ def run_clt(
         wall_time=wall_time,
         flags=flags,
         torus=grid.record(),
+        peak_rss_mb=rss,
     )
 
 
@@ -311,7 +329,8 @@ def estimator_crosscheck(
     """Per-realization Newton vs smoothed counting-measure agreement.
 
     Runs at the smallest N in the config with the configured eps ladder,
-    one smoothed pass per field; reports relative disagreement quantiles per
+    one smoothed pass per field on the field's 2-jet, which the smoothed
+    count reads; reports relative disagreement quantiles per
     eps and the torus under "torus".  Each row carries the field's seed, its
     Newton count and unresolved Newton cells, and one smoothed count per
     eps; every field keeps its row.  Replicate j draws from
@@ -321,7 +340,7 @@ def estimator_crosscheck(
     if grid is None:
         grid = torus(config.density, config.m, config.n_list[0], config.points_per_unit)
     compare = partial(_compare_estimators, config.eps_list)
-    rows, _ = _sweep(config, grid, 0x9C, wall_clock, compare)
+    rows = _sweep(config, grid, 0x9C, wall_clock, compare, order=2)[0]
     out = {"rows": rows, "torus": grid.record()}
     for eps in config.eps_list:
         rel = np.array(
@@ -363,6 +382,7 @@ def save_record(record: ExperimentRecord, out_dir, vtab: dict) -> Path:
         "failures": dict.fromkeys(keys, record.failures),
         "summary": summary,
         "wall_time": record.wall_time,
+        "peak_rss_mb": record.peak_rss_mb,
         "flags": record.flags,
         "torus": record.torus,
     }

@@ -1,7 +1,8 @@
 """Seeded spectral synthesis of stationary isotropic Gaussian fields.
 
-A realization carries the jet (value, gradient, Hessian upper triangle) on
-the counting window of a periodic grid as one stacked array.  Derivative
+A realization carries the jet (value, gradient and, in the 2-jet, the
+Hessian upper triangle) on the counting window of a periodic grid as one
+stacked array.  Derivative
 fields are produced in the spectral domain (multiplication by i*lam_j and
 -lam_j*lam_k of the same random coefficients), never by differencing the
 sampled values, so the jet is consistent to machine precision with one
@@ -217,14 +218,17 @@ def wrap_guard(w: SpectralDensity, m: int, points_per_unit: int) -> tuple[float,
 
 @dataclass(frozen=True)
 class FieldRealization:
-    """One seeded sample of the jet (X, grad X, hess X) on a GridSpec.
+    """One seeded sample of the jet (X, grad X) or (X, grad X, hess X) on a
+    GridSpec.
 
-    ``jet`` is one complex array of shape (1 + m + m(m+1)/2, w, ..., w), w =
+    ``jet`` is one complex array of shape (c, w, ..., w), w =
     ``spec.window``, holding the components on the counting window in the
-    order of ``jet_labels(m)``: the value, the m gradient components, then
-    the Hessian upper triangle row by row.  Its real part holds the grid
-    values of each component, its imaginary part their quintic B-spline
-    coefficients (those of the periodic spline on the whole torus).
+    order of ``jet_labels(m, order)``: the value and the m gradient
+    components (c = 1 + m, the 1-jet), then in the 2-jet the Hessian upper
+    triangle row by row (c = 1 + m + m(m+1)/2).  Its real part holds the
+    grid values of each component, its imaginary part their quintic
+    B-spline coefficients (those of the periodic spline on the whole
+    torus).
     """
 
     spec: GridSpec
@@ -242,14 +246,20 @@ class FieldRealization:
         """Quintic B-spline coefficients of every component (``jet.imag``)."""
         return self.jet.imag
 
+    @property
+    def order(self) -> int:
+        """The jet's derivative order: 1 for (X, grad X), 2 with hess X."""
+        return 1 if len(self.jet) == 1 + self.spec.m else 2
+
     def origin(self) -> np.ndarray:
         """Coordinates of jet node (0, ..., 0), the first window node."""
         return np.full(self.spec.m, -self.spec.window_radius * self.spec.spacing)
 
 
-def jet_labels(m: int) -> list[str]:
-    """Component names in jet order: X, g0 .. g{m-1}, then h{i}{j} for i <= j."""
-    upper = zip(*np.triu_indices(m))
+def jet_labels(m: int, order: int = 2) -> list[str]:
+    """Component names in jet order: X, g0 .. g{m-1}, then at order 2
+    h{i}{j} for i <= j."""
+    upper = zip(*np.triu_indices(m)) if order == 2 else ()
     return ["X"] + [f"g{i}" for i in range(m)] + [f"h{i}{j}" for i, j in upper]
 
 
@@ -402,8 +412,10 @@ def synthesize(
     seed: int,
     cutoff: float | None = None,
     band: np.ndarray | None = None,
+    order: int = 2,
 ) -> FieldRealization:
-    """Sample the centered stationary field with spectral density w.
+    """Sample the centered stationary field with spectral density w, as its
+    jet of derivative ``order`` 1 (X, grad X) or 2 (with hess X).
 
     Hermitian-free variant of spectral synthesis: draw one complex standard
     normal per lattice frequency, scale by sqrt(2 (2 pi)^(-m/2) w(|lam|)
@@ -411,7 +423,9 @@ def synthesize(
     result matches the target covariance on the torus exactly.  Each
     component's complex transform returns the grid values and, in the
     otherwise unused imaginary part, the quintic spline coefficients; only
-    the counting window of the torus is transformed out and stored.
+    the counting window of the torus is transformed out and stored.  The
+    1-jet runs only the transforms its 1 + m components need, and its planes
+    are those of the 2-jet's first 1 + m components, bit for bit.
 
     The normals are drawn, the spectrum built and transformed only on the
     band block ``(len(band),) * m``: the frequencies left out carry
@@ -423,6 +437,8 @@ def synthesize(
     does not resolve the cutoff.
     """
     m, n = spec.m, spec.n_per_side
+    if order not in (1, 2):
+        raise ValueError(f"jet order {order!r}: synthesis makes the 1-jet or the 2-jet")
     if cutoff is None:
         cutoff = spectral_cutoff(w, m)
     spec.check_resolution(cutoff)
@@ -459,7 +475,7 @@ def synthesize(
     # an odd factor is zero there; that keeps every multiplier Hermitian.
     odd = np.where(band == n // 2, 0.0, freqs)
     factor = {1: 1j * odd, 2: -freqs**2}
-    jet = np.empty((len(jet_labels(m)),) + (spec.window,) * m, dtype=complex)
+    jet = np.empty((len(jet_labels(m, order)),) + (spec.window,) * m, dtype=complex)
     _transform_window(folded, range(len(jet)), 0, factor, n, jet)
     return FieldRealization(spec=spec, jet=jet, seed=seed, spectral_cutoff=cutoff)
 
@@ -504,8 +520,15 @@ _HEADER = "<iqdidd"  # m, seed, half-width, points per unit, guard, cutoff
 def dump_realization(field_r: FieldRealization, path) -> None:
     """Little-endian binary dump: header (spec, seed, spectral cutoff), then
     the complex128 jet on the counting window, grid values and spline
-    coefficients of every component in jet order."""
+    coefficients of every component in jet order.  Only a 2-jet is dumped:
+    the header holds no component count, so ``load_realization`` reads
+    every dump as a 2-jet; any other jet raises ValueError."""
     spec = field_r.spec
+    if field_r.jet.shape != (len(jet_labels(spec.m)),) + (spec.window,) * spec.m:
+        raise ValueError(
+            f"a CFLD3 dump holds the 2-jet of {len(jet_labels(spec.m))} components; "
+            f"this jet has shape {field_r.jet.shape}"
+        )
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(

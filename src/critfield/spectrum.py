@@ -12,6 +12,7 @@ through the radial moments ``I_k(w) = integral( w(r) r^k dr )``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -246,24 +247,17 @@ def _pair_partitions(indices: tuple[int, ...]):
             yield ((first, partner),) + pairs, singles
 
 
-def _assemble_derivative(indices: tuple[int, ...], t: np.ndarray, g: list) -> float:
+def _assemble_derivative(k: int, terms, t: np.ndarray, g: list) -> float:
     """d^k C / dt_(i1) ... dt_(ik) from the radial coefficients G^(j).
 
     C(t) = G(|t|^2/2) gives a sum over pairings: each paired index couple
     contributes a Kronecker delta, each singleton a factor t_i, and the term
-    carries G^(k - #pairs).
+    carries G^(k - #pairs).  ``terms`` holds the (#pairs, singletons) of the
+    pairings whose deltas are all 1, as ``_jet_terms`` lists them.
     """
-    k = len(indices)
     total = 0.0
-    for pairs, singles in _pair_partitions(indices):
-        delta = 1.0
-        for a, b in pairs:
-            if a != b:
-                delta = 0.0
-                break
-        if delta == 0.0:
-            continue
-        term = g[k - len(pairs)]
+    for n_pairs, singles in terms:
+        term = g[k - n_pairs]
         for i in singles:
             term = term * t[i]
         total += term
@@ -299,6 +293,25 @@ class CovarianceJet:
         return self.derivatives[tuple(alpha)]
 
 
+@functools.cache
+def _jet_terms(m: int) -> tuple:
+    """(alpha, |alpha|, terms) for every multi-index |alpha| <= 4, in the
+    order of ``_multi_indices``: the terms are the (#pairs, singletons) of
+    each pair partition of alpha's indices whose pairs match, in the order
+    of ``_pair_partitions``.  They depend on m alone, so each m enumerates
+    its partitions once, not at every point of a jet."""
+    out = []
+    for alpha in _multi_indices(m, 4):
+        indices = tuple(i for i, a in enumerate(alpha) for _ in range(a))
+        terms = tuple(
+            (len(pairs), singles)
+            for pairs, singles in _pair_partitions(indices)
+            if all(a == b for a, b in pairs)
+        )
+        out.append((alpha, len(indices), terms))
+    return tuple(out)
+
+
 def covariance_jet(w: SpectralDensity, m: int, t) -> CovarianceJet:
     """All partial derivatives d^alpha C(t) with |alpha| <= 4."""
     t = np.asarray(t, dtype=float)
@@ -306,12 +319,7 @@ def covariance_jet(w: SpectralDensity, m: int, t) -> CovarianceJet:
         raise ValueError(f"point must have shape ({m},)")
     rho = float(np.linalg.norm(t))
     g = [float(v[0]) for v in radial_jet(w, m, [rho])]
-    derivs = {}
-    for alpha in _multi_indices(m, 4):
-        indices = tuple(
-            i for i, a in enumerate(alpha) for _ in range(a)
-        )
-        derivs[alpha] = _assemble_derivative(indices, t, g)
+    derivs = {alpha: _assemble_derivative(k, terms, t, g) for alpha, k, terms in _jet_terms(m)}
     return CovarianceJet(m=m, t=tuple(t), derivatives=derivs)
 
 

@@ -397,6 +397,7 @@ class TestMainExitCodes:
             if "record.json" in files:
                 record = json.loads(files.pop("record.json"))
                 record.pop("wall_time")
+                record.pop("peak_rss_mb")
                 files["record.json"] = record
             outputs.append((stamp, files))
         assert outputs[0] == outputs[1]

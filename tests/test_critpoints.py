@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import ndimage, special
+from scipy import interpolate, ndimage, special
 from scipy.spatial import cKDTree
 
 from critfield import critpoints
@@ -20,8 +20,9 @@ from critfield.critpoints import (
     _flat_stencil,
     _in_window,
     _lattice,
+    _hessian_rows,
     _node_major,
-    _quintic_gather,
+    _quintic_jet,
     _quintic_weights,
     count_kacrice_smoothed,
     count_newton,
@@ -33,6 +34,7 @@ from critfield.field import (
     GridSpec,
     jet_labels,
     synthesize,
+    torus,
     wrap_guard,
 )
 from critfield.randmat import _adjugate, hessian_stack
@@ -413,8 +415,36 @@ class TestCandidateCells:
         np.testing.assert_array_equal(got, _corner_candidates(fr, lo, hi))
 
 
+def _bspline_jet(coeffs: np.ndarray, x: np.ndarray):
+    """Values (c, k) and first derivatives (m, c, k) of the quintic splines
+    of ``coeffs`` at the index points x (k, m): the 6^m neighbourhood of
+    each point contracted with scipy's cardinal B-spline of knots -3 .. 3
+    and its derivative, evaluated by de Boor's algorithm."""
+    beta = interpolate.BSpline.basis_element(np.arange(-3.0, 4.0), extrapolate=False)
+    kernels = [beta, beta.derivative()]
+
+    def weights(u, kernel):  # (6,) weights of the taps -2 .. 3 at u
+        return np.nan_to_num(kernel(u - _STENCIL))
+
+    m = x.shape[1]
+    values, derivs = np.empty((len(coeffs), len(x))), np.empty((m, len(coeffs), len(x)))
+    for p, point in enumerate(x):
+        base = np.floor(point).astype(int)
+        block = coeffs[(slice(None),) + tuple(slice(b - 2, b + 4) for b in base)]
+        for which in range(m + 1):  # the value, then the derivative along axis which - 1
+            w = [weights(point[a] - base[a], kernels[a == which - 1]) for a in range(m)]
+            got = block
+            for wa in w:  # contract the leading tap axis
+                got = np.tensordot(wa, got, axes=(0, 1))
+            if which == 0:
+                values[:, p] = got
+            else:
+                derivs[which - 1, :, p] = got
+    return values, derivs
+
+
 class TestQuinticGather:
-    """Newton's node-major kernel against scipy's map_coordinates."""
+    """Newton's node-major kernel against scipy's splines."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(m=st.sampled_from([2, 3]), data=st.data())
@@ -431,30 +461,35 @@ class TestQuinticGather:
         x = np.array(data.draw(st.lists(st.lists(coord, min_size=m, max_size=m),
                                         min_size=1, max_size=8)))
         stencil = _flat_stencil(w, m)
-        got = _quintic_gather(fr.coeffs, x, stencil, _node_major(fr.coeffs))
+        values, derivs = _quintic_jet(fr.coeffs, x, stencil, _node_major(fr.coeffs))
         # the planes read in place give the table's values, bit for bit
-        np.testing.assert_array_equal(_quintic_gather(fr.coeffs, x, stencil), got)
+        for got, again in zip((values, derivs), _quintic_jet(fr.coeffs, x, stencil)):
+            np.testing.assert_array_equal(again, got)
         want = np.stack([
             ndimage.map_coordinates(c, x.T, order=5, prefilter=False, mode="nearest")
             for c in fr.coeffs
         ])
         scale = np.max(np.abs(fr.coeffs.reshape(len(fr.coeffs), -1)), axis=1, keepdims=True)
-        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+        assert np.all(np.abs(values - want) <= 1e-13 * scale)
+        ref_values, ref_derivs = _bspline_jet(fr.coeffs, x)
+        assert np.all(np.abs(values - ref_values) <= 1e-13 * scale)
+        assert np.all(np.abs(derivs - ref_derivs) <= 1e-13 * scale)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_point_values_do_not_depend_on_the_call(self, m):
         # more points than one chunk holds: each point's values are those of
         # a call that reads it alone, from the table or in place, bit for bit
         fr = _small_field(m)
-        w, coeffs = fr.spec.window, fr.coeffs[1:]
+        w, coeffs = fr.spec.window, fr.coeffs[1:1 + m]
         stencil, table = _flat_stencil(w, m), _node_major(coeffs)
         k = 2 * critpoints._LATTICE_CHUNK // len(_STENCIL) ** m + 3
         x = np.random.default_rng(m).uniform(2.0, w - 3.0, size=(k, m))
-        got = _quintic_gather(coeffs, x, stencil, table)
+        values, derivs = _quintic_jet(coeffs, x, stencil, table)
         for i in (0, 1, k // 2, k - 1):
             for source in (table, None):
-                one = _quintic_gather(coeffs, x[i:i + 1], stencil, source)
-                np.testing.assert_array_equal(got[:, i:i + 1], one)
+                one = _quintic_jet(coeffs, x[i:i + 1], stencil, source)
+                np.testing.assert_array_equal(values[:, i:i + 1], one[0])
+                np.testing.assert_array_equal(derivs[:, :, i:i + 1], one[1])
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_stencil_must_stay_in_the_window(self, m):
@@ -463,7 +498,7 @@ class TestQuinticGather:
         # w - 3 on the stencil would read the next row.  Newton's escape
         # test and the kernel's refusal agree on both edges
         fr = _small_field(m)
-        w, coeffs = fr.spec.window, fr.coeffs[1:]
+        w, coeffs = fr.spec.window, fr.coeffs[1:1 + m]
         stencil = _flat_stencil(w, m)
         for axis in range(m):
             for coord, readable in [
@@ -474,17 +509,32 @@ class TestQuinticGather:
                 x[1, axis] = coord
                 assert _in_window(np.floor(x), _STENCIL, w).tolist() == [True, readable, True]
                 if readable:
-                    _quintic_gather(coeffs, x, stencil)
+                    _quintic_jet(coeffs, x, stencil)
                 else:
                     with pytest.raises(ValueError, match="leaves the window"):
-                        _quintic_gather(coeffs, x, stencil)
+                        _quintic_jet(coeffs, x, stencil)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_gradient_derivative_matches_hessian_spline(self, m):
+        # the symmetrized derivative of the gradient spline, which Newton
+        # takes for the Hessian, against the 2-jet's Hessian spline at 500
+        # points of the window, relative to the largest Hessian entry there
+        spec = GridSpec(m=m, half_width=5.0, points_per_unit=8, guard=wrap_guard(GAUSS, m, 8)[0])
+        fr = synthesize(GAUSS, spec, seed=m)
+        w, h = spec.window, spec.spacing
+        x = np.random.default_rng(m).uniform(2.0, w - 3.0, size=(500, m))
+        stencil = _flat_stencil(w, m)
+        derivs = _quintic_jet(fr.coeffs[1:1 + m], x, stencil)[1]
+        hess = _quintic_jet(fr.coeffs[1 + m:], x, stencil)[0]
+        error = np.abs(_hessian_rows(derivs, h) - hess).max()
+        assert error <= 1e-5 * np.abs(hess).max()
 
     def test_node_table_built_once_per_count(self, monkeypatch):
-        # one node-major copy per count_newton call, read by every iteration,
-        # when the candidates' stencils reach a tenth of the window (about
-        # 0.4 of it here)
+        # one node-major copy of the gradient's m planes per count_newton
+        # call, read by every iteration, when the candidates' stencils reach
+        # a fifth of the window (about 0.4 of it here)
         built, read = [], []
-        node_major, gather = critpoints._node_major, critpoints._quintic_gather
+        node_major, gather = critpoints._node_major, critpoints._quintic_jet
 
         def spy_table(coeffs):
             built.append(coeffs.shape)
@@ -495,11 +545,11 @@ class TestQuinticGather:
             return gather(coeffs, x, stencil, table)
 
         monkeypatch.setattr(critpoints, "_node_major", spy_table)
-        monkeypatch.setattr(critpoints, "_quintic_gather", spy_gather)
+        monkeypatch.setattr(critpoints, "_quintic_jet", spy_gather)
         fr = _small_field(3)
         box = ((-2.0,) * 3, (2.0,) * 3)
         assert count_newton(fr, box).newton_count > 0
-        assert built == [(9,) + (fr.spec.window,) * 3]
+        assert built == [(3,) + (fr.spec.window,) * 3]
         assert len(read) > 1 and len(set(read)) == 1
         count_newton(fr, box)
         assert len(built) == 2
@@ -608,16 +658,21 @@ class TestAdjugate:
         )
 
     def test_singular_hessian_gives_zero_step(self, monkeypatch):
-        # det hess X = 0 at every point of the stripes: each iterate is read
-        # at its cell centre, takes no step and retires once _STALL further
-        # evaluations bring no improvement, with no warning on the way
-        seen, gather = [], critpoints._quintic_gather
+        # the stripes' gradient varies along x alone and g1 = 0, so with its
+        # derivatives along y, rounding of the spline weights, set to zero,
+        # det H = 0 at every point: each iterate is read at its cell centre,
+        # takes no step and retires once _STALL further evaluations bring no
+        # improvement, with no warning on the way
+        seen, gather = [], critpoints._quintic_jet
 
         def spy(coeffs, x, *args):
             seen.append(x.copy())
-            return gather(coeffs, x, *args)
+            values, derivs = gather(coeffs, x, *args)
+            assert np.abs(derivs[1]).max() <= 1e-14 * np.abs(derivs[0]).max()
+            derivs[1] = 0.0
+            return values, derivs
 
-        monkeypatch.setattr(critpoints, "_quintic_gather", spy)
+        monkeypatch.setattr(critpoints, "_quintic_jet", spy)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cps = count_newton(_analytic_field("stripes"), ((-2.0, -2.0), (2.0, 2.0)))
@@ -748,6 +803,47 @@ def _smoothed_reference(field: FieldRealization, box, eps: float, refine: int) -
 def _small_field(m: int) -> FieldRealization:
     spec = GridSpec(m=m, half_width=2.0, points_per_unit=8, guard=3.0)
     return synthesize(GAUSS, spec, seed=5 + m)
+
+
+class TestOneJet:
+    """Newton on the 1-jet, with its Jacobian from the gradient spline."""
+
+    # (m, N, seed) at ppu 8: the count, the failed cells and the signature
+    # counts that Newton gave with its Jacobian from the 2-jet's Hessian
+    # spline
+    PINNED = {
+        (2, 20.0, 11): (550, 0, {0: 137, 1: 273, 2: 140}),
+        (2, 20.0, 12): (551, 0, {0: 141, 1: 274, 2: 136}),
+        (3, 5.0, 11): (253, 0, {0: 31, 1: 95, 2: 97, 3: 30}),
+        (3, 5.0, 12): (323, 0, {0: 46, 1: 126, 2: 116, 3: 35}),
+    }
+
+    @pytest.mark.parametrize("m, half_width, seed", list(PINNED))
+    def test_counts_pinned(self, m, half_width, seed):
+        grid = torus(GAUSS, m, half_width, 8)
+        box = ((-half_width,) * m, (half_width,) * m)
+        one, two = (
+            count_newton(synthesize(GAUSS, grid.spec, seed, grid.cutoff, grid.band, order), box)
+            for order in (1, 2)
+        )
+        got = (one.newton_count, one.failed_cells, one.signature_counts())
+        assert got == self.PINNED[m, half_width, seed]
+        # Newton reads the gradient planes alone, the same in either jet
+        for name in ("locations", "residuals", "signatures", "det_hessian"):
+            np.testing.assert_array_equal(getattr(one, name), getattr(two, name))
+        assert one.degenerate_flags == two.degenerate_flags
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_smoothed_count_refuses_the_1_jet(self, monkeypatch, m):
+        spec = _small_field(m).spec
+        fr = synthesize(GAUSS, spec, seed=5 + m, order=1)
+
+        def never(*args):
+            raise AssertionError("the smoothed count read the 1-jet")
+
+        monkeypatch.setattr(critpoints, "_lattice", never)
+        with pytest.raises(ValueError, match="reads the Hessian"):
+            count_kacrice_smoothed(fr, ((-1.0,) * m, (1.0,) * m), eps=0.05)
 
 
 class TestLatticeStencils:

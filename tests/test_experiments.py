@@ -259,13 +259,14 @@ class TestNestedLevels:
         made, synth = [], experiments.synthesize
 
         def spy(w, spec, **kw):
-            made.append(spec.half_width)
+            made.append((spec.half_width, kw["order"]))
             return synth(w, spec, **kw)
 
         monkeypatch.setattr(experiments, "synthesize", spy)
         cfg = replace(SMALL, n_list=(2.0, 3.0, 4.0), realizations=3)
         run_clt(cfg)
-        assert made == [4.0] * 3
+        # each field is the 1-jet, all that Newton reads
+        assert made == [(4.0, 1)] * 3
 
 
 def _seeds(cfg: ExperimentConfig, key: int) -> list[int]:
@@ -292,6 +293,11 @@ class TestWorkers:
             two = run_clt(cfg)
         np.testing.assert_array_equal(one.counts, two.counts)
         assert (one.failures, one.flags, one.c_m) == (two.failures, two.flags, two.c_m)
+        # the largest worker's peak, read once the pool is shut down; none
+        # in-process
+        assert one.peak_rss_mb["largest_worker"] is None
+        assert two.peak_rss_mb["largest_worker"] > 0
+        assert one.peak_rss_mb["process"] > 0 and two.peak_rss_mb["process"] > 0
 
     def test_crosscheck_same_with_one_and_two_workers(self, pinned):
         cfg = replace(SMALL, n_list=(3.0,), realizations=3, points_per_unit=16,
@@ -310,12 +316,13 @@ class TestWorkers:
             return os.getpid(), frozenset(os.sched_getaffinity(0))
 
         grid = field.torus(SMALL.density, SMALL.m, 3.0, SMALL.points_per_unit)
-        out, _ = experiments._sweep(replace(SMALL, realizations=6), grid, 0, None, where)
+        out, _, rss = experiments._sweep(replace(SMALL, realizations=6), grid, 0, None, where, 1)
         pinned = dict(out)
         assert os.getpid() not in pinned
         assert len(pinned) == 2
         assert all(len(cpus) == 1 for cpus in pinned.values())
         assert sorted(min(cpus) for cpus in pinned.values()) == two_cpus
+        assert rss["largest_worker"] > 0
 
     def test_large_torus_runs_one_worker(self, two_cpus):
         # a jet over half the budget leaves room for one field at a time
@@ -557,6 +564,8 @@ class TestPersistence:
         doc = json.loads(path.read_text())
         assert doc["config_digest"] == small_record.config_digest
         assert doc["m"] == 2
+        assert doc["peak_rss_mb"] == small_record.peak_rss_mb
+        assert set(doc["peak_rss_mb"]) == {"process", "largest_worker"}
         assert doc["n_list"] == [3.0, 4.0]
         for n in SMALL.n_list:
             assert doc["failures"][str(n)] == 0

@@ -227,6 +227,27 @@ class TestSynthesis:
         assert fr.jet.base is None and fr.jet.nbytes == 10 * 33**3 * 16
         assert jet_labels(3)[4:] == ["h00", "h01", "h02", "h11", "h12", "h22"]
 
+    @pytest.mark.parametrize("m, ppu, sigma, half_width", [
+        (2, 8, 1.0, 5.0), (2, 64, 1.0, 2.0), (3, 8, 1.0, 3.0), (3, 64, 4.0, 0.5),
+    ])
+    def test_1_jet_is_the_first_planes_of_the_2_jet(self, m, ppu, sigma, half_width):
+        # the 1-jet runs only the transforms of X and grad X, with the same
+        # inputs, so its planes are the 2-jet's bit for bit; at m = 3 and
+        # ppu 64 a spectrum four times as wide keeps the guard, and the
+        # torus, small
+        w = SpectralDensity(family="gaussian", params=(sigma,))
+        grid = torus(w, m, half_width, ppu)
+        one = synthesize(w, grid.spec, 3, grid.cutoff, grid.band, order=1)
+        two = synthesize(w, grid.spec, 3, grid.cutoff, grid.band)
+        assert one.jet.shape == (1 + m,) + two.jet.shape[1:]
+        assert np.array_equal(one.jet, two.jet[:1 + m])
+        assert (one.order, two.order) == (1, 2)
+        assert jet_labels(m, 1) == jet_labels(m)[:1 + m]
+
+    def test_jet_order_refused(self):
+        with pytest.raises(ValueError, match="jet order 3"):
+            synthesize(GAUSS, SPEC2, seed=1, order=3)
+
 
 # a non-monotone table: two bumps, the outer one taller than the inner dip
 TABLE = SpectralDensity(
@@ -336,6 +357,14 @@ class TestRoundTrip:
         assert back.jet.base is None
         # header, then the complex window jet
         assert path.stat().st_size == 6 + 40 + realization.jet.nbytes
+
+    def test_only_the_2_jet_is_dumped(self, tmp_path):
+        # the header holds no component count: a 1-jet would load as a
+        # truncated 2-jet, so it is refused before the file is opened
+        one = synthesize(GAUSS, SPEC2, seed=123, order=1)
+        with pytest.raises(ValueError, match="2-jet of 6 components"):
+            dump_realization(one, tmp_path / "one.bin")
+        assert not (tmp_path / "one.bin").exists()
 
     def test_cfld2_rejected_by_name(self, tmp_path):
         # CFLD2 stored torus grid values without coefficients

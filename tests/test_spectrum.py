@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from critfield.field import wrap_guard
 from critfield.spectrum import (
     DivergentIntegralError,
     SpectralDensity,
@@ -113,6 +114,28 @@ class TestCovarianceJet:
     def test_psi_envelope_decays(self):
         vals = [psi_envelope(GAUSS, 2, (r, 0.0)) for r in (1.0, 2.0, 4.0)]
         assert vals[0] > vals[1] > vals[2] > 0.0
+
+    # psi at 0, (0.7, -1.3, 2.1) and (3, 0.25, -0.5), cut to m entries, and
+    # the wrap guard at 8 points per unit (2 for the bump at m = 3), as they
+    # read when every jet enumerated the pairings of every multi-index
+    PINNED = {
+        ("gaussian", 2): ([3.0, 1.4403178373902745, 0.3230162593964132],
+                          (7.375, 7.036387242534999e-07)),
+        ("gaussian", 3): ([3.0, 0.1643226436942353, 0.2850608484017972],
+                          (7.375, 7.036387242534999e-07)),
+        ("compact-bump", 2): ([0.10000000000000002, 0.09126235840994297, 0.06780821521157678],
+                              (53.75, 9.677072935329116e-07)),
+        ("compact-bump", 3): ([0.029474523458229956, 0.022773608112430063, 0.020415249935698536],
+                              (51.0, 9.492135785840178e-07)),
+    }
+
+    @pytest.mark.parametrize("family, m", list(PINNED))
+    def test_psi_and_guard_pinned(self, family, m):
+        w = GAUSS if family == "gaussian" else SpectralDensity(family=family, params=(1.0, 4.0))
+        points = [np.zeros(m), np.r_[0.7, -1.3, 2.1][:m], np.r_[3.0, 0.25, -0.5][:m]]
+        psi, guard = self.PINNED[family, m]
+        assert [float(psi_envelope(w, m, t)) for t in points] == psi
+        assert wrap_guard(w, m, 2 if (family, m) == ("compact-bump", 3) else 8) == guard
 
 
 class TestDeterminantZoo:
