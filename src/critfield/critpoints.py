@@ -328,8 +328,8 @@ def _quintic_jet(coeffs: np.ndarray, x: np.ndarray, stencil, table=None):
         part = slice(start, start + step)
         n = len(flat[part])
         # (n, m, 2, 6): per point and axis, the value and derivative rows
-        axes = np.vander(frac[part].ravel(), len(_STENCIL_WEIGHTS), increasing=True) @ _STENCIL_WEIGHTS
-        axes = axes.reshape(n, m, 2, len(_STENCIL))
+        powers = np.vander(frac[part].ravel(), len(_STENCIL_WEIGHTS), increasing=True)
+        axes = (powers @ _STENCIL_WEIGHTS).reshape(n, m, 2, len(_STENCIL))
         idx = flat[part, None] + taps
         if table is None:
             rows = np.stack([plane[idx] for plane in planes], axis=-1)

@@ -18,9 +18,9 @@ from critfield.critpoints import (
     CriticalPointSet,
     _candidate_cells,
     _flat_stencil,
+    _hessian_rows,
     _in_window,
     _lattice,
-    _hessian_rows,
     _node_major,
     _quintic_jet,
     _quintic_weights,
@@ -822,12 +822,15 @@ class TestOneJet:
     def test_counts_pinned(self, m, half_width, seed):
         grid = torus(GAUSS, m, half_width, 8)
         box = ((-half_width,) * m, (half_width,) * m)
-        one, two = (
-            count_newton(synthesize(GAUSS, grid.spec, seed, grid.cutoff, grid.band, order), box)
-            for order in (1, 2)
-        )
+        jets = [synthesize(GAUSS, grid.spec, seed, grid.cutoff, grid.band, order)
+                for order in (1, 2)]
+        one, two = (count_newton(fr, box) for fr in jets)
         got = (one.newton_count, one.failed_cells, one.signature_counts())
         assert got == self.PINNED[m, half_width, seed]
+        # the degenerate-root scale from the g0 spline's derivative, against
+        # rms(h00) / sqrt(3) over the 2-jet's whole h00 plane
+        hess_scale = np.sqrt(np.mean(jets[1].grid[1 + m] ** 2) / 3.0)
+        assert critpoints._hess_scale(jets[0]) == pytest.approx(hess_scale, rel=0.02)
         # Newton reads the gradient planes alone, the same in either jet
         for name in ("locations", "residuals", "signatures", "det_hessian"):
             np.testing.assert_array_equal(getattr(one, name), getattr(two, name))
